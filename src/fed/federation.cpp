@@ -139,7 +139,7 @@ Federation::Federation(FederationOptions options)
       cfg.group.inflight_window = options_.order_window;
       cfg.transfer = options_.transfer;
       cfg.auto_rejoin = options_.auto_rejoin;
-      cfg.jstat_local = options_.jstat_local;
+      cfg.read_local = options_.jstat_local;
       cfg.shard.shard = s;
       cfg.shard.count = shards;
       cfg.shard.id_stride = map_.id_stride();

@@ -1,7 +1,6 @@
 #include "joshua/client.h"
 
 #include "sim/calibration.h"
-#include "util/logging.h"
 
 namespace joshua {
 
@@ -16,57 +15,31 @@ ClientConfig joshua_client_config_from(const sim::Calibration& cal,
 
 Client::Client(sim::Network& net, sim::HostId host, sim::Port port,
                ClientConfig config)
-    : net::RpcNode(net, host, port, "jclient@" + net.host(host).name()),
-      config_(std::move(config)) {
-  if (config_.heads.empty())
-    throw std::invalid_argument("joshua::Client: no heads configured");
-}
-
-template <typename Response, typename Decode>
-void Client::attempt(sim::Payload request, Decode decode,
-                     std::function<void(std::optional<Response>)> done,
-                     size_t tries_left) {
-  net::CallOptions options;
-  options.timeout = config_.timeout;
-  sim::Endpoint head = config_.heads[current_head_];
-  call(head, request,
-       [this, request, decode, done = std::move(done), tries_left](
-           std::optional<sim::Payload> resp) mutable {
-         if (!resp.has_value()) {
-           // This head is unreachable: fail over to the next one.
-           if (tries_left <= 1) {
-             done(std::nullopt);
-             return;
-           }
-           current_head_ = (current_head_ + 1) % config_.heads.size();
-           ++failovers_;
-           JLOG(kInfo, "joshua") << name() << " failing over to head "
-                                 << current_head_;
-           attempt<Response>(std::move(request), decode, std::move(done),
-                             tries_left - 1);
-           return;
-         }
-         std::optional<Response> decoded;
-         try {
-           decoded = decode(*resp);
-         } catch (const net::WireError&) {
-           decoded = std::nullopt;
-         }
-         execute(config_.cmd_teardown,
-                 [done = std::move(done), decoded = std::move(decoded)] {
-                   done(decoded);
-                 });
-       },
-       options);
-}
+    : rsm::ReplicaClient(net, host, port, {config.heads, config.timeout}),
+      config_(std::move(config)) {}
 
 template <typename Response, typename Decode>
 void Client::run_command(sim::Payload request, Decode decode,
                          std::function<void(std::optional<Response>)> done) {
   execute(config_.cmd_startup, [this, request = std::move(request), decode,
                                 done = std::move(done)]() mutable {
-    attempt<Response>(std::move(request), decode, std::move(done),
-                      config_.heads.size());
+    this->request(std::move(request), [this, decode, done = std::move(done)](
+                                          std::optional<sim::Payload> resp) {
+      if (!resp.has_value()) {
+        done(std::nullopt);  // no head answered
+        return;
+      }
+      std::optional<Response> decoded;
+      try {
+        decoded = decode(*resp);
+      } catch (const net::WireError&) {
+        decoded = std::nullopt;
+      }
+      execute(config_.cmd_teardown,
+              [done = std::move(done), decoded = std::move(decoded)] {
+                done(decoded);
+              });
+    });
   });
 }
 
@@ -74,40 +47,34 @@ void Client::jsub(pbs::JobSpec spec,
                   std::function<void(std::optional<pbs::SubmitResponse>)> done) {
   run_command<pbs::SubmitResponse>(
       pbs::encode_request(pbs::SubmitRequest{std::move(spec)}),
-      [](const sim::Payload& p) { return pbs::decode_submit_response(p); },
-      std::move(done));
+      &pbs::decode_submit_response, std::move(done));
 }
 
 void Client::jstat(pbs::StatRequest req,
                    std::function<void(std::optional<pbs::StatResponse>)> done) {
   run_command<pbs::StatResponse>(
-      pbs::encode_request(req),
-      [](const sim::Payload& p) { return pbs::decode_stat_response(p); },
-      std::move(done));
+      pbs::encode_request(req), &pbs::decode_stat_response, std::move(done));
 }
 
 void Client::jdel(pbs::JobId id,
                   std::function<void(std::optional<pbs::SimpleResponse>)> done) {
   run_command<pbs::SimpleResponse>(
       pbs::encode_request(pbs::DeleteRequest{id}),
-      [](const sim::Payload& p) { return pbs::decode_simple_response(p); },
-      std::move(done));
+      &pbs::decode_simple_response, std::move(done));
 }
 
 void Client::jhold(pbs::JobId id,
                    std::function<void(std::optional<pbs::SimpleResponse>)> done) {
   run_command<pbs::SimpleResponse>(
       pbs::encode_request(pbs::HoldRequest{id}),
-      [](const sim::Payload& p) { return pbs::decode_simple_response(p); },
-      std::move(done));
+      &pbs::decode_simple_response, std::move(done));
 }
 
 void Client::jrls(pbs::JobId id,
                   std::function<void(std::optional<pbs::SimpleResponse>)> done) {
   run_command<pbs::SimpleResponse>(
       pbs::encode_request(pbs::ReleaseRequest{id}),
-      [](const sim::Payload& p) { return pbs::decode_simple_response(p); },
-      std::move(done));
+      &pbs::decode_simple_response, std::move(done));
 }
 
 }  // namespace joshua

@@ -14,8 +14,8 @@
 #include <optional>
 #include <vector>
 
-#include "net/rpc.h"
 #include "pbs/protocol.h"
+#include "rsm/replicated_service.h"
 
 namespace sim {
 struct Calibration;
@@ -34,18 +34,16 @@ struct ClientConfig {
 ClientConfig joshua_client_config_from(const sim::Calibration& cal,
                                        std::vector<sim::Endpoint> heads);
 
-class Client : public net::RpcNode {
+/// The typed PBS commands on the shared replica failover loop
+/// (rsm::ReplicaClient): a head that does not answer is skipped for the
+/// next one.
+class Client : public rsm::ReplicaClient {
  public:
   Client(sim::Network& net, sim::HostId host, sim::Port port,
          ClientConfig config);
 
-  const ClientConfig& config() const { return config_; }
-  /// Adjust the per-head timeout (deployment knob: how fast commands fail
-  /// over to the next head).
-  void set_timeout(sim::Duration timeout) { config_.timeout = timeout; }
   /// Index of the head the last successful command used.
-  size_t current_head() const { return current_head_; }
-  uint64_t failovers() const { return failovers_; }
+  size_t current_head() const { return current(); }
 
   void jsub(pbs::JobSpec spec,
             std::function<void(std::optional<pbs::SubmitResponse>)> done);
@@ -58,21 +56,13 @@ class Client : public net::RpcNode {
   void jrls(pbs::JobId id,
             std::function<void(std::optional<pbs::SimpleResponse>)> done);
 
- protected:
-  void on_request(sim::Payload, sim::Endpoint, uint64_t) override {}
-
  private:
+  /// Command startup, the failover loop, decode, command teardown.
   template <typename Response, typename Decode>
   void run_command(sim::Payload request, Decode decode,
                    std::function<void(std::optional<Response>)> done);
-  template <typename Response, typename Decode>
-  void attempt(sim::Payload request, Decode decode,
-               std::function<void(std::optional<Response>)> done,
-               size_t tries_left);
 
   ClientConfig config_;
-  size_t current_head_ = 0;
-  uint64_t failovers_ = 0;
 };
 
 }  // namespace joshua

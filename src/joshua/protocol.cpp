@@ -1,5 +1,7 @@
 #include "joshua/protocol.h"
 
+#include "rsm/replicated_service.h"
+
 namespace joshua {
 
 GroupOp peek_group_op(const sim::Payload& buf) {
@@ -7,25 +9,16 @@ GroupOp peek_group_op(const sim::Payload& buf) {
   return static_cast<GroupOp>(buf[0]);
 }
 
+// The command frame is the rsm core's; GroupOp::kCommand is its tag.
+static_assert(static_cast<uint8_t>(GroupOp::kCommand) == rsm::kCommandTag);
+
 sim::Payload encode_group(const GroupCommand& m) {
-  net::Writer w;
-  w.u8(static_cast<uint8_t>(GroupOp::kCommand));
-  w.u32(m.origin);
-  w.u64(m.cmd_seq);
-  w.bytes(m.pbs_request);
-  return w.take();
+  return rsm::encode_command({m.origin, m.cmd_seq, m.pbs_request, 0});
 }
 
 GroupCommand decode_group_command(const sim::Payload& buf) {
-  net::Reader r(buf);
-  if (static_cast<GroupOp>(r.u8()) != GroupOp::kCommand)
-    throw net::WireError("joshua: not a group command");
-  GroupCommand m;
-  m.origin = r.u32();
-  m.cmd_seq = r.u64();
-  m.pbs_request = r.bytes();
-  r.expect_done();
-  return m;
+  rsm::Command cmd = rsm::decode_command(buf);
+  return {cmd.origin, cmd.seq, std::move(cmd.request)};
 }
 
 sim::Payload encode_group(const GroupMutexReq& m) {

@@ -12,7 +12,7 @@ namespace joshua {
 
 /// Payloads multicast (AGREED) through the group communication system.
 enum class GroupOp : uint8_t {
-  kCommand = 1,      ///< an intercepted PBS user command
+  kCommand = 1,      ///< an intercepted PBS user command (rsm::kCommandTag)
   kMutexReq = 2,     ///< jmutex: request to launch a job (replica) on a mom
   kMutexDone = 3,    ///< jdone: a real run finished (first in order wins)
   kMutexRevoke = 4,  ///< a mom died; release its undone launch claims
@@ -20,6 +20,7 @@ enum class GroupOp : uint8_t {
 };
 
 /// An intercepted PBS user command; replayed at every head in total order.
+/// On the wire it is the rsm core's command frame (rsm::encode_command).
 struct GroupCommand {
   gcs::MemberId origin = sim::kInvalidHost;  ///< the head the client contacted
   uint64_t cmd_seq = 0;  ///< origin-local id for routing the reply back

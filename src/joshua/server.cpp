@@ -21,6 +21,18 @@ sim::Payload error_response(pbs::Op op, pbs::Status status) {
   }
 }
 
+/// The job a stat/delete/hold/release names (kInvalidJob for other ops).
+/// Throws net::WireError on a malformed request.
+pbs::JobId target_job(pbs::Op op, const sim::Payload& request) {
+  switch (op) {
+    case pbs::Op::kStat: return pbs::decode_stat(request).job_id;
+    case pbs::Op::kDelete: return pbs::decode_delete(request).job_id;
+    case pbs::Op::kHold: return pbs::decode_hold(request).job_id;
+    case pbs::Op::kRelease: return pbs::decode_release(request).job_id;
+    default: return pbs::kInvalidJob;
+  }
+}
+
 /// Did a replayed command produce the response the log implies it must?
 /// The compacted log only carries commands about live jobs, so a failure
 /// status here means the joiner's rebuilt PBS state diverged from the
@@ -45,13 +57,19 @@ bool replay_response_ok(const sim::Payload& request,
 }
 }  // namespace
 
+JoshuaConfig::JoshuaConfig() {
+  client_port = 17000;  // jsub/jstat/jdel + jmutex/jdone RPCs
+  request_proc = sim::msec(6);
+  relay_proc = sim::msec(4);
+}
+
 JoshuaConfig joshua_config_from(const sim::Calibration& cal,
                                 std::vector<sim::HostId> head_hosts) {
   JoshuaConfig cfg;
   cfg.group = gcs::group_config_from(cal);
   cfg.group.group_name = "joshua";
   cfg.group.peers = std::move(head_hosts);
-  cfg.cmd_proc = cal.joshua_cmd_proc;
+  cfg.request_proc = cal.joshua_cmd_proc;
   cfg.exec_proc = cal.joshua_exec_proc;
   cfg.relay_proc = cal.joshua_relay_proc;
   return cfg;
@@ -59,17 +77,12 @@ JoshuaConfig joshua_config_from(const sim::Calibration& cal,
 
 Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
                pbs::Server* local_pbs)
-    : net::RpcNode(net, host, config.client_port,
-                   "joshua@" + net.host(host).name()),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       local_pbs_(local_pbs),
-      group_(net, host, config_.group,
-             gcs::GroupCallbacks{
-                 [this](const gcs::View& v) { on_view(v); },
-                 [this](const gcs::Delivered& d) { on_deliver(d); },
-                 [this] { return get_state(); },
-                 [this](const sim::Payload& s) { install_state(s); },
-             }) {
+      node_(net, host, config_, this, [this, name = net.host(host).name()](
+                                          telemetry::Hub& hub) {
+        return instrument(hub, name);
+      }) {
   if (local_pbs_ == nullptr && config_.transfer == TransferMode::kSnapshot) {
     throw std::invalid_argument(
         "joshua::Server: snapshot transfer needs the colocated PBS server");
@@ -93,10 +106,8 @@ Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
       // One revoke per detected failure across the whole group: the first
       // delivered revoke arms the damping set on every head before their
       // own detectors fire, so late detections stay local.
-      if (group_.is_member() && revoked_moms_.insert(mom).second) {
-        group_.multicast(encode_group(GroupMutexRevoke{mom}),
-                         gcs::Delivery::kAgreed);
-      }
+      if (node_.in_service() && revoked_moms_.insert(mom).second)
+        node_.order(encode_group(GroupMutexRevoke{mom}));
       if (prev_failed) prev_failed(mom);
     };
     // Preemption decisions go through the ordered stream: every head's pure
@@ -105,14 +116,16 @@ Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
     // first delivery requeues the victim everywhere at the same point.
     // Later deliveries are no-ops (apply_preempt ignores non-running jobs).
     local_pbs_->request_preempt = [this](pbs::JobId victim) {
-      if (!group_.is_member()) return;
-      group_.multicast(encode_group(GroupPreempt{victim}),
-                       gcs::Delivery::kAgreed);
+      if (node_.in_service()) node_.order(encode_group(GroupPreempt{victim}));
     };
   }
-  telemetry::Hub& hub = net.sim().telemetry();
+}
+
+rsm::Telemetry Server::instrument(telemetry::Hub& hub,
+                                  const std::string& host) {
   telemetry::Registry& m = hub.metrics();
-  m_commands_intercepted_ = m.counter("joshua.commands_intercepted");
+  rsm::Telemetry core;
+  core.ordered = m.counter("joshua.commands_intercepted");
   m_commands_executed_ = m.counter("joshua.commands_executed");
   m_replays_applied_ = m.counter("joshua.replays_applied");
   m_mutex_grants_ = m.counter("joshua.mutex_grants");
@@ -122,294 +135,182 @@ Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
   m_ordered_completions_ = m.counter("joshua.ordered_completions");
   m_preempts_ordered_ = m.counter("joshua.preempts_ordered");
   m_reports_rejected_ = m.counter("joshua.reports_rejected");
-  m_replay_divergence_ =
-      m.counter("joshua.replay_divergence." + net.host(host).name());
-  m_jstat_local_ = m.counter("pbs.jstat_local");
+  m_replay_divergence_ = m.counter("joshua.replay_divergence." + host);
+  // "pbs.jstat_local": stat queries served from the local replica, the
+  // read path that never pays for total order.
+  core.local_reads = m.counter("pbs.jstat_local");
   m_shard_rejects_ = m.counter("joshua.shard_rejects");
-  m_intercept_latency_ = m.histogram("joshua.intercept_to_reply_us");
-  m_jstat_local_latency_ = m.histogram("joshua.jstat_local_us");
+  core.order_latency = m.histogram("joshua.intercept_to_reply_us");
+  core.local_latency = m.histogram("joshua.jstat_local_us");
   m_jmutex_wait_ = m.histogram("joshua.jmutex_wait_us");
-  tc_command_ = hub.trace().intern("joshua.command");
+  core.order_span = hub.trace().intern("joshua.command");
   tc_replay_ = hub.trace().intern("joshua.replay");
-  tc_jview_ = hub.trace().intern("joshua.view");
+  core.view_span = hub.trace().intern("joshua.view");
   tc_revoke_ = hub.trace().intern("joshua.mutex_revoke");
+  return core;
 }
 
-void Server::start() { group_.join(); }
+Server::Stats Server::stats() const {
+  Stats s = stats_;
+  s.commands_intercepted = node_.stats().ordered;
+  s.replies_relayed = node_.stats().replies;
+  s.jstat_local_served = node_.stats().local_reads;
+  return s;
+}
 
-void Server::shutdown() {
-  // Fail outstanding clients fast so they fail over to another head.
-  for (auto& [seq, reply] : pending_replies_) {
-    (void)seq;
-    respond(reply.client, reply.rpc_id,
-            error_response(reply.op, pbs::Status::kServerBusy));
-  }
-  pending_replies_.clear();
-  group_.leave();
+void Server::call_local_pbs(
+    sim::Payload request,
+    std::function<void(std::optional<sim::Payload>)> done) {
+  net::CallOptions options;
+  options.timeout = config_.local_rpc_timeout;
+  node_.call({node_.host_id(), config_.pbs_port}, std::move(request),
+             std::move(done), options);
 }
 
 // ---------------------------------------------------------------------------
-// Request dispatch
+// Client commands (the core's admit and apply hooks)
 // ---------------------------------------------------------------------------
 
-void Server::on_request(sim::Payload request, sim::Endpoint from,
-                        uint64_t rpc_id) {
-  if (request.empty()) return;
+rsm::Admit Server::admit(const sim::Payload& request,
+                         const rsm::Caller& caller) {
+  if (request.empty()) return rsm::Admit::kHandled;
   uint8_t tag = request[0];
   if (tag == static_cast<uint8_t>(PluginOp::kJMutex) ||
       tag == static_cast<uint8_t>(PluginOp::kJDone)) {
-    execute(config_.cmd_proc, [this, request = std::move(request), from,
-                               rpc_id, tag] {
-      try {
-        if (tag == static_cast<uint8_t>(PluginOp::kJMutex)) {
-          handle_jmutex(decode_jmutex(request), from, rpc_id);
-        } else {
-          handle_jdone(decode_jdone(request), from, rpc_id);
-        }
-      } catch (const net::WireError& e) {
-        JLOG(kWarn, "joshua") << name() << ": bad plugin request: " << e.what();
+    try {
+      if (tag == static_cast<uint8_t>(PluginOp::kJMutex)) {
+        handle_jmutex(decode_jmutex(request), caller);
+      } else {
+        handle_jdone(decode_jdone(request), caller);
       }
-    });
-    return;
+    } catch (const net::WireError& e) {
+      JLOG(kWarn, "joshua") << node_.name()
+                            << ": bad plugin request: " << e.what();
+    }
+    return rsm::Admit::kHandled;
   }
-  execute(config_.cmd_proc, [this, request = std::move(request), from,
-                             rpc_id]() mutable {
-    handle_client_command(std::move(request), from, rpc_id);
-  });
-}
-
-void Server::handle_client_command(sim::Payload request, sim::Endpoint from,
-                                   uint64_t rpc_id) {
-  pbs::Op op;
-  try {
-    op = pbs::peek_op(request);
-  } catch (const net::WireError&) {
-    return;
-  }
+  auto op = static_cast<pbs::Op>(tag);
   auto reject = [&](pbs::Status status) {
-    respond(from, rpc_id, error_response(op, status));
+    node_.reply(caller, error_response(op, status));
+    return rsm::Admit::kHandled;
   };
-  switch (op) {
-    case pbs::Op::kSubmit:
-    case pbs::Op::kStat:
-    case pbs::Op::kDelete:
-      break;
-    case pbs::Op::kHold:
-    case pbs::Op::kRelease:
-      // Replay-based state transfer cannot reproduce hold state at a
-      // joining head (Section 4): JOSHUA v0.1 rejects these. The snapshot
-      // transfer mode lifts the restriction.
-      if (config_.transfer == TransferMode::kReplay) {
-        reject(pbs::Status::kUnsupported);
-        return;
-      }
-      break;
-    default:
-      // No qsig equivalent etc.: "The original PBS command may be executed
-      // independently of JOSHUA."
-      reject(pbs::Status::kUnsupported);
-      return;
-  }
+  bool hold = op == pbs::Op::kHold || op == pbs::Op::kRelease;
+  // Replay-based state transfer cannot reproduce hold state at a joining
+  // head (Section 4): JOSHUA v0.1 rejects jhold/jrls; the snapshot transfer
+  // mode lifts the restriction. Anything else (no qsig equivalent etc.):
+  // "The original PBS command may be executed independently of JOSHUA."
+  if (hold ? config_.transfer == TransferMode::kReplay
+           : op != pbs::Op::kSubmit && op != pbs::Op::kStat &&
+                 op != pbs::Op::kDelete)
+    return reject(pbs::Status::kUnsupported);
   // Federation: commands naming a job id outside this shard's block can
   // never succeed here (the id was issued by another shard's replicas), so
   // reject them up front instead of ordering a guaranteed failure.
   if (config_.shard.sharded()) {
     pbs::JobId target = pbs::kInvalidJob;
     try {
-      switch (op) {
-        case pbs::Op::kStat:
-          target = pbs::decode_stat(request).job_id;
-          break;
-        case pbs::Op::kDelete:
-          target = pbs::decode_delete(request).job_id;
-          break;
-        case pbs::Op::kHold:
-          target = pbs::decode_hold(request).job_id;
-          break;
-        case pbs::Op::kRelease:
-          target = pbs::decode_release(request).job_id;
-          break;
-        default:
-          break;
-      }
+      target = target_job(op, request);
     } catch (const net::WireError&) {
-      return;
+      return rsm::Admit::kHandled;
     }
     if (target != pbs::kInvalidJob && !config_.shard.owns(target)) {
       ++stats_.shard_rejects;
       m_shard_rejects_.add(1);
-      reject(pbs::Status::kUnknownJob);
-      return;
+      return reject(pbs::Status::kUnknownJob);
     }
   }
-  if (!group_.is_member()) {
-    reject(pbs::Status::kServerBusy);
-    return;
-  }
-  // Local-read fast path: a member's replica holds the same totally-ordered
-  // prefix as every peer, so a stat can be answered off the colocated PBS
-  // without a group round -- unless a replay transfer is still rebuilding
-  // the table, in which case the ordered path (which holds commands until
-  // the replay drains) stays authoritative.
-  if (op == pbs::Op::kStat && config_.jstat_local && local_pbs_ != nullptr &&
-      !replaying_) {
-    ++stats_.jstat_local_served;
-    m_jstat_local_.add(1);
-    sim::Time intercepted = sim().now();
-    net::CallOptions options;
-    options.timeout = config_.local_rpc_timeout;
-    call(local_pbs_endpoint(), std::move(request),
-         [this, from, rpc_id, intercepted](std::optional<sim::Payload> resp) {
-           if (!resp.has_value()) {
-             respond(from, rpc_id,
-                     error_response(pbs::Op::kStat, pbs::Status::kInternal));
-             return;
-           }
-           execute(config_.relay_proc,
-                   [this, from, rpc_id, intercepted, r = std::move(*resp)] {
-                     m_jstat_local_latency_.record(
-                         (sim().now() - intercepted).us);
-                     respond(from, rpc_id, r);
-                   });
-         },
-         options);
-    return;
-  }
-  ++stats_.commands_intercepted;
-  m_commands_intercepted_.add(1);
-  GroupCommand cmd;
-  cmd.origin = group_.id();
-  cmd.cmd_seq = next_cmd_seq_++;
-  cmd.pbs_request = std::move(request);
-  pending_replies_[cmd.cmd_seq] = PendingReply{from, rpc_id, op, sim().now()};
-  group_.multicast(encode_group(cmd), gcs::Delivery::kAgreed);
+  // Local-read path (read_local): a member's replica holds the same
+  // totally-ordered prefix as every peer, so a stat can be answered off the
+  // colocated PBS without a group round -- unless a replay transfer is
+  // still rebuilding the table, in which case the ordered path (which holds
+  // commands until the replay drains) stays authoritative.
+  if (op == pbs::Op::kStat && local_pbs_ != nullptr && !replaying_)
+    return rsm::Admit::kLocal;
+  return rsm::Admit::kOrder;
 }
 
-// ---------------------------------------------------------------------------
-// Group delivery
-// ---------------------------------------------------------------------------
-
-void Server::on_deliver(const gcs::Delivered& msg) {
-  GroupOp op;
-  try {
-    op = peek_group_op(msg.payload);
-  } catch (const net::WireError&) {
-    return;
-  }
-  try {
-    switch (op) {
-      case GroupOp::kCommand: {
-        GroupCommand cmd = decode_group_command(msg.payload);
-        if (replaying_) {
-          held_commands_.push_back(std::move(cmd));
-        } else {
-          apply_group_command(std::move(cmd));
-        }
-        break;
-      }
-      case GroupOp::kMutexReq:
-        apply_mutex_req(decode_group_mutex_req(msg.payload));
-        break;
-      case GroupOp::kMutexDone:
-        apply_mutex_done(decode_group_mutex_done(msg.payload));
-        break;
-      case GroupOp::kMutexRevoke:
-        apply_mutex_revoke(decode_group_mutex_revoke(msg.payload));
-        break;
-      case GroupOp::kPreempt:
-        apply_group_preempt(decode_group_preempt(msg.payload));
-        break;
-    }
-  } catch (const net::WireError& e) {
-    JLOG(kWarn, "joshua") << name() << ": bad group message: " << e.what();
-  }
+sim::Payload Server::unavailable(const sim::Payload& request) const {
+  if (request.empty()) return {};
+  return error_response(static_cast<pbs::Op>(request[0]),
+                        pbs::Status::kServerBusy);
 }
 
-void Server::apply_group_command(GroupCommand cmd) {
+bool Server::on_ordered(rsm::Command& cmd) {
+  if (replaying_) {
+    held_commands_.push_back(std::move(cmd));
+    return false;
+  }
   ++stats_.commands_executed;
   m_commands_executed_.add(1);
-  log_command(cmd);
-  execute(config_.exec_proc, [this, cmd = std::move(cmd)] {
-    net::CallOptions options;
-    options.timeout = config_.local_rpc_timeout;
-    call(local_pbs_endpoint(), cmd.pbs_request,
-         [this, cmd](std::optional<sim::Payload> response) {
-           finish_local_apply(cmd, std::move(response));
-         },
-         options);
+  // Logged at delivery, so a state transfer captured before the apply
+  // stage finishes still carries the command.
+  cmd.tag = log_command(cmd.request);
+  return true;
+}
+
+void Server::apply_async(const sim::Payload& request, uint64_t tag,
+                         ApplyDone done) {
+  call_local_pbs(request, [this, tag, request, done = std::move(done)](
+                              std::optional<sim::Payload> response) {
+    if (response.has_value()) note_command_result(tag, request, *response);
+    done(std::move(response));
   });
 }
 
-void Server::finish_local_apply(const GroupCommand& cmd,
-                                std::optional<sim::Payload> response) {
-  if (response.has_value()) note_command_result(cmd, *response);
-  if (cmd.origin != group_.id()) return;
-  auto it = pending_replies_.find(cmd.cmd_seq);
-  if (it == pending_replies_.end()) return;
-  PendingReply reply = it->second;
-  pending_replies_.erase(it);
-  if (!response.has_value()) {
-    respond(reply.client, reply.rpc_id,
-            error_response(reply.op, pbs::Status::kInternal));
-    return;
+void Server::apply_op(const sim::Payload& op) {
+  try {
+    switch (peek_group_op(op)) {
+      case GroupOp::kCommand:
+        break;  // the core's frame; never handed to the service
+      case GroupOp::kMutexReq:
+        apply_mutex_req(decode_group_mutex_req(op));
+        break;
+      case GroupOp::kMutexDone:
+        apply_mutex_done(decode_group_mutex_done(op));
+        break;
+      case GroupOp::kMutexRevoke:
+        apply_mutex_revoke(decode_group_mutex_revoke(op));
+        break;
+      case GroupOp::kPreempt:
+        apply_group_preempt(decode_group_preempt(op));
+        break;
+    }
+  } catch (const net::WireError& e) {
+    JLOG(kWarn, "joshua") << node_.name()
+                          << ": bad group message: " << e.what();
   }
-  ++stats_.replies_relayed;
-  execute(config_.relay_proc,
-          [this, reply, seq = cmd.cmd_seq, resp = std::move(*response)] {
-            // The paper's client-visible latency: command intercepted here,
-            // totally ordered, applied to the local PBS, output relayed.
-            int64_t now_us = sim().now().us;
-            m_intercept_latency_.record(now_us - reply.intercepted.us);
-            sim().telemetry().trace().complete(
-                reply.intercepted.us, now_us, host_id(), tc_command_, seq,
-                static_cast<uint64_t>(reply.op));
-            respond(reply.client, reply.rpc_id, resp);
-          });
 }
 
 // ---------------------------------------------------------------------------
 // Command log (replay-mode state transfer)
 // ---------------------------------------------------------------------------
 
-void Server::log_command(const GroupCommand& cmd) {
+uint64_t Server::log_command(const sim::Payload& request) {
   pbs::Op op;
   try {
-    op = pbs::peek_op(cmd.pbs_request);
+    op = pbs::peek_op(request);
   } catch (const net::WireError&) {
-    return;
+    return 0;
   }
   if (op != pbs::Op::kSubmit && op != pbs::Op::kDelete &&
       op != pbs::Op::kHold && op != pbs::Op::kRelease) {
-    return;  // reads do not change state
+    return 0;  // reads do not change state
   }
   LogEntry entry;
-  entry.request = cmd.pbs_request;
-  if (op != pbs::Op::kSubmit) {
-    try {
-      switch (op) {
-        case pbs::Op::kDelete:
-          entry.job = pbs::decode_delete(cmd.pbs_request).job_id;
-          break;
-        case pbs::Op::kHold:
-          entry.job = pbs::decode_hold(cmd.pbs_request).job_id;
-          break;
-        case pbs::Op::kRelease:
-          entry.job = pbs::decode_release(cmd.pbs_request).job_id;
-          break;
-        default:
-          break;
-      }
-    } catch (const net::WireError&) {
-    }
+  entry.request = request;
+  try {
+    entry.job = target_job(op, request);  // a submit learns it at apply
+  } catch (const net::WireError&) {
   }
   command_log_.push_back(std::move(entry));
+  return command_log_.size();
 }
 
-void Server::note_command_result(const GroupCommand& cmd,
+void Server::note_command_result(uint64_t log_pos, const sim::Payload& request,
                                  const sim::Payload& response) {
   pbs::Op op;
   try {
-    op = pbs::peek_op(cmd.pbs_request);
+    op = pbs::peek_op(request);
   } catch (const net::WireError&) {
     return;
   }
@@ -421,21 +322,16 @@ void Server::note_command_result(const GroupCommand& cmd,
         pbs::JobId top = sub.job_id + (sub.count > 1 ? sub.count - 1 : 0);
         if (max_job_id_seen_ == pbs::kInvalidJob || top > max_job_id_seen_)
           max_job_id_seen_ = top;
-        // Attach the job id to the newest submit entry lacking one.
-        for (auto it = command_log_.rbegin(); it != command_log_.rend(); ++it) {
-          if (it->job == pbs::kInvalidJob &&
-              pbs::peek_op(it->request) == pbs::Op::kSubmit) {
-            it->job = sub.job_id;
-            break;
-          }
-        }
+        // The submit's own log entry: overlapping submits answer in any
+        // order, so matching by position in the log would swap their ids.
+        if (log_pos != 0 && log_pos <= command_log_.size())
+          command_log_[log_pos - 1].job = sub.job_id;
       }
     } catch (const net::WireError&) {
     }
   } else if (op == pbs::Op::kDelete) {
     try {
-      pbs::DeleteRequest del = pbs::decode_delete(cmd.pbs_request);
-      terminal_jobs_.insert(del.job_id);
+      terminal_jobs_.insert(pbs::decode_delete(request).job_id);
     } catch (const net::WireError&) {
     }
   }
@@ -463,7 +359,7 @@ sim::Payload Server::export_mutex_table() const {
   return encode_mutex_table(table);
 }
 
-sim::Payload Server::get_state() {
+sim::Payload Server::snapshot() const {
   ++stats_.state_transfers_served;
   if (config_.transfer == TransferMode::kSnapshot) {
     return wrap_transfer(TransferKind::kSnapshot, local_pbs_->dump_state_blob(),
@@ -513,7 +409,7 @@ sim::Payload Server::get_state() {
   }
   if (max_job_id_seen_ != pbs::kInvalidJob)
     log.next_job_id = max_job_id_seen_ + 1;
-  JLOG(kInfo, "joshua") << name() << ": serving state transfer ("
+  JLOG(kInfo, "joshua") << node_.name() << ": serving state transfer ("
                         << log.requests.size() << " commands to replay)";
   return wrap_transfer(TransferKind::kReplayLog, encode_command_log(log),
                        export_mutex_table());
@@ -535,7 +431,7 @@ void Server::install_mutex_table(const sim::Payload& blob) {
   try {
     table = decode_mutex_table(blob);
   } catch (const net::WireError& e) {
-    JLOG(kError, "joshua") << name() << ": corrupt mutex table: " << e.what();
+    JLOG(kError, "joshua") << node_.name() << ": corrupt mutex table: " << e.what();
     return;
   }
   for (const MutexEntry& e : table.entries) {
@@ -549,32 +445,32 @@ void Server::install_mutex_table(const sim::Payload& blob) {
   }
   terminal_jobs_.insert(table.terminal.begin(), table.terminal.end());
   revoked_moms_.insert(table.revoked.begin(), table.revoked.end());
-  JLOG(kInfo, "joshua") << name() << ": installed mutex table ("
+  JLOG(kInfo, "joshua") << node_.name() << ": installed mutex table ("
                         << table.entries.size() << " entries, "
                         << table.terminal.size() << " terminal)";
 }
 
-void Server::install_state(const sim::Payload& state) {
+void Server::install(const sim::Payload& state) {
   TransferEnvelope env;
   try {
     env = unwrap_transfer(state);
   } catch (const net::WireError& e) {
-    JLOG(kError, "joshua") << name() << ": bad state blob: " << e.what();
+    JLOG(kError, "joshua") << node_.name() << ": bad state blob: " << e.what();
     return;
   }
   auto& [kind, body, mutex_blob] = env;
   install_mutex_table(mutex_blob);
   if (kind == TransferKind::kSnapshot) {
     if (local_pbs_ == nullptr) {
-      JLOG(kError, "joshua") << name()
+      JLOG(kError, "joshua") << node_.name()
                              << ": snapshot received without a PBS handle";
       return;
     }
     try {
       local_pbs_->load_state_blob(body);
-      JLOG(kInfo, "joshua") << name() << ": snapshot state installed";
+      JLOG(kInfo, "joshua") << node_.name() << ": snapshot state installed";
     } catch (const net::WireError& e) {
-      JLOG(kError, "joshua") << name() << ": corrupt snapshot: " << e.what();
+      JLOG(kError, "joshua") << node_.name() << ": corrupt snapshot: " << e.what();
     }
     return;
   }
@@ -585,7 +481,7 @@ void Server::install_state(const sim::Payload& state) {
   if (local_pbs_ != nullptr) {
     local_pbs_->reset_state();
   } else {
-    JLOG(kWarn, "joshua") << name()
+    JLOG(kWarn, "joshua") << node_.name()
                           << ": no PBS handle; stale local jobs may linger";
   }
   try {
@@ -602,10 +498,10 @@ void Server::install_state(const sim::Payload& state) {
         max_job_id_seen_ = log.next_job_id - 1;
     }
   } catch (const net::WireError& e) {
-    JLOG(kError, "joshua") << name() << ": corrupt command log: " << e.what();
+    JLOG(kError, "joshua") << node_.name() << ": corrupt command log: " << e.what();
     return;
   }
-  JLOG(kInfo, "joshua") << name() << ": replaying " << replay_queue_.size()
+  JLOG(kInfo, "joshua") << node_.name() << ": replaying " << replay_queue_.size()
                         << " commands";
   replaying_ = true;
   replay_next();
@@ -616,35 +512,29 @@ void Server::replay_next() {
     replaying_ = false;
     auto held = std::move(held_commands_);
     held_commands_.clear();
-    for (GroupCommand& cmd : held) apply_group_command(std::move(cmd));
-    JLOG(kInfo, "joshua") << name() << ": replay complete";
+    for (rsm::Command& cmd : held)
+      if (on_ordered(cmd)) node_.resume(std::move(cmd));
+    JLOG(kInfo, "joshua") << node_.name() << ": replay complete";
     return;
   }
   sim::Payload request = std::move(replay_queue_.front());
   replay_queue_.pop_front();
-  GroupCommand pseudo;
-  pseudo.origin = sim::kInvalidHost;  // nobody awaits a reply
-  pseudo.pbs_request = request;
-  log_command(pseudo);
+  uint64_t log_pos = log_command(request);  // nobody awaits a reply
   ++stats_.replays_applied;
   m_replays_applied_.add(1);
-  sim().telemetry().trace().instant(sim().now().us, host_id(), tc_replay_,
-                                    stats_.replays_applied,
-                                    replay_queue_.size());
-  net::CallOptions options;
-  options.timeout = config_.local_rpc_timeout;
-  call(local_pbs_endpoint(), std::move(request),
-       [this, pseudo](std::optional<sim::Payload> response) {
-         if (!response.has_value() ||
-             !replay_response_ok(pseudo.pbs_request, *response)) {
-           m_replay_divergence_.add(1);
-           JLOG(kWarn, "joshua")
-               << name() << ": replayed command produced a divergent response";
-         }
-         if (response.has_value()) note_command_result(pseudo, *response);
-         replay_next();
-       },
-       options);
+  node_.sim().telemetry().trace().instant(
+      node_.sim().now().us, node_.host_id(), tc_replay_,
+      stats_.replays_applied, replay_queue_.size());
+  call_local_pbs(request, [this, log_pos, request](
+                              std::optional<sim::Payload> response) {
+    if (!response.has_value() || !replay_response_ok(request, *response)) {
+      m_replay_divergence_.add(1);
+      JLOG(kWarn, "joshua") << node_.name()
+                            << ": replayed command produced a divergent response";
+    }
+    if (response.has_value()) note_command_result(log_pos, request, *response);
+    replay_next();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -667,44 +557,41 @@ bool Server::mutex_winner(const MutexState& state, sim::HostId mom,
 }
 
 bool Server::mutex_answerable(const MutexState& state, sim::HostId mom) {
-  if (state.done) return true;
-  for (const auto& claim : state.claims)
-    if (claim.first == mom) return true;
-  return false;
+  return state.done ||
+         std::any_of(state.claims.begin(), state.claims.end(),
+                     [mom](const auto& claim) { return claim.first == mom; });
 }
 
-void Server::handle_jmutex(const JMutexRequest& req, sim::Endpoint from,
-                           uint64_t rpc_id) {
+void Server::handle_jmutex(const JMutexRequest& req,
+                           const rsm::Caller& caller) {
   ++stats_.mutex_requests;
-  if (!group_.is_member()) return;  // no answer; the plugin rotates heads
+  if (!node_.in_service()) return;  // no answer; the plugin rotates heads
   auto it = mutexes_.find(req.job);
   if (it != mutexes_.end() && mutex_answerable(it->second, req.mom)) {
     bool won = mutex_winner(it->second, req.mom, req.head);
     (won ? stats_.mutex_grants : stats_.mutex_denials)++;
     (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
     if (won) m_jmutex_wait_.record(0);  // arbitration already settled
-    respond(from, rpc_id, encode_jmutex_response(JMutexResponse{won}));
+    node_.reply(caller, encode_jmutex_response(JMutexResponse{won}));
     return;
   }
   mutex_waiters_.emplace(
-      req.job, MutexWaiter{req.head, req.mom, from, rpc_id, sim().now()});
+      req.job, MutexWaiter{req.head, req.mom, caller, node_.sim().now()});
   if (mutex_cast_.insert({req.job, req.mom}).second) {
-    group_.multicast(
-        encode_group(GroupMutexReq{req.job, req.head, req.mom, req.replicas}),
-        gcs::Delivery::kAgreed);
+    node_.order(
+        encode_group(GroupMutexReq{req.job, req.head, req.mom, req.replicas}));
   }
 }
 
-void Server::handle_jdone(const JDoneRequest& req, sim::Endpoint from,
-                          uint64_t rpc_id) {
+void Server::handle_jdone(const JDoneRequest& req,
+                          const rsm::Caller& caller) {
   // Completion is driven by the ordered MutexDone, so an ack without the
   // multicast would lose the job: stay silent when out of the group and let
   // the plugin rotate to a head that can actually order the release.
-  if (!group_.is_member()) return;
-  respond(from, rpc_id, sim::Payload{});
-  group_.multicast(encode_group(GroupMutexDone{req.job, req.exit_code,
-                                               group_.id(), req.mom}),
-                   gcs::Delivery::kAgreed);
+  if (!node_.in_service()) return;
+  node_.reply(caller, sim::Payload{});
+  node_.order(encode_group(
+      GroupMutexDone{req.job, req.exit_code, node_.group().id(), req.mom}));
 }
 
 void Server::apply_mutex_req(const GroupMutexReq& req) {
@@ -713,10 +600,9 @@ void Server::apply_mutex_req(const GroupMutexReq& req) {
   // same at every head, so every head pins the same value.
   if (state.claims.empty() && !state.done)
     state.max_real = std::max(1u, req.replicas);
-  bool known = false;
-  for (const auto& claim : state.claims)
-    if (claim.first == req.mom) known = true;
-  if (!known) state.claims.emplace_back(req.mom, req.head);
+  if (std::none_of(state.claims.begin(), state.claims.end(),
+                   [&](const auto& claim) { return claim.first == req.mom; }))
+    state.claims.emplace_back(req.mom, req.head);
   // A fresh claim means the mom is (back) in service: re-arm revocation,
   // and return the node to service in the local PBS. The up-transition
   // rides the ordered stream (mirroring note_node_failed in the revoke
@@ -746,24 +632,22 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
   // point of the command stream on every head. The winner's own report then
   // only confirms (and survives the winner dying right after jdone).
   // The injection defers through the same exec_proc stage as ordered
-  // commands (apply_group_command): local-apply RPCs leave in delivery
+  // commands (the core's apply stage): local-apply RPCs leave in delivery
   // order and loopback latency is fixed, so a completion delivered right
   // behind a command (routine once ack cuts coalesce) cannot overtake its
   // apply at the colocated PBS.
   if (local_pbs_ != nullptr) {
     ++stats_.ordered_completions;
     m_ordered_completions_.add(1);
-    execute(config_.exec_proc, [this, done] {
+    node_.execute(config_.exec_proc, [this, done] {
       pbs::JobReport report;
       report.job_id = done.job;
       report.exit_code = done.exit_code;
       report.mom_host = done.mom;
       auto job = local_pbs_->find_job(done.job);
       report.cancelled = job.has_value() ? job->cancelled : false;
-      net::CallOptions options;
-      options.timeout = config_.local_rpc_timeout;
-      call(local_pbs_endpoint(), pbs::encode_request(report),
-           [](std::optional<sim::Payload>) {}, options);
+      call_local_pbs(pbs::encode_request(report),
+                     [](std::optional<sim::Payload>) {});
     });
   }
 }
@@ -773,30 +657,19 @@ void Server::apply_mutex_revoke(const GroupMutexRevoke& rev) {
   m_mutex_revokes_.add(1);
   revoked_moms_.insert(rev.mom);
   size_t released = 0;
-  for (auto& [job, state] : mutexes_) {
-    if (state.done) continue;
-    auto is_dead = [&](const std::pair<sim::HostId, gcs::MemberId>& claim) {
-      return claim.first == rev.mom;
-    };
-    auto cut = std::remove_if(state.claims.begin(), state.claims.end(),
-                              is_dead);
-    if (cut != state.claims.end()) {
-      state.claims.erase(cut, state.claims.end());
+  for (auto& entry : mutexes_) {
+    MutexState& state = entry.second;
+    if (!state.done && std::erase_if(state.claims, [&](const auto& claim) {
+          return claim.first == rev.mom;
+        }) != 0)
       ++released;
-    }
-    (void)job;
   }
   // Forget the dead mom's multicast dedup entries too, so a relaunched
   // replica's fresh claim actually goes out.
-  for (auto it = mutex_cast_.begin(); it != mutex_cast_.end();) {
-    if (it->second == rev.mom)
-      it = mutex_cast_.erase(it);
-    else
-      ++it;
-  }
-  sim().telemetry().trace().instant(sim().now().us, host_id(), tc_revoke_,
-                                    rev.mom, released);
-  JLOG(kInfo, "joshua") << name() << ": revoked " << released
+  std::erase_if(mutex_cast_, [&](const auto& e) { return e.second == rev.mom; });
+  node_.sim().telemetry().trace().instant(
+      node_.sim().now().us, node_.host_id(), tc_revoke_, rev.mom, released);
+  JLOG(kInfo, "joshua") << node_.name() << ": revoked " << released
                         << " claim(s) of failed mom " << rev.mom;
   // Converge the local node table with the group's decision: mark the node
   // down, drop its replicas and requeue jobs left without one. Idempotent,
@@ -814,28 +687,20 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
   for (auto w = begin; w != end; ++w) {
     ++stats_.mutex_denials;
     m_mutex_denials_.add(1);
-    respond(w->second.from, w->second.rpc_id,
-            encode_jmutex_response(JMutexResponse{false}));
+    node_.reply(w->second.caller,
+                encode_jmutex_response(JMutexResponse{false}));
   }
   mutex_waiters_.erase(pre.job);
   mutexes_.erase(pre.job);
-  for (auto it = mutex_cast_.begin(); it != mutex_cast_.end();) {
-    if (it->first == pre.job)
-      it = mutex_cast_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(mutex_cast_, [&](const auto& e) { return e.first == pre.job; });
   ++stats_.preempts_ordered;
   m_preempts_ordered_.add(1);
   // Inject the requeue into the local PBS through the same exec_proc stage
   // as ordered commands, so it cannot overtake an in-flight apply.
   if (local_pbs_ != nullptr) {
-    execute(config_.exec_proc, [this, job = pre.job] {
-      net::CallOptions options;
-      options.timeout = config_.local_rpc_timeout;
-      call(local_pbs_endpoint(),
-           pbs::encode_request(pbs::PreemptRequest{job}),
-           [](std::optional<sim::Payload>) {}, options);
+    node_.execute(config_.exec_proc, [this, job = pre.job] {
+      call_local_pbs(pbs::encode_request(pbs::PreemptRequest{job}),
+                     [](std::optional<sim::Payload>) {});
     });
   }
 }
@@ -855,9 +720,8 @@ void Server::answer_mutex_waiters(pbs::JobId job) {
     bool won = mutex_winner(state, w->second.mom, w->second.head);
     (won ? stats_.mutex_grants : stats_.mutex_denials)++;
     (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
-    if (won) m_jmutex_wait_.record((sim().now() - w->second.asked).us);
-    respond(w->second.from, w->second.rpc_id,
-            encode_jmutex_response(JMutexResponse{won}));
+    if (won) m_jmutex_wait_.record((node_.sim().now() - w->second.asked).us);
+    node_.reply(w->second.caller, encode_jmutex_response(JMutexResponse{won}));
     w = mutex_waiters_.erase(w);
   }
 }
@@ -885,36 +749,7 @@ bool Server::filter_report(const pbs::JobReport& report) {
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Membership
-// ---------------------------------------------------------------------------
-
-void Server::on_view(const gcs::View& view) {
-  sim().telemetry().trace().instant(sim().now().us, host_id(), tc_jview_,
-                                    view.size(),
-                                    view.members.empty() ? 0 : 1);
-  if (view.members.empty()) {
-    JLOG(kWarn, "joshua") << name() << " out of service (excluded from view)";
-    for (auto& [seq, reply] : pending_replies_) {
-      (void)seq;
-      respond(reply.client, reply.rpc_id,
-              error_response(reply.op, pbs::Status::kServerBusy));
-    }
-    pending_replies_.clear();
-    if (config_.auto_rejoin) {
-      set_timer(config_.rejoin_delay, [this] {
-        if (host_up()) group_.join();
-      });
-    }
-    return;
-  }
-  JLOG(kInfo, "joshua") << name() << " serving in view of " << view.size()
-                        << " head(s)";
-}
-
 void Server::on_crash() {
-  net::RpcNode::on_crash();
-  pending_replies_.clear();
   mutexes_.clear();
   mutex_waiters_.clear();
   mutex_cast_.clear();
@@ -925,7 +760,6 @@ void Server::on_crash() {
   replaying_ = false;
   replay_queue_.clear();
   held_commands_.clear();
-  next_cmd_seq_ = 1;
 }
 
 }  // namespace joshua

@@ -1,11 +1,12 @@
 // The JOSHUA server: the external-replication interceptor running on each
-// head node (paper Figure 8/9).
+// head node (paper Figure 8/9), as the PBS adapter on the rsm core.
 //
-// It accepts PBS-compatible user commands (jsub/jstat/jdel), multicasts
-// them AGREED through the group communication system, executes each
-// delivered command against the *local*, unmodified PBS server, and relays
-// the output back to the client from the head the client contacted --
-// exactly-once output, as the paper requires.
+// The core (rsm::ReplicaNode) accepts PBS-compatible user commands
+// (jsub/jstat/jdel), multicasts them AGREED through the group communication
+// system and relays the output back to the client from the head the client
+// contacted -- exactly-once output, as the paper requires. This adapter
+// executes each delivered command against the *local*, unmodified PBS
+// server, an RPC away by design (external replication).
 //
 // It also arbitrates the jmutex/jdone distributed mutual exclusion the
 // mom-side prologue uses so a job requested by every head starts exactly
@@ -21,6 +22,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -31,6 +33,7 @@
 #include "net/rpc.h"
 #include "pbs/protocol.h"
 #include "pbs/server.h"
+#include "rsm/replicated_service.h"
 
 namespace joshua {
 
@@ -51,32 +54,25 @@ struct ShardIdentity {
   }
 };
 
-struct JoshuaConfig {
-  sim::Port client_port = 17000;  ///< jsub/jstat/jdel + jmutex/jdone RPCs
-  sim::Port pbs_port = 15001;     ///< the colocated PBS server
-  gcs::GroupConfig group;         ///< peers = all head-node hosts
-  TransferMode transfer = TransferMode::kReplay;
+/// JOSHUA's deployment values on top of the rsm core's stages: the core's
+/// client port, intercept stage (request_proc), relay stage (relay_proc),
+/// jstat-local reads (read_local) and auto-rejoin carry the joshua values.
+struct JoshuaConfig : rsm::ReplicaConfig {
+  JoshuaConfig();
 
-  /// Rejoin automatically after being excluded from a view (spurious
-  /// suspicion). Off by default: the paper treats exclusion as shutdown.
-  bool auto_rejoin = false;
-  sim::Duration rejoin_delay = sim::seconds(2);
+  sim::Port pbs_port = 15001;  ///< the colocated PBS server
+  TransferMode transfer = TransferMode::kReplay;
 
   /// Federation: the shard this server belongs to. Commands naming a job id
   /// outside the shard's block are rejected with kUnknownJob -- the router
   /// never sends them here, so one arriving means a misrouted direct client.
   ShardIdentity shard;
-  /// Serve jstat from the local replica without entering the ordered path.
-  /// Reads commute with reads, and within one shard every replica holds the
-  /// same totally-ordered prefix, so a member's answer is a consistent
-  /// (possibly slightly stale) snapshot. Off by default: the paper orders
-  /// every command, and the default config must stay behaviour-identical.
-  bool jstat_local = false;
 
-  // CPU cost model.
-  sim::Duration cmd_proc = sim::msec(6);
+  /// CPU cost of executing an ordered command against the local PBS (the
+  /// core's apply stage). read_local jstats skip it: within one shard every
+  /// replica holds the same totally-ordered prefix, so a member's answer is
+  /// a consistent (possibly slightly stale) snapshot.
   sim::Duration exec_proc = sim::msec(8);
-  sim::Duration relay_proc = sim::msec(4);
 
   sim::Duration local_rpc_timeout = sim::seconds(30);
 };
@@ -84,7 +80,8 @@ struct JoshuaConfig {
 JoshuaConfig joshua_config_from(const sim::Calibration& cal,
                                 std::vector<sim::HostId> head_hosts);
 
-class Server : public net::RpcNode {
+/// The PBS adapter on the rsm core: one per head node.
+class Server : private rsm::IDeterministicService {
  public:
   /// `local_pbs` is the colocated PBS server; it may be null only in
   /// kReplay mode (snapshot transfer needs direct state access, modelling
@@ -93,18 +90,17 @@ class Server : public net::RpcNode {
          pbs::Server* local_pbs);
 
   /// Join the active head group (start of service).
-  void start();
+  void start() { node_.start(); }
   /// Leave the group ("handled as a forced failure by causing the JOSHUA
   /// server to shutdown via a signal", Section 4).
-  void shutdown();
+  void shutdown() { node_.shutdown(); }
 
-  bool in_service() const { return group_.is_member(); }
+  bool in_service() const { return node_.in_service(); }
   /// True while a replay-mode state transfer is still being applied; the
   /// local job table lags the group until this drops back to false.
   bool replaying() const { return replaying_; }
-  const gcs::GroupMember& group() const { return group_; }
-  gcs::GroupMember& group() { return group_; }
-  const JoshuaConfig& config() const { return config_; }
+  const gcs::GroupMember& group() const { return node_.group(); }
+  gcs::GroupMember& group() { return node_.group(); }
 
   struct Stats {
     uint64_t commands_intercepted = 0;
@@ -122,26 +118,30 @@ class Server : public net::RpcNode {
     uint64_t jstat_local_served = 0;  ///< stats answered off the local replica
     uint64_t shard_rejects = 0;       ///< commands naming out-of-shard ids
   };
-  const Stats& stats() const { return stats_; }
-
-  // net::RpcNode:
-  void on_request(sim::Payload request, sim::Endpoint from,
-                  uint64_t rpc_id) override;
-  void on_crash() override;
+  Stats stats() const;
 
  private:
-  // Client-command path.
-  void handle_client_command(sim::Payload request, sim::Endpoint from,
-                             uint64_t rpc_id);
-  void apply_group_command(GroupCommand cmd);
-  void finish_local_apply(const GroupCommand& cmd,
-                          std::optional<sim::Payload> response);
+  // rsm::IDeterministicService:
+  void apply_async(const sim::Payload& request, uint64_t tag,
+                   ApplyDone done) override;
+  sim::Payload snapshot() const override;
+  void install(const sim::Payload& state) override;
+  sim::Duration apply_cost(const sim::Payload&) const override {
+    return config_.exec_proc;
+  }
+  sim::Duration local_cost(const sim::Payload&) const override {
+    return sim::kDurationZero;
+  }
+  rsm::Admit admit(const sim::Payload& request,
+                   const rsm::Caller& caller) override;
+  sim::Payload unavailable(const sim::Payload& request) const override;
+  bool on_ordered(rsm::Command& cmd) override;
+  void apply_op(const sim::Payload& op) override;
+  void on_crash() override;
 
   // jmutex/jdone path.
-  void handle_jmutex(const JMutexRequest& req, sim::Endpoint from,
-                     uint64_t rpc_id);
-  void handle_jdone(const JDoneRequest& req, sim::Endpoint from,
-                    uint64_t rpc_id);
+  void handle_jmutex(const JMutexRequest& req, const rsm::Caller& caller);
+  void handle_jdone(const JDoneRequest& req, const rsm::Caller& caller);
   void apply_mutex_req(const GroupMutexReq& req);
   void apply_mutex_done(const GroupMutexDone& done);
   void apply_mutex_revoke(const GroupMutexRevoke& rev);
@@ -151,11 +151,6 @@ class Server : public net::RpcNode {
   /// suppression for replicated jobs.
   bool filter_report(const pbs::JobReport& report);
 
-  // gcs callbacks.
-  void on_view(const gcs::View& view);
-  void on_deliver(const gcs::Delivered& msg);
-  sim::Payload get_state();
-  void install_state(const sim::Payload& state);
   /// Serialize / install the jmutex arbitration table that rides with every
   /// state transfer (claims, terminal jobs, revoked moms).
   sim::Payload export_mutex_table() const;
@@ -163,27 +158,41 @@ class Server : public net::RpcNode {
 
   // Replay-mode machinery.
   void replay_next();
-  void log_command(const GroupCommand& cmd);
-  void note_command_result(const GroupCommand& cmd,
+  /// Append a state-changing command to the replay log. Returns its 1-based
+  /// position, which rides through the apply as the command's rsm tag; 0
+  /// for reads, which are not logged.
+  uint64_t log_command(const sim::Payload& request);
+  void note_command_result(uint64_t log_pos, const sim::Payload& request,
                            const sim::Payload& response);
 
-  sim::Endpoint local_pbs_endpoint() const {
-    return {host_id(), config_.pbs_port};
-  }
+  /// Register every joshua metric, the core's included, in one fixed order
+  /// (scenario digests hash the registry in registration order).
+  rsm::Telemetry instrument(telemetry::Hub& hub, const std::string& host);
+
+  void call_local_pbs(sim::Payload request,
+                      std::function<void(std::optional<sim::Payload>)> done);
 
   JoshuaConfig config_;
   pbs::Server* local_pbs_;
-  gcs::GroupMember group_;
-
-  uint64_t next_cmd_seq_ = 1;
-  /// Replies owed to clients, keyed by our own cmd_seq.
-  struct PendingReply {
-    sim::Endpoint client;
-    uint64_t rpc_id = 0;
-    pbs::Op op = pbs::Op::kStat;
-    sim::Time intercepted{0};  ///< when the command entered this head
-  };
-  std::map<uint64_t, PendingReply> pending_replies_;
+  // Telemetry ("joshua.*" metrics), filled by node_'s constructor through
+  // instrument().
+  telemetry::Counter m_commands_executed_;
+  telemetry::Counter m_replays_applied_;
+  telemetry::Counter m_mutex_grants_;
+  telemetry::Counter m_mutex_denials_;
+  telemetry::Counter m_mutex_revokes_;
+  telemetry::Counter m_dup_done_suppressed_;
+  telemetry::Counter m_ordered_completions_;
+  telemetry::Counter m_preempts_ordered_;
+  telemetry::Counter m_reports_rejected_;
+  /// Per-head ("joshua.replay_divergence.<host>"): replayed commands whose
+  /// local PBS response disagreed with what the replayed log implies. Any
+  /// nonzero value means this head's rebuilt state drifted from the group.
+  telemetry::Counter m_replay_divergence_;
+  telemetry::Counter m_shard_rejects_;
+  telemetry::Histogram m_jmutex_wait_;  ///< jmutex arrival -> grant
+  uint16_t tc_replay_ = 0;   ///< trace category "joshua.replay"
+  uint16_t tc_revoke_ = 0;   ///< trace category "joshua.mutex_revoke"
 
   /// jmutex arbitration, generalised from "exactly once" to "exactly r".
   struct MutexState {
@@ -204,8 +213,7 @@ class Server : public net::RpcNode {
   struct MutexWaiter {
     gcs::MemberId head;
     sim::HostId mom;
-    sim::Endpoint from;
-    uint64_t rpc_id;
+    rsm::Caller caller;
     sim::Time asked{0};  ///< when the jmutex request arrived
   };
   std::multimap<pbs::JobId, MutexWaiter> mutex_waiters_;
@@ -231,37 +239,14 @@ class Server : public net::RpcNode {
 
   bool replaying_ = false;
   std::deque<sim::Payload> replay_queue_;
-  std::deque<GroupCommand> held_commands_;
+  std::deque<rsm::Command> held_commands_;
 
-  Stats stats_;
+  /// Joshua-only counters; the core's ones are merged in by stats().
+  /// Mutable: serving a state transfer (snapshot() const) counts.
+  mutable Stats stats_;
 
-  // Telemetry ("joshua.*" metrics; registered in the ctor body).
-  telemetry::Counter m_commands_intercepted_;
-  telemetry::Counter m_commands_executed_;
-  telemetry::Counter m_replays_applied_;
-  telemetry::Counter m_mutex_grants_;
-  telemetry::Counter m_mutex_denials_;
-  telemetry::Counter m_mutex_revokes_;
-  telemetry::Counter m_dup_done_suppressed_;
-  telemetry::Counter m_ordered_completions_;
-  telemetry::Counter m_preempts_ordered_;
-  telemetry::Counter m_reports_rejected_;
-  /// Per-head ("joshua.replay_divergence.<host>"): replayed commands whose
-  /// local PBS response disagreed with what the replayed log implies. Any
-  /// nonzero value means this head's rebuilt state drifted from the group.
-  telemetry::Counter m_replay_divergence_;
-  /// "pbs.jstat_local": stat queries served from the local replica, the
-  /// read path that never pays for total order (ROADMAP "millions of
-  /// users" axis). "joshua.shard_rejects": out-of-shard ids turned away.
-  telemetry::Counter m_jstat_local_;
-  telemetry::Counter m_shard_rejects_;
-  telemetry::Histogram m_intercept_latency_;  ///< intercept -> client reply
-  telemetry::Histogram m_jstat_local_latency_;  ///< local-read intercept->reply
-  telemetry::Histogram m_jmutex_wait_;        ///< jmutex arrival -> grant
-  uint16_t tc_command_ = 0;  ///< trace category "joshua.command"
-  uint16_t tc_replay_ = 0;   ///< trace category "joshua.replay"
-  uint16_t tc_jview_ = 0;    ///< trace category "joshua.view"
-  uint16_t tc_revoke_ = 0;   ///< trace category "joshua.mutex_revoke"
+  /// Last: built after, and destroyed before, everything its callbacks reach.
+  rsm::ReplicaNode node_;
 };
 
 }  // namespace joshua

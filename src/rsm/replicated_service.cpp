@@ -1,42 +1,45 @@
 #include "rsm/replicated_service.h"
 
 #include "net/wire.h"
-#include "telemetry/hub.h"
 #include "util/logging.h"
 
 namespace rsm {
-namespace {
 
-/// Group message framing: [u32 origin][u64 seq][bytes request].
-sim::Payload encode_ordered(gcs::MemberId origin, uint64_t seq,
-                            const sim::Payload& request) {
+sim::Payload encode_command(const Command& cmd) {
   net::Writer w;
-  w.u32(origin);
-  w.u64(seq);
-  w.bytes(request);
+  w.u8(kCommandTag);
+  w.u32(cmd.origin);
+  w.u64(cmd.seq);
+  w.bytes(cmd.request);
   return w.take();
 }
 
-struct Ordered {
-  gcs::MemberId origin;
-  uint64_t seq;
-  sim::Payload request;
-};
-
-Ordered decode_ordered(const sim::Payload& buf) {
+Command decode_command(const sim::Payload& buf) {
   net::Reader r(buf);
-  Ordered o;
-  o.origin = r.u32();
-  o.seq = r.u64();
-  o.request = r.bytes();
+  if (r.u8() != kCommandTag) throw net::WireError("rsm: not a command");
+  Command cmd;
+  cmd.origin = r.u32();
+  cmd.seq = r.u64();
+  cmd.request = r.bytes();
   r.expect_done();
-  return o;
+  return cmd;
 }
 
-}  // namespace
+Telemetry rsm_telemetry(telemetry::Hub& hub) {
+  telemetry::Registry& m = hub.metrics();
+  Telemetry t;
+  t.requests = m.counter("rsm.requests");
+  t.applied = m.counter("rsm.applied");
+  t.local_reads = m.counter("rsm.local_reads");
+  t.replies = m.counter("rsm.replies");
+  t.order_latency = m.histogram("rsm.order_latency_us");
+  t.order_span = hub.trace().intern("rsm.order");
+  return t;
+}
 
 ReplicaNode::ReplicaNode(sim::Network& net, sim::HostId host,
-                         ReplicaConfig config, IDeterministicService* service)
+                         ReplicaConfig config, IDeterministicService* service,
+                         const Instrument& instrument)
     : net::RpcNode(net, host, config.client_port,
                    "replica@" + net.host(host).name()),
       config_(std::move(config)),
@@ -47,84 +50,158 @@ ReplicaNode::ReplicaNode(sim::Network& net, sim::HostId host,
                  [this](const gcs::Delivered& d) { on_deliver(d); },
                  [this] { return service_->snapshot(); },
                  [this](const sim::Payload& s) { service_->install(s); },
-             }) {
+             }),
+      m_(instrument(net.sim().telemetry())) {
   if (service_ == nullptr)
     throw std::invalid_argument("ReplicaNode: null service");
-  telemetry::Hub& hub = net.sim().telemetry();
-  m_requests_ = hub.metrics().counter("rsm.requests");
-  m_applied_ = hub.metrics().counter("rsm.applied");
-  m_local_reads_ = hub.metrics().counter("rsm.local_reads");
-  m_replies_ = hub.metrics().counter("rsm.replies");
-  m_order_latency_ = hub.metrics().histogram("rsm.order_latency_us");
-  tc_order_ = hub.trace().intern("rsm.order");
 }
 
 void ReplicaNode::start() { group_.join(); }
 
 void ReplicaNode::shutdown() {
-  pending_.clear();
+  // Fail outstanding clients fast so they fail over to another replica.
+  fail_pending();
   group_.leave();
+}
+
+void ReplicaNode::order(sim::Payload op) {
+  group_.multicast(std::move(op), gcs::Delivery::kAgreed);
 }
 
 void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
                              uint64_t rpc_id) {
   ++stats_.requests;
-  m_requests_.add(1);
-  execute(config_.request_proc, [this, request = std::move(request), from,
-                                 rpc_id] {
-    if (!group_.is_member()) return;  // client fails over
-    if (config_.read_local && service_->is_read_only(request)) {
-      ++stats_.local_reads;
-      m_local_reads_.add(1);
-      execute(service_->apply_cost(request), [this, request, from, rpc_id] {
-        sim::Payload response = service_->apply(request);
-        ++stats_.replies;
-        m_replies_.add(1);
-        respond(from, rpc_id, std::move(response));
-      });
+  m_.requests.add(1);
+  execute(config_.request_proc, [this, request = std::move(request),
+                                 caller = Caller{from, rpc_id}]() mutable {
+    Admit admit = service_->admit(request, caller);
+    if (admit == Admit::kHandled) return;
+    if (!group_.is_member()) {
+      reply(caller, service_->unavailable(request));
       return;
     }
+    if (admit == Admit::kLocal && config_.read_local) {
+      answer_locally(std::move(request), caller);
+      return;
+    }
+    ++stats_.ordered;
+    m_.ordered.add(1);
     uint64_t seq = next_seq_++;
-    pending_[seq] = {from, rpc_id, sim().now().us};
-    group_.multicast(encode_ordered(group_.id(), seq, request),
-                     gcs::Delivery::kAgreed);
+    sim::Payload frame = encode_command({group_.id(), seq, request, 0});
+    pending_[seq] = Pending{caller, sim().now().us, std::move(request)};
+    group_.multicast(std::move(frame), gcs::Delivery::kAgreed);
+  });
+}
+
+void ReplicaNode::answer_locally(sim::Payload request, const Caller& caller) {
+  ++stats_.local_reads;
+  m_.local_reads.add(1);
+  sim::Duration cost = service_->local_cost(request);
+  stage(cost, [this, p = Pending{caller, sim().now().us,
+                                 std::move(request)}]() mutable {
+    sim::Payload req = p.request;  // p moves into the callback below
+    service_->apply_async(req, 0, [this, p = std::move(p)](
+                                      std::optional<sim::Payload> resp) mutable {
+      relay(std::move(p), std::move(resp), m_.local_latency, 0);
+    });
   });
 }
 
 void ReplicaNode::on_deliver(const gcs::Delivered& msg) {
-  Ordered ordered;
+  if (msg.payload.empty() || msg.payload[0] != kCommandTag) {
+    service_->apply_op(msg.payload);
+    return;
+  }
+  Command cmd;
   try {
-    ordered = decode_ordered(msg.payload);
+    cmd = decode_command(msg.payload);
   } catch (const net::WireError& e) {
     JLOG(kWarn, "rsm") << name() << ": bad ordered request: " << e.what();
     return;
   }
-  execute(service_->apply_cost(ordered.request),
-          [this, ordered = std::move(ordered)] {
-            sim::Payload response = service_->apply(ordered.request);
-            ++stats_.applied;
-            m_applied_.add(1);
-            if (ordered.origin != group_.id()) return;
-            auto it = pending_.find(ordered.seq);
-            if (it == pending_.end()) return;
-            Pending p = it->second;
-            pending_.erase(it);
-            // The ordering decision for this request is final: span from
-            // multicast to ordered application at the origin.
-            m_order_latency_.record(sim().now().us - p.ordered_at_us);
-            sim().telemetry().trace().complete(p.ordered_at_us, sim().now().us,
-                                               host_id(), tc_order_,
-                                               ordered.seq);
-            ++stats_.replies;
-            m_replies_.add(1);
-            respond(p.client, p.rpc_id, std::move(response));
-          });
+  if (service_->on_ordered(cmd)) resume(std::move(cmd));
+}
+
+void ReplicaNode::resume(Command cmd) {
+  sim::Duration cost = service_->apply_cost(cmd.request);
+  execute(cost, [this, cmd = std::move(cmd)] {
+    service_->apply_async(cmd.request, cmd.tag,
+                          [this, origin = cmd.origin, seq = cmd.seq](
+                              std::optional<sim::Payload> resp) {
+                            finish(origin, seq, std::move(resp));
+                          });
+  });
+}
+
+void ReplicaNode::finish(gcs::MemberId origin, uint64_t seq,
+                         std::optional<sim::Payload> response) {
+  ++stats_.applied;
+  m_.applied.add(1);
+  if (origin != group_.id()) return;
+  auto it = pending_.find(seq);
+  if (it == pending_.end()) return;
+  Pending p = std::move(it->second);
+  pending_.erase(it);
+  relay(std::move(p), std::move(response), m_.order_latency, seq);
+}
+
+void ReplicaNode::relay(Pending p, std::optional<sim::Payload> response,
+                        telemetry::Histogram latency, uint64_t seq) {
+  if (!response.has_value()) {
+    reply(p.caller, service_->unavailable(p.request));
+    return;
+  }
+  ++stats_.replies;
+  m_.replies.add(1);
+  auto send = [this, p = std::move(p), response = std::move(*response),
+               latency, seq]() mutable {
+    int64_t now_us = sim().now().us;
+    latency.record(now_us - p.since_us);
+    if (seq != 0) {
+      // The client-visible latency of an ordered request: intercepted here,
+      // totally ordered, applied, answered.
+      sim().telemetry().trace().complete(
+          p.since_us, now_us, host_id(), m_.order_span, seq,
+          p.request.empty() ? 0 : p.request[0]);
+    }
+    reply(p.caller, std::move(response));
+  };
+  stage(config_.relay_proc, std::move(send));
+}
+
+void ReplicaNode::stage(sim::Duration cost, std::function<void()> fn) {
+  if (cost.us == 0) {
+    fn();
+  } else {
+    execute(cost, std::move(fn));
+  }
+}
+
+void ReplicaNode::fail_pending() {
+  for (auto& [seq, p] : pending_) {
+    (void)seq;
+    reply(p.caller, service_->unavailable(p.request));
+  }
+  pending_.clear();
 }
 
 void ReplicaNode::on_view(const gcs::View& view) {
-  if (view.members.empty()) {
-    JLOG(kWarn, "rsm") << name() << " excluded from the replica group";
-    pending_.clear();
+  if (m_.view_span.has_value()) {
+    sim().telemetry().trace().instant(sim().now().us, host_id(), *m_.view_span,
+                                      view.size(),
+                                      view.members.empty() ? 0 : 1);
+  }
+  if (!view.members.empty()) {
+    JLOG(kInfo, "rsm") << name() << " serving in view of " << view.size()
+                       << " replica(s)";
+    return;
+  }
+  JLOG(kWarn, "rsm") << name() << " out of service (excluded from view)";
+  fail_pending();
+  if (config_.auto_rejoin) {
+    set_timer(config_.rejoin_delay, [this] {
+      if (host_up()) group_.join();
+    });
   }
 }
 
@@ -132,6 +209,7 @@ void ReplicaNode::on_crash() {
   net::RpcNode::on_crash();
   pending_.clear();
   next_seq_ = 1;
+  service_->on_crash();
 }
 
 ReplicaClient::ReplicaClient(sim::Network& net, sim::HostId host,
@@ -153,7 +231,7 @@ void ReplicaClient::attempt(sim::Payload payload, Handler done,
   call(config_.replicas[current_], payload,
        [this, payload, done = std::move(done),
         tries_left](std::optional<sim::Payload> resp) mutable {
-         if (resp.has_value()) {
+         if (resp.has_value() && !resp->empty()) {
            done(std::move(resp));
            return;
          }
@@ -163,6 +241,8 @@ void ReplicaClient::attempt(sim::Payload payload, Handler done,
          }
          current_ = (current_ + 1) % config_.replicas.size();
          ++failovers_;
+         JLOG(kInfo, "rsm") << name() << " failing over to replica "
+                            << current_;
          attempt(std::move(payload), std::move(done), tries_left - 1);
        },
        options);

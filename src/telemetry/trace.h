@@ -1,10 +1,10 @@
 // Structured trace layer: compact fixed-size records in a growable ring.
 //
-// This supersedes the string-concatenating sim::Trace for hot paths: a
-// record is (timestamp, host, interned category id, phase, two integer
-// args) -- no strings are built at record time, and once the ring reaches
-// its capacity the record path performs zero heap allocations (older
-// records are overwritten, newest-wins, like a flight recorder).
+// The simulator's only trace: a record is (timestamp, host, interned
+// category id, phase, two integer args) -- no strings are built at record
+// time, and once the ring reaches its capacity the record path performs
+// zero heap allocations (older records are overwritten, newest-wins, like a
+// flight recorder).
 //
 // Spans: either record begin()/end() pairs, or remember the start time at
 // the call site and emit one complete() record when the operation finishes.

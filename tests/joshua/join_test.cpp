@@ -2,6 +2,10 @@
 // and snapshot mode (the paper's future-work extension).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "joshua/joshua_harness.h"
 
 namespace {
@@ -131,6 +135,43 @@ TEST(JoinReplayCompaction, CompletedJobsNotReplayed) {
   EXPECT_EQ(cluster.mom(0).jobs_executed(), 3u)
       << "done1 + done2 + live ran once each; the replay re-ran nothing";
   EXPECT_GE(cluster.joshua_server(1).stats().replays_applied, 1u);
+}
+
+TEST(JoinReplayCompaction, OverlappingSubmitsReplayUnderTheirOwnIds) {
+  joshua::Cluster cluster(fast_options(2, 1));
+  cluster.joshua_server(0).start();
+  ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] {
+    return cluster.joshua_server(0).in_service();
+  }));
+  joshua::Client& client = cluster.make_jclient();
+  // Two submits in flight at once: the second is ordered (and logged)
+  // before the first one's job id comes back from the local PBS.
+  int accepted = 0;
+  for (const char* name : {"first", "second"}) {
+    pbs::JobSpec spec = quick_job(sim::seconds(600));
+    spec.name = name;
+    client.jsub(spec, [&](std::optional<pbs::SubmitResponse> r) {
+      if (r && r->status == pbs::Status::kOk) ++accepted;
+    });
+  }
+  ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] { return accepted == 2; }));
+
+  cluster.joshua_server(1).start();
+  ASSERT_TRUE(cluster.run_until_converged());
+  auto live_queue = [](const pbs::Server& server) {
+    std::vector<std::tuple<pbs::JobId, std::string, pbs::JobState>> out;
+    for (const auto& [id, job] : server.jobs())
+      if (!job.terminal()) out.emplace_back(id, job.spec.name, job.state);
+    return out;
+  };
+  testutil::run_until(cluster.sim(), [&] {
+    return !cluster.joshua_server(1).replaying() &&
+           live_queue(cluster.pbs_server(1)) == live_queue(cluster.pbs_server(0));
+  }, sim::seconds(60));
+  ASSERT_EQ(live_queue(cluster.pbs_server(0)).size(), 2u);
+  EXPECT_EQ(live_queue(cluster.pbs_server(1)),
+            live_queue(cluster.pbs_server(0)))
+      << "the replayed log must give each submit its own job id";
 }
 
 TEST(JoinSnapshot, SnapshotPreservesJobIdsAndStates) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gcs/messages.h"
 #include "pvfs/metadata.h"
 #include "sim/calibration.h"
 #include "testutil.h"
@@ -211,6 +212,60 @@ TEST(ReplicatedMetadata, ConcurrentClientsStayConsistent) {
   });
   for (auto& s : h.services)
     EXPECT_EQ(s->snapshot(), h.services[0]->snapshot());
+}
+
+TEST(ReplicatedMetadata, ExcludedReplicaFailsPendingRequestsAtOnce) {
+  RsmHarness h(3);
+  h.start_all();
+  ASSERT_TRUE(h.run_until_converged(3));
+  // A client that tries md2 first and would wait 20 s before failing over.
+  rsm::ReplicaClient::Config ccfg;
+  ccfg.replicas = {{h.hosts[2], 19000}, {h.hosts[0], 19000},
+                   {h.hosts[1], 19000}};
+  ccfg.timeout = sim::seconds(20);
+  rsm::ReplicaClient client(h.net, h.login, 20002, ccfg);
+  std::optional<pvfs::MdResponse> answer;
+  sim::Time answered_at{0};
+  client.request(pvfs::encode(mkdir_req("d")),
+                 [&](std::optional<sim::Payload> r) {
+                   if (r) answer = pvfs::decode_response(*r);
+                   answered_at = h.sim.now();
+                 });
+  rsm::ReplicaNode& md2 = *h.replicas[2];
+  auto step = sim::usec(50);
+  ASSERT_TRUE(testutil::run_until(
+      h.sim, [&] { return md2.stats().requests == 1; }, sim::seconds(1), step));
+  // Cut md2 off before it multicasts, so its request stays pending there.
+  h.net.set_partition(h.hosts[2], 1);
+  uint64_t sent = md2.group().stats().data_sent;
+  ASSERT_TRUE(testutil::run_until(
+      h.sim, [&] { return md2.group().stats().data_sent > sent; },
+      sim::seconds(1), step));
+  // md2 learns that the others installed a view without it. The gcs sends a
+  // view commit only to its members, so the test delivers this one itself
+  // (loopback, which the partition does not drop).
+  gcs::VcCommitWire commit;
+  commit.header.from = h.hosts[0];
+  commit.new_view.id = {md2.group().view().id.epoch + 1, h.hosts[0]};
+  commit.new_view.members = {h.hosts[0], h.hosts[1]};
+  commit.old_members = md2.group().view().members;
+  h.net.send({{h.hosts[2], 7100}, {h.hosts[2], 7100}, gcs::encode(commit)});
+  h.net.clear_partitions();
+  sim::Time excluded_at = h.sim.now();
+
+  ASSERT_TRUE(testutil::run_until(
+      h.sim, [&] { return answered_at.us != 0; }, sim::seconds(60)));
+  EXPECT_FALSE(md2.in_service());
+  EXPECT_LT((answered_at - excluded_at).seconds(), 5.0)
+      << "the excluded replica must answer 'unavailable' at once, not leave "
+         "the client to its timeout";
+  EXPECT_EQ(client.failovers(), 1u);
+  // md2's own multicast may still reach the survivors through the flush, so
+  // the retry can find the directory already made (at-least-once).
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_TRUE(answer->status == pvfs::MdStatus::kOk ||
+              answer->status == pvfs::MdStatus::kExists);
+  EXPECT_NE(h.services[0]->resolve("/d"), pvfs::kInvalidHandle);
 }
 
 }  // namespace
