@@ -322,8 +322,11 @@ void GroupMember::handle_nack(NackWire m) {
 void GroupMember::handle_retransmit(RetransmitWire m) {
   if (!is_member()) return;
   note_alive(m.header.from);
-  buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
-                  m.header.received);
+  // A non-member's header describes a stream outside the view: its claims
+  // must not seed gaps (NACKs for messages this handler then discards).
+  if (view_.contains(m.header.from))
+    buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
+                    m.header.received);
   for (const DataMsg& msg : m.msgs) {
     if (!view_.contains(msg.id.sender)) continue;
     tick_lamport(msg.lamport);

@@ -52,6 +52,14 @@ void OrderingBuffer::reset(const View& view, MemberId self) {
     delivered_.try_emplace(m, 0);
   }
   while (it != peers_.end()) it = peers_.erase(it);
+  // Claims about a departed member's stream go too: the bookkeeping only
+  // ever describes the current members' streams, and a member re-entering
+  // later does so as a joiner whose stream restarts at zero.
+  for (auto& [q, state] : peers_) {
+    (void)q;
+    std::erase_if(state.received,
+                  [&](const auto& e) { return !view_.contains(e.first); });
+  }
   cut_dirty_ = true;
   // An attached engine's lifecycle is driven by its owner (GroupMember
   // resets it at view install, after stream positions settle); only the
@@ -100,9 +108,13 @@ void OrderingBuffer::erase_pending(std::map<OrderKey, DataMsg>::iterator it) {
 
 void OrderingBuffer::observe(MemberId p, uint64_t lamport, uint64_t sent_upto,
                              const CutVector& received) {
+  // Only members' claims about members' streams count (a cut also carries
+  // entries for departed senders; the wire may carry anything).
+  if (!view_.contains(p)) return;
   PeerState& state = peers_[p];
   state.sent_upto = std::max(state.sent_upto, sent_upto);
   for (const auto& [sender, seq] : received) {
+    if (!view_.contains(sender)) continue;
     uint64_t& have = state.received[sender];
     have = std::max(have, seq);
   }
@@ -277,6 +289,13 @@ void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
 void OrderingBuffer::reset_peer(MemberId m) {
   auto it = peers_.find(m);
   if (it != peers_.end()) it->second = PeerState{};
+  // Every peer's claims about m's old stream go too: they describe messages
+  // of the dead incarnation, and would otherwise count toward stable_upto
+  // and SAFE for the fresh stream.
+  for (auto& [q, state] : peers_) {
+    (void)q;
+    state.received.erase(m);
+  }
 }
 
 void OrderingBuffer::clear_all() {

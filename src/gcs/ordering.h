@@ -61,7 +61,9 @@ class OrderingBuffer {
   /// Record protocol metadata heard from member `p`: its lamport clock, the
   /// highest sequence number it claims to have sent, and its received
   /// vector (per-sender contiguous seq it holds, as sorted pairs). Data
-  /// messages, cuts and heartbeats all feed this.
+  /// messages, cuts and heartbeats all feed this. Ignored unless `p` is a
+  /// view member; cut entries for non-members are skipped, and repeated
+  /// entries merge by maximum (the cut comes off the wire).
   void observe(MemberId p, uint64_t lamport, uint64_t sent_upto,
                const CutVector& received);
 
@@ -122,11 +124,13 @@ class OrderingBuffer {
   void set_stream_position(MemberId sender, uint64_t seq);
 
   /// Forget everything member `m` ever claimed (sent watermark + its cut
-  /// vector). Used at view install for a *reincarnated* member: it stayed in
-  /// the membership across a crash+rejoin, so the merge pass in reset() would
-  /// keep its old incarnation's claims, and a stale sent_upto above the fresh
-  /// stream blocks the all-ack condition (and draws NACKs for messages the
-  /// new incarnation never sent) forever.
+  /// vector) and every peer's claims about m's stream. Used at view install
+  /// for a *reincarnated* member: it stayed in the membership across a
+  /// crash+rejoin, so the merge pass in reset() would keep its old
+  /// incarnation's claims -- a stale sent_upto above the fresh stream blocks
+  /// the all-ack condition (and draws NACKs for messages the new incarnation
+  /// never sent) forever, and peers' stale acks of the old stream would make
+  /// the fresh one look stable before anyone holds it.
   void reset_peer(MemberId m);
 
   /// Drop all per-member counters and state (member rejoin from scratch).

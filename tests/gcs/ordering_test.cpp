@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+
 namespace {
 
+using gcs::CutVector;
 using gcs::DataMsg;
 using gcs::Delivery;
 using gcs::MemberId;
@@ -256,5 +262,233 @@ TEST_F(OrderingTest, DeliveredVectorCountsPerSender) {
   EXPECT_EQ(buf_.delivered_count(1), 2u);
   EXPECT_EQ(buf_.delivered_count(2), 0u);
 }
+
+TEST_F(OrderingTest, ReincarnatedSenderStartsWithNoAcks) {
+  // Member 1 acks seq 10 of member 2's stream.
+  buf_.observe(1, 20, 0, {{2, 10}});
+  // Member 2 crashes and rejoins: the view is reinstalled the way
+  // GroupMember::install_view treats a joiner.
+  buf_.reset(make_view({0, 1, 2}, 2), 0);
+  buf_.reset_peer(2);
+  buf_.set_stream_position(2, 0);
+  // The fresh incarnation sends seq 1 (its header acks it); member 1
+  // holds none of it yet.
+  buf_.insert(msg(2, 1, 30));
+  buf_.observe(2, 30, 1, {{2, 1}});
+  buf_.observe(1, 31, 0, {{2, 0}});
+  EXPECT_EQ(buf_.peer_received(1, 2), 0u)
+      << "member 1's ack of the dead incarnation's stream survived";
+  EXPECT_EQ(buf_.stable_upto(2), 0u)
+      << "seq 1 counted stable although member 1 does not hold it";
+}
+
+TEST_F(OrderingTest, UntrustedCutEntriesMergeByMaxWithinTheView) {
+  // Unsorted, repeated and non-member entries: each member entry keeps its
+  // maximum, everything else is ignored.
+  buf_.observe(1, 5, 0, {{2, 4}, {0, 3}, {2, 9}, {7, 50}, {0, 1}, {2, 6}});
+  EXPECT_EQ(buf_.peer_received(1, 0), 3u);
+  EXPECT_EQ(buf_.peer_received(1, 2), 9u);
+  EXPECT_EQ(buf_.peer_received(1, 7), 0u);
+  // A non-member's claims are dropped whole.
+  buf_.observe(7, 5, 40, {{0, 8}});
+  EXPECT_EQ(buf_.peer_sent_upto(7), 0u);
+  EXPECT_EQ(buf_.peer_received(7, 0), 0u);
+  EXPECT_TRUE(buf_.gaps().empty());
+}
+
+// -- differential test ---------------------------------------------------------
+//
+// A map-keyed reference model of the buffer's peer bookkeeping: per-member
+// sent watermarks and cut claims, per-sender receive watermarks with
+// out-of-order staging. Claims exist only by members about members' streams;
+// reset_peer forgets a member's row and every claim about its stream. The
+// buffer must answer every query exactly like the model after every step of
+// a random schedule of view changes, cuts, inserts and stream moves.
+
+class PeerModel {
+ public:
+  void reset(const View& view, MemberId self) {
+    view_ = view;
+    self_ = self;
+    held_.clear();
+    std::erase_if(sent_, [&](const auto& e) { return !view.contains(e.first); });
+    std::erase_if(claims_,
+                  [&](const auto& e) { return !view.contains(e.first); });
+    for (auto& [q, row] : claims_) {
+      (void)q;
+      std::erase_if(row, [&](const auto& e) { return !view.contains(e.first); });
+    }
+    for (MemberId m : view.members) recv_.try_emplace(m, 0);
+  }
+
+  void observe(MemberId p, uint64_t sent, const CutVector& cut) {
+    if (!view_.contains(p)) return;
+    sent_[p] = std::max(sent_[p], sent);
+    for (const auto& [s, seq] : cut) {
+      if (!view_.contains(s)) continue;
+      uint64_t& have = claims_[p][s];
+      have = std::max(have, seq);
+    }
+  }
+
+  void insert(MsgId id) {
+    uint64_t& upto = recv_[id.sender];
+    if (id.seq <= upto) return;
+    held_.insert(id);
+    promote(id.sender);
+  }
+
+  void set_stream_position(MemberId s, uint64_t seq) {
+    recv_[s] = seq;
+    std::erase_if(held_, [&](const MsgId& id) {
+      return id.sender == s && id.seq <= seq;
+    });
+    promote(s);
+  }
+
+  void reset_peer(MemberId m) {
+    sent_.erase(m);
+    claims_.erase(m);
+    for (auto& [q, row] : claims_) {
+      (void)q;
+      row.erase(m);
+    }
+  }
+
+  uint64_t received_upto(MemberId s) const { return get(recv_, s); }
+  uint64_t peer_sent_upto(MemberId q) const { return get(sent_, q); }
+  uint64_t peer_received(MemberId q, MemberId s) const {
+    auto it = claims_.find(q);
+    return it == claims_.end() ? 0 : get(it->second, s);
+  }
+  uint64_t stable_upto(MemberId s) const {
+    uint64_t lo = received_upto(s);
+    for (MemberId q : view_.members)
+      if (q != self_) lo = std::min(lo, peer_received(q, s));
+    return lo;
+  }
+  std::vector<MsgId> gaps() const {
+    std::vector<MsgId> out;
+    for (MemberId q : view_.members)
+      for (uint64_t seq = received_upto(q) + 1; seq <= peer_sent_upto(q); ++seq)
+        if (!held_.count(MsgId{q, seq})) out.push_back({q, seq});
+    return out;
+  }
+  CutVector received_vector() const { return {recv_.begin(), recv_.end()}; }
+
+ private:
+  static uint64_t get(const std::map<MemberId, uint64_t>& m, MemberId k) {
+    auto it = m.find(k);
+    return it == m.end() ? 0 : it->second;
+  }
+  void promote(MemberId s) {
+    uint64_t& upto = recv_[s];
+    while (held_.erase(MsgId{s, upto + 1})) ++upto;
+  }
+
+  View view_;
+  MemberId self_ = sim::kInvalidHost;
+  std::map<MemberId, uint64_t> recv_;
+  std::set<MsgId> held_;  ///< received above a gap
+  std::map<MemberId, uint64_t> sent_;
+  std::map<MemberId, std::map<MemberId, uint64_t>> claims_;
+};
+
+/// Ids the schedule draws from: the member universe 0..7 plus ids that are
+/// never members, one of them far beyond any plausible rank table.
+const std::vector<MemberId> kIds = {0, 1, 2, 3, 4, 5, 6, 7, 1000, 0xFFFFFFF0u};
+constexpr MemberId kSelf = 3;
+constexpr uint64_t kMaxSeq = 12;
+
+::testing::AssertionResult same_answers(const OrderingBuffer& buf,
+                                        const PeerModel& model) {
+  if (buf.received_vector() != model.received_vector())
+    return ::testing::AssertionFailure() << "received_vector differs";
+  if (buf.gaps() != model.gaps())
+    return ::testing::AssertionFailure() << "gaps differ";
+  for (MemberId q : kIds) {
+    if (buf.received_upto(q) != model.received_upto(q))
+      return ::testing::AssertionFailure() << "received_upto(" << q << ")";
+    if (buf.stable_upto(q) != model.stable_upto(q))
+      return ::testing::AssertionFailure()
+             << "stable_upto(" << q << ") " << buf.stable_upto(q) << " vs "
+             << model.stable_upto(q);
+    if (buf.peer_sent_upto(q) != model.peer_sent_upto(q))
+      return ::testing::AssertionFailure() << "peer_sent_upto(" << q << ")";
+    for (MemberId s : kIds) {
+      if (buf.peer_received(q, s) != model.peer_received(q, s))
+        return ::testing::AssertionFailure()
+               << "peer_received(" << q << ", " << s << ") "
+               << buf.peer_received(q, s) << " vs " << model.peer_received(q, s);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void run_differential(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto below = [&](uint64_t n) { return rng() % n; };
+  auto any_id = [&] {
+    return below(8) == 0 ? kIds[8 + below(2)] : static_cast<MemberId>(below(8));
+  };
+  OrderingBuffer buf;
+  PeerModel model;
+  View view = make_view({0, 1, 2, kSelf});
+  buf.reset(view, kSelf);
+  model.reset(view, kSelf);
+  for (int step = 0; step < 4000; ++step) {
+    uint64_t op = below(100);
+    if (op < 45) {
+      // A header: mostly from members, cuts of any shape.
+      CutVector cut;
+      size_t n = below(11);
+      for (size_t i = 0; i < n; ++i) cut.emplace_back(any_id(), below(kMaxSeq + 1));
+      if (below(2) == 0) std::sort(cut.begin(), cut.end());
+      MemberId p = below(6) == 0 ? any_id() : view.members[below(view.size())];
+      uint64_t sent = below(kMaxSeq + 1);
+      buf.observe(p, 1, sent, cut);
+      model.observe(p, sent, cut);
+    } else if (op < 80) {
+      MemberId s = below(4) == 0 ? any_id() : view.members[below(view.size())];
+      if (s == kSelf) continue;  // own stream is inserted in order by the sender
+      uint64_t seq = 1 + below(kMaxSeq);
+      buf.insert(msg(s, seq, 1 + below(100)));
+      model.insert(MsgId{s, seq});
+    } else if (op < 88) {
+      MemberId s = any_id();
+      uint64_t seq = below(kMaxSeq + 1);
+      buf.set_stream_position(s, seq);
+      model.set_stream_position(s, seq);
+    } else {
+      // View change: members come and go (self stays), some of the
+      // survivors reincarnate, and every member's stream position settles
+      // as GroupMember::install_view does.
+      std::vector<MemberId> members = {kSelf};
+      for (MemberId m = 0; m < 8; ++m)
+        if (m != kSelf && below(3) != 0) members.push_back(m);
+      std::sort(members.begin(), members.end());
+      view = make_view(members, view.id.epoch + 1);
+      buf.reset(view, kSelf);
+      model.reset(view, kSelf);
+      for (MemberId m : members) {
+        if (m != kSelf && below(4) == 0) {
+          buf.reset_peer(m);
+          model.reset_peer(m);
+          buf.set_stream_position(m, 0);
+          model.set_stream_position(m, 0);
+        } else if (below(2) == 0) {
+          uint64_t seq = std::max(below(kMaxSeq + 1), model.received_upto(m));
+          buf.set_stream_position(m, seq);
+          model.set_stream_position(m, seq);
+        }
+      }
+    }
+    ASSERT_TRUE(same_answers(buf, model)) << "seed " << seed << " step " << step;
+  }
+}
+
+TEST(OrderingDifferential, MatchesMapModelSeed1) { run_differential(1); }
+TEST(OrderingDifferential, MatchesMapModelSeed2) { run_differential(2); }
+TEST(OrderingDifferential, MatchesMapModelSeed3) { run_differential(3); }
 
 }  // namespace
