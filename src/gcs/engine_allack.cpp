@@ -7,19 +7,17 @@
 namespace gcs {
 
 EngineOut AllAckEngine::reset(const View& view, MemberId self, int64_t) {
+  // Re-rank like OrderingBuffer::reset: keep surviving peers' clocks (their
+  // evidence is still valid), drop departed peers (their silence must not
+  // block delivery), seed new members at zero.
+  std::vector<uint64_t> heard(view.size(), 0);
+  for (size_t i = 0; i < view.size(); ++i) {
+    int old = view_.rank(view.members[i]);
+    if (old >= 0) heard[i] = heard_[old];
+  }
+  heard_ = std::move(heard);
   view_ = view;
   self_ = self;
-  // Same merge pass as OrderingBuffer::reset: keep surviving peers' clocks
-  // (their evidence is still valid), drop departed peers (their silence must
-  // not block delivery), seed new members at zero.
-  auto it = heard_.begin();
-  for (MemberId m : view_.members) {
-    while (it != heard_.end() && it->first < m) it = heard_.erase(it);
-    if (it == heard_.end() || it->first != m)
-      it = heard_.emplace_hint(it, m, 0);
-    ++it;
-  }
-  while (it != heard_.end()) it = heard_.erase(it);
   return {};
 }
 
@@ -30,23 +28,22 @@ void AllAckEngine::clear() {
 }
 
 void AllAckEngine::observe(MemberId p, uint64_t lamport) {
-  uint64_t& heard = heard_[p];
-  heard = std::max(heard, lamport);
+  int r = view_.rank(p);
+  if (r >= 0) heard_[r] = std::max(heard_[r], lamport);
 }
 
 bool AllAckEngine::agreed_condition(const DataMsg& m) const {
-  for (MemberId q : view_.members) {
+  // No earlier-ordered message from any other member may still be missing.
+  if (buffer_->missing_from_peers()) return false;
+  for (size_t r = 0; r < view_.size(); ++r) {
+    MemberId q = view_.members[r];
     // Our own clock is ahead of everything we buffered, and our own
     // messages are inserted synchronously -- nothing of ours is in flight
     // towards ourselves.
     if (q == self_) continue;
-    auto it = heard_.find(q);
-    uint64_t heard = it == heard_.end() ? 0 : it->second;
     // The sender's own timestamp on m proves it will never send anything
     // ordered before m; every other member must have been heard past m.
-    if (heard <= m.lamport && q != m.id.sender) return false;
-    // No earlier-ordered message from q may still be missing.
-    if (buffer_->received_upto(q) < buffer_->peer_sent_upto(q)) return false;
+    if (heard_[r] <= m.lamport && q != m.id.sender) return false;
   }
   return true;
 }

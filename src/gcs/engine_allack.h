@@ -9,7 +9,7 @@
 // against stay in the OrderingBuffer (they also drive NACKs and stability).
 #pragma once
 
-#include <map>
+#include <vector>
 
 #include "gcs/ordering_engine.h"
 
@@ -40,8 +40,9 @@ class AllAckEngine : public OrderingEngine {
 
   View view_;
   MemberId self_ = sim::kInvalidHost;
-  /// Highest lamport timestamp heard from each peer (on any traffic).
-  std::map<MemberId, uint64_t> heard_;
+  /// Highest lamport timestamp heard from each member (on any traffic), by
+  /// view rank.
+  std::vector<uint64_t> heard_;
 };
 
 }  // namespace gcs

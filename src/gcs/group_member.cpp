@@ -229,7 +229,12 @@ void GroupMember::on_packet(sim::Packet packet) {
     try {
       switch (type) {
         case MsgType::kData: handle_data(decode_data(data)); break;
-        case MsgType::kCut: handle_cut(decode_cut(data)); break;
+        case MsgType::kCut:
+          // The commonest packet (one per member per data message under
+          // all-ack): decoded into reused storage.
+          decode_cut(data, rx_cut_);
+          handle_cut(rx_cut_);
+          break;
         case MsgType::kNack: handle_nack(decode_nack(data)); break;
         case MsgType::kRetransmit:
           handle_retransmit(decode_retransmit(data));
@@ -260,8 +265,12 @@ void GroupMember::on_packet(sim::Packet packet) {
 // ---------------------------------------------------------------------------
 
 void GroupMember::note_alive(MemberId peer) {
-  last_heard_[peer] = sim().now();
-  if (state_ == State::kMember && view_.contains(peer)) suspected_.erase(peer);
+  // Only members are watched; install_view restarts every member's clock,
+  // so hearing from a non-member (a joiner, a merge beacon) needs no record.
+  int r = view_.rank(peer);
+  if (r < 0) return;
+  last_heard_[r] = sim().now();
+  if (state_ == State::kMember) suspected_.erase(peer);
 }
 
 void GroupMember::handle_data(DataWire m) {
@@ -286,12 +295,8 @@ void GroupMember::handle_data(DataWire m) {
   check_gaps();
 }
 
-void GroupMember::handle_cut(CutWire m) {
-  if (!is_member() || !view_.contains(m.header.from)) {
-    // Cuts also serve as liveness beacons during joins/merges.
-    note_alive(m.header.from);
-    return;
-  }
+void GroupMember::handle_cut(const CutWire& m) {
+  if (!is_member() || !view_.contains(m.header.from)) return;
   ++stats_.cuts_received;
   note_alive(m.header.from);
   tick_lamport(m.header.lamport);
@@ -465,12 +470,14 @@ void GroupMember::send_cut(bool periodic) {
 void GroupMember::retain(const DataMsg& m) { retained_[m.id] = m; }
 
 void GroupMember::prune_retained() {
+  // retained_ is sorted by (sender, seq): each sender's stable messages are
+  // a prefix of its run, dropped with one range erase.
   for (auto it = retained_.begin(); it != retained_.end();) {
-    if (it->first.seq <= buffer_.stable_upto(it->first.sender)) {
-      it = retained_.erase(it);
-    } else {
-      ++it;
-    }
+    MemberId sender = it->first.sender;
+    uint64_t stable = buffer_.stable_upto(sender);
+    if (stable > 0)
+      it = retained_.erase(it, retained_.upper_bound(MsgId{sender, stable}));
+    it = retained_.upper_bound(MsgId{sender, UINT64_MAX});
   }
 }
 
@@ -528,10 +535,10 @@ void GroupMember::suspect_check() {
   if (state_ != State::kMember) return;
   sim::Time now = sim().now();
   bool changed = false;
-  for (MemberId m : view_.members) {
+  for (size_t r = 0; r < view_.size(); ++r) {
+    MemberId m = view_.members[r];
     if (m == id() || suspected_.count(m)) continue;
-    auto it = last_heard_.find(m);
-    if (it == last_heard_.end() || now - it->second > config_.suspect_timeout) {
+    if (now - last_heard_[r] > config_.suspect_timeout) {
       suspected_.insert(m);
       changed = true;
       JLOG(kInfo, "gcs") << name() << " suspects member " << m;
@@ -824,7 +831,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   leavers_.clear();
   for (MemberId j : view_.members) joiners_.erase(j);
   sim::Time now = sim().now();
-  for (MemberId m : view_.members) last_heard_[m] = now;
+  last_heard_.assign(view_.size(), now);
   state_ = State::kMember;
   // Start the engine's new-view epoch (token mode: the lowest member mints
   // the view's token) now that stream positions are settled.

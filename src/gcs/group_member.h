@@ -178,7 +178,7 @@ class GroupMember : public sim::Process {
 
   // -- receive handlers (already CPU-charged) ---------------------------------
   void handle_data(DataWire m);
-  void handle_cut(CutWire m);
+  void handle_cut(const CutWire& m);
   void handle_nack(NackWire m);
   void handle_retransmit(RetransmitWire m);
   void handle_join_req(JoinReqWire m);
@@ -232,7 +232,7 @@ class GroupMember : public sim::Process {
   // Membership.
   View view_;
   uint64_t max_epoch_ = 0;
-  std::map<MemberId, sim::Time> last_heard_;
+  std::vector<sim::Time> last_heard_;  ///< by view rank
   std::set<MemberId> suspected_;
   std::set<MemberId> joiners_;   ///< join requests seen (incl. self when joining)
   std::set<MemberId> leavers_;
@@ -275,6 +275,7 @@ class GroupMember : public sim::Process {
 
   bool cut_scheduled_ = false;
   Stats stats_;
+  CutWire rx_cut_;  ///< decode storage reused by every inbound cut
 
   // Telemetry (registry cells shared by all members in one simulation;
   // registered in the ctor body, updated next to the stats_ increments).

@@ -10,13 +10,12 @@ void encode_header(net::Writer& w, const Header& h) {
   encode_cut(w, h.received);
 }
 
-Header decode_header(net::Reader& r) {
-  Header h;
+/// Decodes in place: a reused Header keeps its cut's capacity.
+void decode_header(net::Reader& r, Header& h) {
   h.from = r.u32();
   h.lamport = r.u64();
   h.sent_upto = r.u64();
-  h.received = decode_cut_vector(r);
-  return h;
+  decode_cut_into(r, h.received);
 }
 
 void encode_view_id(net::Writer& w, const ViewId& id) {
@@ -54,7 +53,7 @@ net::Reader open(const sim::Payload& buf, MsgType expected, Header& h) {
   net::Reader r(buf);
   auto type = static_cast<MsgType>(r.u8());
   if (type != expected) throw net::WireError("gcs: message type mismatch");
-  h = decode_header(r);
+  decode_header(r, h);
   return r;
 }
 
@@ -87,10 +86,14 @@ sim::Payload encode(const CutWire& m) {
 
 CutWire decode_cut(const sim::Payload& buf) {
   CutWire m;
-  net::Reader r = open(buf, MsgType::kCut, m.header);
-  m.periodic = r.boolean();
-  r.expect_done();
+  decode_cut(buf, m);
   return m;
+}
+
+void decode_cut(const sim::Payload& buf, CutWire& into) {
+  net::Reader r = open(buf, MsgType::kCut, into.header);
+  into.periodic = r.boolean();
+  r.expect_done();
 }
 
 sim::Payload encode(const NackWire& m) {

@@ -136,6 +136,8 @@ sim::Payload encode(const EngineWire&);
 
 DataWire decode_data(const sim::Payload&);
 CutWire decode_cut(const sim::Payload&);
+/// Decode into `into`, reusing its cut storage (the per-packet hot path).
+void decode_cut(const sim::Payload& buf, CutWire& into);
 NackWire decode_nack(const sim::Payload&);
 RetransmitWire decode_retransmit(const sim::Payload&);
 JoinReqWire decode_join_req(const sim::Payload&);

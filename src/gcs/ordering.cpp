@@ -31,36 +31,41 @@ const OrderingEngine& OrderingBuffer::engine() const {
 }
 
 void OrderingBuffer::reset(const View& view, MemberId self) {
+  // Ranks move only here. Surviving members keep their claims about
+  // surviving members' streams; departed members' rows and columns go
+  // (their silence must not block delivery conditions, and a member
+  // re-entering later does so as a joiner whose stream restarts at zero);
+  // new members start at zero.
+  const size_t n = view.size();
+  const size_t old_n = view_.size();
+  std::vector<int> old_rank(n);
+  for (size_t i = 0; i < n; ++i) old_rank[i] = view_.rank(view.members[i]);
+  std::vector<uint64_t> acks(n * n, 0);
+  std::vector<uint64_t> sent(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (old_rank[i] < 0) continue;
+    const uint64_t* old_row = &acks_[old_rank[i] * old_n];
+    sent[i] = sent_upto_[old_rank[i]];
+    for (size_t j = 0; j < n; ++j)
+      if (old_rank[j] >= 0) acks[i * n + j] = old_row[old_rank[j]];
+  }
+  acks_ = std::move(acks);
+  sent_upto_ = std::move(sent);
   view_ = view;
   self_ = self;
+  self_rank_ = view_.rank(self);
   pending_.clear();
   pending_ix_.clear();
   out_of_order_.clear();
   // received/delivered counters persist across views: sequence numbers are
   // global per sender, and a new view's first message continues the stream.
-  //
-  // Single merge pass: view_.members is sorted and peers_ is an ordered
-  // map, so one walk both inserts the new members and erases departed
-  // peers (whose silence must not block delivery conditions).
-  auto it = peers_.begin();
   for (MemberId m : view_.members) {
-    while (it != peers_.end() && it->first < m) it = peers_.erase(it);
-    if (it == peers_.end() || it->first != m)
-      it = peers_.emplace_hint(it, m, PeerState{});
-    ++it;
-    received_upto_.try_emplace(m, 0);
+    auto it = std::lower_bound(received_.begin(), received_.end(),
+                               std::make_pair(m, uint64_t{0}));
+    if (it == received_.end() || it->first != m) received_.emplace(it, m, 0);
     delivered_.try_emplace(m, 0);
   }
-  while (it != peers_.end()) it = peers_.erase(it);
-  // Claims about a departed member's stream go too: the bookkeeping only
-  // ever describes the current members' streams, and a member re-entering
-  // later does so as a joiner whose stream restarts at zero.
-  for (auto& [q, state] : peers_) {
-    (void)q;
-    std::erase_if(state.received,
-                  [&](const auto& e) { return !view_.contains(e.first); });
-  }
-  cut_dirty_ = true;
+  index_watermarks();
   // An attached engine's lifecycle is driven by its owner (GroupMember
   // resets it at view install, after stream positions settle); only the
   // private fallback follows the buffer.
@@ -68,8 +73,30 @@ void OrderingBuffer::reset(const View& view, MemberId self) {
   if (fallback_) fallback_->reset(view_, self_, 0);
 }
 
+void OrderingBuffer::index_watermarks() {
+  slot_.resize(view_.size());
+  size_t k = 0;
+  for (size_t r = 0; r < view_.size(); ++r) {
+    while (received_[k].first < view_.members[r]) ++k;
+    slot_[r] = static_cast<uint32_t>(k);
+  }
+}
+
+uint64_t& OrderingBuffer::watermark(MemberId sender) {
+  int r = view_.rank(sender);
+  if (r >= 0) return received_[slot_[r]].second;
+  auto it = std::lower_bound(received_.begin(), received_.end(),
+                             std::make_pair(sender, uint64_t{0}));
+  if (it != received_.end() && it->first == sender) return it->second;
+  // A sender outside the view (rare): insert in order, then re-point slots.
+  size_t at = static_cast<size_t>(it - received_.begin());
+  received_.emplace(it, sender, 0);
+  index_watermarks();
+  return received_[at].second;
+}
+
 bool OrderingBuffer::insert(const DataMsg& m) {
-  uint64_t& upto = received_upto_[m.id.sender];
+  uint64_t& upto = watermark(m.id.sender);
   // The per-sender watermark is the whole duplicate check: every message in
   // pending_ was contiguous when it arrived (seq <= upto by construction),
   // so `seq <= upto` subsumes the old O(pending) scan; anything above the
@@ -84,17 +111,15 @@ bool OrderingBuffer::insert(const DataMsg& m) {
   } else {
     out_of_order_.emplace(m.id, m);
   }
-  cut_dirty_ = true;
   return true;
 }
 
 void OrderingBuffer::promote_out_of_order(MemberId sender) {
-  uint64_t& upto = received_upto_[sender];
+  uint64_t& upto = watermark(sender);
   while (true) {
     auto it = out_of_order_.find(MsgId{sender, upto + 1});
     if (it == out_of_order_.end()) return;
     upto = it->first.seq;
-    cut_dirty_ = true;
     pending_ix_.emplace(it->first, order_key(it->second));
     pending_.emplace(order_key(it->second), std::move(it->second));
     out_of_order_.erase(it);
@@ -110,13 +135,25 @@ void OrderingBuffer::observe(MemberId p, uint64_t lamport, uint64_t sent_upto,
                              const CutVector& received) {
   // Only members' claims about members' streams count (a cut also carries
   // entries for departed senders; the wire may carry anything).
-  if (!view_.contains(p)) return;
-  PeerState& state = peers_[p];
-  state.sent_upto = std::max(state.sent_upto, sent_upto);
+  const int q = view_.rank(p);
+  if (q < 0) return;
+  sent_upto_[q] = std::max(sent_upto_[q], sent_upto);
+  // One pass merging the sorted cut with the sorted member list into q's
+  // row. An entry below its predecessor (an unsorted cut) restarts the
+  // member scan by binary search; repeated entries merge by maximum.
+  const std::vector<MemberId>& members = view_.members;
+  const size_t n = members.size();
+  uint64_t* row = &acks_[static_cast<size_t>(q) * n];
+  size_t j = 0;
+  MemberId prev = 0;
   for (const auto& [sender, seq] : received) {
-    if (!view_.contains(sender)) continue;
-    uint64_t& have = state.received[sender];
-    have = std::max(have, seq);
+    if (sender < prev)
+      j = static_cast<size_t>(
+          std::lower_bound(members.begin(), members.end(), sender) -
+          members.begin());
+    prev = sender;
+    while (j < n && members[j] < sender) ++j;
+    if (j < n && members[j] == sender) row[j] = std::max(row[j], seq);
   }
   engine().observe(p, lamport);
 }
@@ -210,17 +247,12 @@ std::vector<DataMsg> OrderingBuffer::held_messages() const {
   return out;
 }
 
-const CutVector& OrderingBuffer::received_vector() const {
-  if (cut_dirty_) {
-    cut_cache_.assign(received_upto_.begin(), received_upto_.end());
-    cut_dirty_ = false;
-  }
-  return cut_cache_;
-}
-
 uint64_t OrderingBuffer::received_upto(MemberId sender) const {
-  auto it = received_upto_.find(sender);
-  return it == received_upto_.end() ? 0 : it->second;
+  int r = view_.rank(sender);
+  if (r >= 0) return received_[slot_[r]].second;
+  auto it = std::lower_bound(received_.begin(), received_.end(),
+                             std::make_pair(sender, uint64_t{0}));
+  return it != received_.end() && it->first == sender ? it->second : 0;
 }
 
 std::map<MemberId, uint64_t> OrderingBuffer::delivered_vector() const {
@@ -240,33 +272,40 @@ const DataMsg* OrderingBuffer::find_pending(const MsgId& id) const {
 }
 
 uint64_t OrderingBuffer::peer_sent_upto(MemberId q) const {
-  auto it = peers_.find(q);
-  return it == peers_.end() ? 0 : it->second.sent_upto;
+  int r = view_.rank(q);
+  return r < 0 ? 0 : sent_upto_[r];
 }
 
 uint64_t OrderingBuffer::peer_received(MemberId q, MemberId sender) const {
-  auto it = peers_.find(q);
-  if (it == peers_.end()) return 0;
-  auto rit = it->second.received.find(sender);
-  return rit == it->second.received.end() ? 0 : rit->second;
+  int r = view_.rank(q);
+  int s = view_.rank(sender);
+  return r < 0 || s < 0 ? 0 : acks_[static_cast<size_t>(r) * view_.size() + s];
 }
 
 std::vector<MsgId> OrderingBuffer::gaps() const {
   std::vector<MsgId> out;
-  for (const auto& [peer, state] : peers_) {
-    uint64_t have = received_upto(peer);
-    uint64_t claimed = state.sent_upto;
-    for (uint64_t seq = have + 1; seq <= claimed; ++seq) {
+  for (size_t r = 0; r < view_.size(); ++r) {
+    uint64_t have = received_[slot_[r]].second;
+    if (sent_upto_[r] <= have) continue;
+    MemberId peer = view_.members[r];
+    for (uint64_t seq = have + 1; seq <= sent_upto_[r]; ++seq) {
       if (!out_of_order_.count(MsgId{peer, seq})) out.push_back({peer, seq});
     }
   }
   return out;
 }
 
+bool OrderingBuffer::missing_from_peers() const {
+  for (size_t r = 0; r < view_.size(); ++r) {
+    if (static_cast<int>(r) == self_rank_) continue;
+    if (received_[slot_[r]].second < sent_upto_[r]) return true;
+  }
+  return false;
+}
+
 void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
-  received_upto_[sender] = seq;
+  watermark(sender) = seq;
   delivered_[sender] = seq;
-  cut_dirty_ = true;
   // Drop anything buffered at or below the new position; promote the rest.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.id.sender == sender && it->second.id.seq <= seq) {
@@ -287,15 +326,16 @@ void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
 }
 
 void OrderingBuffer::reset_peer(MemberId m) {
-  auto it = peers_.find(m);
-  if (it != peers_.end()) it->second = PeerState{};
-  // Every peer's claims about m's old stream go too: they describe messages
-  // of the dead incarnation, and would otherwise count toward stable_upto
-  // and SAFE for the fresh stream.
-  for (auto& [q, state] : peers_) {
-    (void)q;
-    state.received.erase(m);
-  }
+  const int r = view_.rank(m);
+  if (r < 0) return;
+  // m's row and sent watermark, and every peer's claims about m's old
+  // stream (its column): they describe messages of the dead incarnation,
+  // and would otherwise count toward stable_upto and SAFE for the fresh
+  // stream.
+  const size_t n = view_.size();
+  sent_upto_[r] = 0;
+  std::fill_n(&acks_[static_cast<size_t>(r) * n], n, 0);
+  for (size_t q = 0; q < n; ++q) acks_[q * n + r] = 0;
 }
 
 void OrderingBuffer::clear_all() {
@@ -303,22 +343,23 @@ void OrderingBuffer::clear_all() {
   pending_.clear();
   pending_ix_.clear();
   out_of_order_.clear();
-  received_upto_.clear();
+  received_.clear();
+  slot_.clear();
   delivered_.clear();
-  peers_.clear();
-  cut_dirty_ = true;
+  acks_.clear();
+  sent_upto_.clear();
+  self_rank_ = -1;
   if (fallback_) fallback_->clear();
 }
 
 uint64_t OrderingBuffer::stable_upto(MemberId sender) const {
+  // The minimum of the sender's column over every other member's row.
   uint64_t lo = received_upto(sender);
-  for (MemberId q : view_.members) {
-    if (q == self_) continue;
-    auto it = peers_.find(q);
-    if (it == peers_.end()) return 0;
-    auto rit = it->second.received.find(sender);
-    uint64_t have = rit == it->second.received.end() ? 0 : rit->second;
-    lo = std::min(lo, have);
+  const size_t n = view_.size();
+  const int s = view_.rank(sender);
+  for (size_t q = 0; q < n; ++q) {
+    if (static_cast<int>(q) == self_rank_) continue;
+    lo = std::min(lo, s < 0 ? 0 : acks_[q * n + s]);
   }
   return lo;
 }

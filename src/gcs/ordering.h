@@ -3,8 +3,9 @@
 // in isolation.
 //
 // The buffer owns per-sender contiguity (watermarks + out-of-order staging),
-// NACK gap detection, peer cuts (for stability garbage collection and SAFE),
-// delivered counts (the causal send vector) and flush bookkeeping. The
+// NACK gap detection, peer cuts (for stability garbage collection and SAFE;
+// a dense matrix by view rank, DESIGN.md section 7.2), delivered counts (the
+// causal send vector) and flush bookkeeping. The
 // *total-order decision* -- which AGREED/SAFE message may deliver next -- is
 // delegated to a pluggable OrderingEngine (see ordering_engine.h):
 //
@@ -82,9 +83,9 @@ class OrderingBuffer {
   std::vector<DataMsg> held_messages() const;
 
   /// Per-sender contiguous received sequence (our cut / ack vector), sorted
-  /// by member. Cached: rebuilt lazily after mutation, so the heartbeat/
-  /// header hot path costs one flat copy instead of a map clone per call.
-  const CutVector& received_vector() const;
+  /// by member, including senders that have left the view. This is the
+  /// watermark store itself, so reading it costs nothing.
+  const CutVector& received_vector() const { return received_; }
 
   /// Highest contiguous seq received from one sender.
   uint64_t received_upto(MemberId sender) const;
@@ -104,6 +105,9 @@ class OrderingBuffer {
 
   /// Known gaps: message ids we should NACK (claimed sent but not held).
   std::vector<MsgId> gaps() const;
+  /// Does some other member claim to have sent more than we hold of its
+  /// stream? (All-ack: no earlier-ordered message may still be missing.)
+  bool missing_from_peers() const;
 
   /// Lowest receive point of `sender`'s stream across all view members'
   /// cuts: messages at or below it are stable and may be garbage-collected
@@ -137,32 +141,41 @@ class OrderingBuffer {
   void clear_all();
 
  private:
-  struct PeerState {
-    uint64_t sent_upto = 0;  ///< highest seq the peer claims to have sent
-    std::map<MemberId, uint64_t> received;  ///< the peer's cut vector
-  };
-
   bool causal_condition(const DataMsg& m) const;
   void promote_out_of_order(MemberId sender);
   void erase_pending(std::map<OrderKey, DataMsg>::iterator it);
+  /// The receive watermark of `sender`'s stream (an entry at 0 is created
+  /// for a sender never seen before).
+  uint64_t& watermark(MemberId sender);
+  /// Point slot_ at each member's entry in received_.
+  void index_watermarks();
   OrderingEngine& engine();
   const OrderingEngine& engine() const;
 
   View view_;
   MemberId self_ = sim::kInvalidHost;
+  int self_rank_ = -1;
   /// Contiguously received, undelivered messages, in total order.
   std::map<OrderKey, DataMsg> pending_;
   /// Id index into pending_ (token engine looks messages up by stamp).
   std::map<MsgId, OrderKey> pending_ix_;
   /// Received above a gap, staged until contiguity catches up.
   std::map<MsgId, DataMsg> out_of_order_;
-  std::map<MemberId, uint64_t> received_upto_;
+  /// Contiguous receive watermark per sender, sorted by member. Entries for
+  /// departed senders stay: stream positions outlive views.
+  CutVector received_;
+  /// By view rank: the index of that member's entry in received_.
+  std::vector<uint32_t> slot_;
   std::map<MemberId, uint64_t> delivered_;
-  std::map<MemberId, PeerState> peers_;
 
-  /// Flat cached copy of received_upto_, invalidated on mutation.
-  mutable CutVector cut_cache_;
-  mutable bool cut_dirty_ = true;
+  // Peer claims, dense by view rank and rebuilt by reset(): claims exist
+  // only by members about members' streams.
+  /// N x N, row = observer's rank, column = sender's rank: the highest
+  /// contiguous seq of the sender's stream the observer claims to hold.
+  /// Stability of a stream is a column minimum.
+  std::vector<uint64_t> acks_;
+  /// By rank: the highest seq the member claims to have sent.
+  std::vector<uint64_t> sent_upto_;
 
   int last_drain_passes_ = 0;
 

@@ -37,16 +37,15 @@ void encode_cut(net::Writer& w, const CutVector& cut) {
   }
 }
 
-CutVector decode_cut_vector(net::Reader& r) {
+void decode_cut_into(net::Reader& r, CutVector& out) {
   uint32_t n = r.u32();
   if (n > r.remaining()) throw net::WireError("cut count exceeds buffer");
-  CutVector out;
+  out.clear();
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     MemberId k = r.u32();
     out.emplace_back(k, r.u64());
   }
-  return out;
 }
 
 void encode_u64_map(net::Writer& w, const std::map<MemberId, uint64_t>& m) {

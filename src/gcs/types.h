@@ -44,6 +44,15 @@ struct View {
   bool contains(MemberId m) const {
     return std::binary_search(members.begin(), members.end(), m);
   }
+  /// View rank of `m` (its index in `members`), or -1 for a non-member.
+  /// Ranks index the gcs's dense per-member state; they only move when a
+  /// new view is installed.
+  int rank(MemberId m) const {
+    auto it = std::lower_bound(members.begin(), members.end(), m);
+    return it != members.end() && *it == m
+               ? static_cast<int>(it - members.begin())
+               : -1;
+  }
   size_t size() const { return members.size(); }
   /// Lowest member id; used for coordinator election.
   MemberId lowest() const { return members.empty() ? sim::kInvalidHost : members.front(); }
@@ -100,7 +109,8 @@ using CutVector = std::vector<std::pair<MemberId, uint64_t>>;
 // -- wire helpers -------------------------------------------------------------
 
 void encode_cut(net::Writer& w, const CutVector& cut);
-CutVector decode_cut_vector(net::Reader& r);
+/// Decode a cut into `out`, reusing its capacity.
+void decode_cut_into(net::Reader& r, CutVector& out);
 
 void encode_view(net::Writer& w, const View& view);
 View decode_view(net::Reader& r);
