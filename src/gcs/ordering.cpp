@@ -74,6 +74,7 @@ void OrderingBuffer::reset(const View& view, MemberId self) {
 }
 
 void OrderingBuffer::index_watermarks() {
+  // reset() gives every member an entry, so each scan stops on its own.
   slot_.resize(view_.size());
   size_t k = 0;
   for (size_t r = 0; r < view_.size(); ++r) {
