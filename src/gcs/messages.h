@@ -35,41 +35,49 @@ struct Header {
   uint64_t lamport = 0;
   uint64_t sent_upto = 0;
   CutVector received;  ///< cut vector (sorted member/seq pairs)
+  bool operator==(const Header&) const = default;
 };
 
 struct DataWire {
   Header header;
   DataMsg msg;
+  bool operator==(const DataWire&) const = default;
 };
 
 struct CutWire {
   Header header;
   bool periodic = false;  ///< true for heartbeat cuts (cheap to process)
+  bool operator==(const CutWire&) const = default;
 };
 
 struct NackWire {
   Header header;
   std::vector<MsgId> missing;
+  bool operator==(const NackWire&) const = default;
 };
 
 struct RetransmitWire {
   Header header;
   std::vector<DataMsg> msgs;
+  bool operator==(const RetransmitWire&) const = default;
 };
 
 struct JoinReqWire {
   Header header;
   uint32_t incarnation = 0;
+  bool operator==(const JoinReqWire&) const = default;
 };
 
 struct LeaveWire {
   Header header;
+  bool operator==(const LeaveWire&) const = default;
 };
 
 struct VcProposeWire {
   Header header;
   ViewId proposed;
   std::vector<MemberId> members;
+  bool operator==(const VcProposeWire&) const = default;
 };
 
 struct VcAckWire {
@@ -78,6 +86,7 @@ struct VcAckWire {
   std::vector<DataMsg> held;  ///< everything the sender holds of the old view
   /// Opaque OrderingEngine transfer state (token mode: the stamp table).
   sim::Payload engine_state;
+  bool operator==(const VcAckWire&) const = default;
 };
 
 struct VcCommitWire {
@@ -97,11 +106,13 @@ struct VcCommitWire {
   /// Merged OrderingEngine transfer state, installed by everyone before the
   /// flush so the flush delivery order agrees at every member.
   sim::Payload engine_state;
+  bool operator==(const VcCommitWire&) const = default;
 };
 
 struct StateReqWire {
   Header header;
   ViewId view_id;
+  bool operator==(const StateReqWire&) const = default;
 };
 
 /// Ordering-engine control message; the body is engine-defined (the host
@@ -109,12 +120,14 @@ struct StateReqWire {
 struct EngineWire {
   Header header;
   sim::Payload body;
+  bool operator==(const EngineWire&) const = default;
 };
 
 struct StateWire {
   Header header;
   ViewId view_id;
   sim::Payload state;
+  bool operator==(const StateWire&) const = default;
 };
 
 // Encoding: [u8 type][header][body]. decode_type peeks the tag so the

@@ -56,6 +56,7 @@ struct View {
   size_t size() const { return members.size(); }
   /// Lowest member id; used for coordinator election.
   MemberId lowest() const { return members.empty() ? sim::kInvalidHost : members.front(); }
+  bool operator==(const View&) const = default;
 };
 
 /// Unique id of a data message: the sender plus its per-sender sequence
@@ -75,6 +76,7 @@ struct DataMsg {
   /// delivered. Used for kCausal delivery.
   std::map<MemberId, uint64_t> vclock;
   sim::Payload payload;
+  bool operator==(const DataMsg&) const = default;
 };
 
 /// Total-order key: (lamport timestamp, sender id) -- the classic Lamport

@@ -25,6 +25,7 @@ struct GroupCommand {
   gcs::MemberId origin = sim::kInvalidHost;  ///< the head the client contacted
   uint64_t cmd_seq = 0;  ///< origin-local id for routing the reply back
   sim::Payload pbs_request;  ///< the raw PBS service-interface request
+  bool operator==(const GroupCommand&) const = default;
 };
 
 struct GroupMutexReq {
@@ -32,6 +33,7 @@ struct GroupMutexReq {
   gcs::MemberId head = sim::kInvalidHost;  ///< launch attempt on behalf of
   sim::HostId mom = sim::kInvalidHost;     ///< mom the prologue runs on
   uint32_t replicas = 1;  ///< job's replication factor (exactly-r slots)
+  bool operator==(const GroupMutexReq&) const = default;
 };
 
 struct GroupMutexDone {
@@ -39,6 +41,7 @@ struct GroupMutexDone {
   int32_t exit_code = 0;
   gcs::MemberId head = sim::kInvalidHost;
   sim::HostId mom = sim::kInvalidHost;  ///< mom whose real run finished
+  bool operator==(const GroupMutexDone&) const = default;
 };
 
 /// Multicast when a head detects a compute-node failure: every undone
@@ -47,6 +50,7 @@ struct GroupMutexDone {
 /// announce the same failure.
 struct GroupMutexRevoke {
   sim::HostId mom = sim::kInvalidHost;
+  bool operator==(const GroupMutexRevoke&) const = default;
 };
 
 /// Multicast when a head's scheduler picks a preemption victim. Delivered
@@ -55,6 +59,7 @@ struct GroupMutexRevoke {
 /// victim is requeued, later deliveries for the same decision are no-ops.
 struct GroupPreempt {
   pbs::JobId job = pbs::kInvalidJob;
+  bool operator==(const GroupPreempt&) const = default;
 };
 
 GroupOp peek_group_op(const sim::Payload&);
@@ -81,15 +86,18 @@ struct JMutexRequest {
   gcs::MemberId head = sim::kInvalidHost;  ///< origin of the launch attempt
   sim::HostId mom = sim::kInvalidHost;     ///< mom running the prologue
   uint32_t replicas = 1;                   ///< job's replication factor
+  bool operator==(const JMutexRequest&) const = default;
 };
 struct JMutexResponse {
   bool won = false;
+  bool operator==(const JMutexResponse&) const = default;
 };
 
 struct JDoneRequest {
   pbs::JobId job = pbs::kInvalidJob;
   int32_t exit_code = 0;
   sim::HostId mom = sim::kInvalidHost;  ///< mom whose real run finished
+  bool operator==(const JDoneRequest&) const = default;
 };
 
 sim::Payload encode_plugin(const JMutexRequest&);
@@ -107,6 +115,7 @@ struct CommandLog {
   /// joiner would hand out ids the group already used and every later submit
   /// would diverge across heads.
   pbs::JobId next_job_id = 0;
+  bool operator==(const CommandLog&) const = default;
 };
 sim::Payload encode_command_log(const CommandLog&);
 CommandLog decode_command_log(const sim::Payload&);
@@ -120,6 +129,7 @@ CommandLog decode_command_log(const sim::Payload&);
 struct MutexClaim {
   sim::HostId mom = sim::kInvalidHost;
   gcs::MemberId head = sim::kInvalidHost;
+  bool operator==(const MutexClaim&) const = default;
 };
 struct MutexEntry {
   pbs::JobId job = pbs::kInvalidJob;
@@ -128,11 +138,13 @@ struct MutexEntry {
   sim::HostId winner_mom = sim::kInvalidHost;
   int32_t exit_code = 0;
   std::vector<MutexClaim> claims;  ///< delivered claims, in total order
+  bool operator==(const MutexEntry&) const = default;
 };
 struct MutexTable {
   std::vector<MutexEntry> entries;   ///< one per arbitrated job, id order
   std::vector<pbs::JobId> terminal;  ///< jobs past any terminal state
   std::vector<sim::HostId> revoked;  ///< moms whose failure was revoked
+  bool operator==(const MutexTable&) const = default;
 };
 sim::Payload encode_mutex_table(const MutexTable&);
 MutexTable decode_mutex_table(const sim::Payload&);
@@ -144,6 +156,7 @@ struct TransferEnvelope {
   TransferKind kind = TransferKind::kReplayLog;
   sim::Payload body;     ///< command log or PBS snapshot, per `kind`
   sim::Payload mutexes;  ///< encoded MutexTable (may be empty: blank table)
+  bool operator==(const TransferEnvelope&) const = default;
 };
 sim::Payload wrap_transfer(TransferKind kind, sim::Payload body,
                            sim::Payload mutexes = {});

@@ -56,6 +56,7 @@ struct JobSpec {
   /// Sub-job's index within its array; -1 on anything that is not an
   /// expanded array member.
   int32_t array_index = -1;
+  bool operator==(const JobSpec&) const = default;
 };
 
 /// Server-side runtime record.
@@ -78,6 +79,7 @@ struct Job {
   bool active() const {
     return state == JobState::kRunning || state == JobState::kExiting;
   }
+  bool operator==(const Job&) const = default;
 };
 
 /// "17.cluster" style PBS job id string.

@@ -57,58 +57,73 @@ struct SubmitRequest {
   /// replay sets the original id so a joining head rebuilds an identical
   /// queue (the paper copies the server's sequence state with its config).
   JobId forced_id = kInvalidJob;
+  bool operator==(const SubmitRequest&) const = default;
 };
 struct SubmitResponse {
   Status status = Status::kOk;
   /// First id assigned; an array submit owns [job_id, job_id + count).
   JobId job_id = kInvalidJob;
   uint32_t count = 1;  ///< sub-jobs created (1 for a plain submit)
+  bool operator==(const SubmitResponse&) const = default;
 };
 
 struct StatRequest {
   JobId job_id = kInvalidJob;  ///< 0 = all jobs
   bool include_complete = true;
+  bool operator==(const StatRequest&) const = default;
 };
 struct StatResponse {
   Status status = Status::kOk;
   std::vector<Job> jobs;
+  bool operator==(const StatResponse&) const = default;
 };
 
 struct DeleteRequest {
   JobId job_id = kInvalidJob;
+  bool operator==(const DeleteRequest&) const = default;
 };
 struct SimpleResponse {
   Status status = Status::kOk;
+  bool operator==(const SimpleResponse&) const = default;
 };
 
 struct SignalRequest {
   JobId job_id = kInvalidJob;
   int32_t signal = 15;  ///< SIGTERM by default
+  bool operator==(const SignalRequest&) const = default;
 };
 
 struct HoldRequest {
   JobId job_id = kInvalidJob;
+  bool operator==(const HoldRequest&) const = default;
 };
 struct ReleaseRequest {
   JobId job_id = kInvalidJob;
+  bool operator==(const ReleaseRequest&) const = default;
 };
 
-struct DumpStateRequest {};
+struct DumpStateRequest {
+  bool operator==(const DumpStateRequest&) const = default;
+};
 struct DumpStateResponse {
   Status status = Status::kOk;
   sim::Payload state;
+  bool operator==(const DumpStateResponse&) const = default;
 };
 struct LoadStateRequest {
   sim::Payload state;
+  bool operator==(const LoadStateRequest&) const = default;
 };
 
 struct MomLaunchRequest {
   Job job;                 ///< full record (mom needs spec + id)
   sim::HostId server_host = sim::kInvalidHost;  ///< requesting head
+  bool operator==(const MomLaunchRequest&) const = default;
 };
 struct MomLaunchResponse {
   Status status = Status::kOk;
   bool emulated = false;   ///< launch attached to an existing instance
+  bool operator==(const MomLaunchResponse&) const = default;
 };
 
 struct MomKillRequest {
@@ -118,25 +133,30 @@ struct MomKillRequest {
   /// report. The requeued job must not be completed by its own death echo;
   /// every head already knows about the requeue from the ordered stream.
   bool quiet = false;
+  bool operator==(const MomKillRequest&) const = default;
 };
 
 struct PreemptRequest {
   JobId job_id = kInvalidJob;
+  bool operator==(const PreemptRequest&) const = default;
 };
 
 struct MomEmuCompleteRequest {
   JobId job_id = kInvalidJob;
   int32_t exit_code = 0;
+  bool operator==(const MomEmuCompleteRequest&) const = default;
 };
 
 struct MomPingRequest {
   sim::HostId server_host = sim::kInvalidHost;
   uint64_t seq = 0;  ///< heartbeat sequence number (echoed back)
+  bool operator==(const MomPingRequest&) const = default;
 };
 struct MomPingResponse {
   Status status = Status::kOk;
   uint64_t seq = 0;
   uint32_t running_jobs = 0;  ///< instances currently on this mom
+  bool operator==(const MomPingResponse&) const = default;
 };
 
 struct JobReport {
@@ -146,6 +166,7 @@ struct JobReport {
   sim::Time start_time{0};
   sim::Time end_time{0};
   sim::HostId mom_host = sim::kInvalidHost;
+  bool operator==(const JobReport&) const = default;
 };
 
 // -- framing -------------------------------------------------------------

@@ -48,6 +48,7 @@ struct Attr {
   uint64_t ctime = 0;  ///< logical creation time (operation seq)
   uint64_t mtime = 0;  ///< logical modification time
   uint64_t version = 0;
+  bool operator==(const Attr&) const = default;
 };
 
 enum class MdOp : uint8_t {
@@ -70,12 +71,14 @@ struct MdRequest {
   std::string name2;                // rename destination name
   uint32_t mode = 0644;
   uint64_t size = 0;
+  bool operator==(const MdRequest&) const = default;
 };
 
 struct MdEntry {
   std::string name;
   Handle handle = kInvalidHandle;
   ObjType type = ObjType::kFile;
+  bool operator==(const MdEntry&) const = default;
 };
 
 struct MdResponse {
@@ -83,6 +86,7 @@ struct MdResponse {
   Handle handle = kInvalidHandle;
   Attr attr;
   std::vector<MdEntry> entries;
+  bool operator==(const MdResponse&) const = default;
 };
 
 sim::Payload encode(const MdRequest&);

@@ -39,6 +39,7 @@ struct Command {
   uint64_t seq = 0;       ///< origin-local id for routing the reply back
   sim::Payload request;   ///< the service request, opaque to the core
   uint64_t tag = 0;       ///< service-private, stamped by on_ordered()
+  bool operator==(const Command&) const = default;
 };
 sim::Payload encode_command(const Command&);
 Command decode_command(const sim::Payload&);
