@@ -52,7 +52,7 @@ struct PvfsBench {
   double op_latency_ms(pvfs::MdRequest req) {
     bool done = false;
     sim::Time start = sim.now();
-    client->request(pvfs::encode(req),
+    client->request(net::encode(req),
                     [&](std::optional<sim::Payload>) { done = true; });
     spin([&] { return done; });
     double ms = (sim.now() - start).millis();

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
   auto run_op = [&](pvfs::MdRequest req, const char* what) {
     std::optional<pvfs::MdResponse> out;
-    client.request(pvfs::encode(req), [&](std::optional<sim::Payload> r) {
-      out = r ? std::optional(pvfs::decode_response(*r)) : std::nullopt;
+    client.request(net::encode(req), [&](std::optional<sim::Payload> r) {
+      if (r) out = net::decode<pvfs::MdResponse>(*r);
     });
     settle([&] { return out.has_value(); });
     std::printf("[%7.3fs] %-28s -> %s (handle %llu)\n",

@@ -7,13 +7,6 @@
 namespace gcs {
 namespace {
 
-// Engine payload sub-types (first byte of every kEngine body).
-constexpr uint8_t kSubToken = 1;       ///< the circulating token (unicast)
-constexpr uint8_t kSubStamps = 2;      ///< batch stamp announcement (broadcast)
-constexpr uint8_t kSubStampNack = 3;   ///< stamp-gap recovery request
-constexpr uint8_t kSubRegenQuery = 4;  ///< regeneration round: fence + poll
-constexpr uint8_t kSubRegenReply = 5;  ///< regeneration round: next_global
-
 /// Recent-stamp history kept per member for re-announces and flush transfer.
 constexpr size_t kStampLogCap = 4096;
 /// Stamps re-announced per NACK response (the requester renacks for more).
@@ -90,32 +83,6 @@ MemberId TokenRingEngine::next_in_ring() const {
   return *it;
 }
 
-sim::Payload TokenRingEngine::encode_token() const {
-  net::Writer w;
-  w.u8(kSubToken);
-  w.u64(view_.id.epoch);
-  w.u64(token_id_seen_);
-  w.u64(rotation_);
-  w.u64(next_global_);
-  return w.take();
-}
-
-sim::Payload TokenRingEngine::encode_stamp_nack(uint64_t from_global) const {
-  net::Writer w;
-  w.u8(kSubStampNack);
-  w.u64(view_.id.epoch);
-  w.u64(from_global);
-  return w.take();
-}
-
-sim::Payload TokenRingEngine::encode_regen_query() const {
-  net::Writer w;
-  w.u8(kSubRegenQuery);
-  w.u64(view_.id.epoch);
-  w.u64(regen_id_);
-  return w.take();
-}
-
 void TokenRingEngine::remember(uint64_t global, const Stamp& s) {
   stamps_.insert_or_assign(global, s);
   stamp_by_global_.insert_or_assign(global, s);
@@ -161,21 +128,16 @@ EngineOut TokenRingEngine::stamp_and_forward(int64_t now_us, bool may_defer) {
                            : static_cast<size_t>(tuning_.max_batch);
     while (!my_unstamped_.empty()) {
       const size_t n = std::min(my_unstamped_.size(), cap);
-      net::Writer w;
-      w.u8(kSubStamps);
-      w.u64(view_.id.epoch);
-      w.u64(token_id_seen_);
-      w.u64(next_global_);
-      w.u32(static_cast<uint32_t>(n));
+      token::Stamps announce{view_.id.epoch, token_id_seen_, next_global_, {}};
+      announce.ids.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         MsgId id{self_, my_unstamped_.front()};
         my_unstamped_.pop_front();
-        w.u32(id.sender);
-        w.u64(id.seq);
+        announce.ids.push_back(id);
         remember(next_global_++, Stamp{id, token_id_seen_});
       }
       if (view_.size() > 1) {
-        out.broadcasts.push_back(w.take());
+        out.broadcasts.push_back(net::encode(announce));
         out.batch_sizes.push_back(static_cast<uint32_t>(n));
       }
     }
@@ -201,7 +163,9 @@ EngineOut TokenRingEngine::forward_now(EngineOut out, int64_t now_us) {
   holding_ = false;
   forward_pending_ = false;
   ++rotation_;
-  out.unicast = {next_in_ring(), encode_token()};
+  out.unicast = {next_in_ring(),
+                 net::encode(token::Pass{view_.id.epoch, token_id_seen_,
+                                         rotation_, next_global_})};
   out.token_forward = true;
   out.token_hold_us = now_us - hold_start_us_;
   last_activity_us_ = now_us;
@@ -227,92 +191,63 @@ EngineOut TokenRingEngine::on_insert(const DataMsg&, int64_t now_us) {
 
 EngineOut TokenRingEngine::on_control(MemberId from, const sim::Payload& body,
                                       int64_t now_us) {
-  net::Reader r(body);
-  uint8_t sub = r.u8();
-  switch (sub) {
-    case kSubToken: {
-      uint64_t epoch = r.u64();
-      uint64_t token_id = r.u64();
-      uint64_t rotation = r.u64();
-      uint64_t next = r.u64();
-      r.expect_done();
-      if (epoch != view_.id.epoch) return {};
-      if (token_id < token_id_seen_) return {};  // fenced by a regeneration
-      token_id_seen_ = token_id;
-      next_global_ = std::max(next_global_, next);
+  switch (net::peek_tag<token::Sub>(body)) {
+    case token::Sub::kToken: {
+      auto m = net::decode<token::Pass>(body);
+      if (m.epoch != view_.id.epoch) return {};
+      if (m.token_id < token_id_seen_) return {};  // fenced by a regeneration
+      token_id_seen_ = m.token_id;
+      next_global_ = std::max(next_global_, m.next_global);
       last_activity_us_ = now_us;
       // Already holding: a duplicate (regenerated) token caught up with the
       // live one; absorb it so a single token remains.
       if (holding_) return {};
-      rotation_ = rotation;
+      rotation_ = m.rotation;
       return take_token(now_us);
     }
-    case kSubStamps: {
-      uint64_t epoch = r.u64();
-      uint64_t token_id = r.u64();
-      uint64_t first = r.u64();
-      uint32_t n = r.u32();
-      std::vector<MsgId> ids;
-      ids.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        MsgId id;
-        id.sender = r.u32();
-        id.seq = r.u64();
-        ids.push_back(id);
-      }
-      r.expect_done();
-      if (epoch != view_.id.epoch) return {};
+    case token::Sub::kStamps: {
+      auto m = net::decode<token::Stamps>(body);
+      if (m.epoch != view_.id.epoch) return {};
       last_activity_us_ = now_us;
       idle_streak_ = 0;
-      token_id_seen_ = std::max(token_id_seen_, token_id);
-      for (uint32_t i = 0; i < n; ++i) {
-        uint64_t g = first + i;
+      token_id_seen_ = std::max(token_id_seen_, m.token_id);
+      for (size_t i = 0; i < m.ids.size(); ++i) {
+        uint64_t g = m.first + i;
         next_global_ = std::max(next_global_, g + 1);
-        apply_stamp(g, Stamp{ids[i], token_id});
+        apply_stamp(g, Stamp{m.ids[i], m.token_id});
       }
       return {};
     }
-    case kSubStampNack: {
-      uint64_t epoch = r.u64();
-      uint64_t from_global = r.u64();
-      r.expect_done();
-      if (epoch != view_.id.epoch) return {};
-      return reannounce(from, from_global);
+    case token::Sub::kStampNack: {
+      auto m = net::decode<token::StampNack>(body);
+      if (m.epoch != view_.id.epoch) return {};
+      return reannounce(from, m.from_global);
     }
-    case kSubRegenQuery: {
-      uint64_t epoch = r.u64();
-      uint64_t regen_id = r.u64();
-      r.expect_done();
-      if (epoch != view_.id.epoch) return {};
-      if (regen_id < token_id_seen_) return {};  // stale round, outlived
-      if (regen_id > token_id_seen_) {
+    case token::Sub::kRegenQuery: {
+      auto m = net::decode<token::RegenQuery>(body);
+      if (m.epoch != view_.id.epoch) return {};
+      if (m.regen_id < token_id_seen_) return {};  // stale round, outlived
+      if (m.regen_id > token_id_seen_) {
         // First sighting: the round fences the current token. A holder
         // relinquishes -- its token id just lost -- keeping its stamps (the
         // NACK path can re-announce them) and its unstamped backlog (the
         // minted token will stamp it).
-        token_id_seen_ = regen_id;
+        token_id_seen_ = m.regen_id;
         holding_ = false;
         forward_pending_ = false;
       }
       // Reply even to a repeated query: the previous reply may have been
       // lost, and the minter cannot take a token until everyone answered.
-      net::Writer w;
-      w.u8(kSubRegenReply);
-      w.u64(view_.id.epoch);
-      w.u64(regen_id);
-      w.u64(next_global_);
       EngineOut out;
-      out.unicast = {from, w.take()};
+      out.unicast = {from, net::encode(token::RegenReply{
+                               view_.id.epoch, m.regen_id, next_global_})};
       return out;
     }
-    case kSubRegenReply: {
-      uint64_t epoch = r.u64();
-      uint64_t regen_id = r.u64();
-      uint64_t next = r.u64();
-      r.expect_done();
-      if (epoch != view_.id.epoch) return {};
-      if (!regen_pending_ || regen_id != regen_id_) return {};
-      next_global_ = std::max(next_global_, next);
+    case token::Sub::kRegenReply: {
+      auto m = net::decode<token::RegenReply>(body);
+      if (m.epoch != view_.id.epoch) return {};
+      if (!regen_pending_ || m.regen_id != regen_id_) return {};
+      next_global_ = std::max(next_global_, m.next_global);
       regen_replies_.insert(from);
       if (regen_replies_.size() + 1 < view_.size()) return {};
       // Everyone answered after being fenced, so no member can hold -- or
@@ -321,9 +256,8 @@ EngineOut TokenRingEngine::on_control(MemberId from, const sim::Payload& body,
       regen_pending_ = false;
       return take_token(now_us);
     }
-    default:
-      return {};
   }
+  return {};
 }
 
 EngineOut TokenRingEngine::on_tick(int64_t now_us) {
@@ -339,7 +273,8 @@ EngineOut TokenRingEngine::on_tick(int64_t now_us) {
       // Round in flight: re-broadcast the query until everyone's reply
       // lands (queries and replies are lossy too).
       EngineOut out;
-      out.add_broadcast(encode_regen_query());
+      out.add_broadcast(
+          net::encode(token::RegenQuery{view_.id.epoch, regen_id_}));
       return out;
     }
     if (now_us - last_activity_us_ > regen_timeout_us_) {
@@ -351,7 +286,8 @@ EngineOut TokenRingEngine::on_tick(int64_t now_us) {
       regen_pending_ = true;
       regen_replies_.clear();
       EngineOut out;
-      out.add_broadcast(encode_regen_query());
+      out.add_broadcast(
+          net::encode(token::RegenQuery{view_.id.epoch, regen_id_}));
       return out;
     }
   }
@@ -372,7 +308,7 @@ EngineOut TokenRingEngine::on_tick(int64_t now_us) {
     // announcement costs the ring a trickle, not a storm.
     if (++nack_streak_ % 2 != 1) return {};
     EngineOut out;
-    out.add_broadcast(encode_stamp_nack(head));
+    out.add_broadcast(net::encode(token::StampNack{view_.id.epoch, head}));
     return out;
   }
   nack_head_ = 0;
@@ -401,25 +337,14 @@ EngineOut TokenRingEngine::reannounce(MemberId to, uint64_t from_global) const {
   // answer times N requesters is exactly the storm the NACK limiter avoids.
   const Stamp* head = lookup(from_global);
   if (head == nullptr) return {};
-  std::vector<MsgId> run;
-  run.push_back(head->id);
-  while (run.size() < kReannounceBatch) {
-    const Stamp* s = lookup(from_global + run.size());
+  token::Stamps run{view_.id.epoch, head->token_id, from_global, {head->id}};
+  while (run.ids.size() < kReannounceBatch) {
+    const Stamp* s = lookup(from_global + run.ids.size());
     if (s == nullptr || s->token_id != head->token_id) break;
-    run.push_back(s->id);
-  }
-  net::Writer w;
-  w.u8(kSubStamps);
-  w.u64(view_.id.epoch);
-  w.u64(head->token_id);
-  w.u64(from_global);
-  w.u32(static_cast<uint32_t>(run.size()));
-  for (const MsgId& id : run) {
-    w.u32(id.sender);
-    w.u64(id.seq);
+    run.ids.push_back(s->id);
   }
   EngineOut out;
-  out.unicast = {to, w.take()};
+  out.unicast = {to, net::encode(run)};
   return out;
 }
 
@@ -454,67 +379,35 @@ sim::Payload TokenRingEngine::transfer_state() const {
   // Everything we know about global assignments: the log index (delivered
   // stamps matter too -- a member that lagged behind must flush them in the
   // same order we delivered them) plus live stamps the bounded log evicted.
-  std::map<uint64_t, Stamp> all(stamp_by_global_);
-  for (const auto& [g, s] : stamps_) all.emplace(g, s);
-  net::Writer w;
-  w.u64(next_global_);
-  w.u32(static_cast<uint32_t>(all.size()));
-  for (const auto& [g, s] : all) {
-    w.u64(g);
-    w.u32(s.id.sender);
-    w.u64(s.id.seq);
-    w.u64(s.token_id);
-  }
-  return w.take();
+  token::StampTable table{next_global_, stamp_by_global_};
+  for (const auto& [g, s] : stamps_) table.stamps.emplace(g, s);
+  return net::encode(table);
 }
 
 sim::Payload TokenRingEngine::merge_transfer_states(
     const std::vector<sim::Payload>& states) const {
-  uint64_t next = next_global_;
-  std::map<uint64_t, Stamp> merged;
+  token::StampTable merged{next_global_, {}};
   for (const sim::Payload& p : states) {
     if (p.empty()) continue;
-    net::Reader r(p);
-    next = std::max(next, r.u64());
-    uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n; ++i) {
-      uint64_t g = r.u64();
-      Stamp s;
-      s.id.sender = r.u32();
-      s.id.seq = r.u64();
-      s.token_id = r.u64();
-      auto [it, inserted] = merged.emplace(g, s);
+    auto table = net::decode<token::StampTable>(p);
+    merged.next_global = std::max(merged.next_global, table.next_global);
+    for (const auto& [g, s] : table.stamps) {
+      auto [it, inserted] = merged.stamps.emplace(g, s);
       if (!inserted && s.token_id > it->second.token_id) it->second = s;
     }
-    r.expect_done();
   }
-  net::Writer w;
-  w.u64(next);
-  w.u32(static_cast<uint32_t>(merged.size()));
-  for (const auto& [g, s] : merged) {
-    w.u64(g);
-    w.u32(s.id.sender);
-    w.u64(s.id.seq);
-    w.u64(s.token_id);
-  }
-  return w.take();
+  return net::encode(merged);
 }
 
 void TokenRingEngine::install_transfer_state(const sim::Payload& merged) {
-  flush_stamps_.clear();
-  if (merged.empty()) return;
-  net::Reader r(merged);
-  next_global_ = std::max(next_global_, r.u64());
-  uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t g = r.u64();
-    Stamp s;
-    s.id.sender = r.u32();
-    s.id.seq = r.u64();
-    s.token_id = r.u64();
-    flush_stamps_.insert_or_assign(g, s);
+  if (merged.empty()) {
+    flush_stamps_.clear();
+    return;
   }
-  r.expect_done();
+  // Decode the whole table before touching any state.
+  auto table = net::decode<token::StampTable>(merged);
+  next_global_ = std::max(next_global_, table.next_global);
+  flush_stamps_ = std::move(table.stamps);
 }
 
 void TokenRingEngine::order_flush(std::vector<DataMsg>& msgs) const {

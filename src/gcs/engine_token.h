@@ -48,10 +48,97 @@
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "gcs/ordering_engine.h"
 
 namespace gcs {
+
+/// The token engine's wire bodies: its control traffic (the body of a gcs
+/// kEngine message) and its flush transfer state.
+namespace token {
+
+/// Control body type: the first byte of every body.
+enum class Sub : uint8_t {
+  kToken = 1,       ///< the circulating token (unicast)
+  kStamps = 2,      ///< batch stamp announcement (broadcast)
+  kStampNack = 3,   ///< stamp-gap recovery request
+  kRegenQuery = 4,  ///< regeneration round: fence + poll
+  kRegenReply = 5,  ///< regeneration round: next_global
+};
+
+/// A global-sequence assignment: which message carries a global, fenced by
+/// the id of the token that assigned it.
+struct Stamp {
+  MsgId id;
+  uint64_t token_id = 0;
+  bool operator==(const Stamp&) const = default;
+};
+
+struct Pass {
+  uint64_t epoch = 0;
+  uint64_t token_id = 0;
+  uint64_t rotation = 0;
+  uint64_t next_global = 0;
+  bool operator==(const Pass&) const = default;
+};
+/// Stamps for the consecutive globals first, first + 1, ...
+struct Stamps {
+  uint64_t epoch = 0;
+  uint64_t token_id = 0;
+  uint64_t first = 0;
+  std::vector<MsgId> ids;
+  bool operator==(const Stamps&) const = default;
+};
+struct StampNack {
+  uint64_t epoch = 0;
+  uint64_t from_global = 0;
+  bool operator==(const StampNack&) const = default;
+};
+struct RegenQuery {
+  uint64_t epoch = 0;
+  uint64_t regen_id = 0;
+  bool operator==(const RegenQuery&) const = default;
+};
+struct RegenReply {
+  uint64_t epoch = 0;
+  uint64_t regen_id = 0;
+  uint64_t next_global = 0;
+  bool operator==(const RegenReply&) const = default;
+};
+/// Flush transfer state: every global assignment a member knows.
+struct StampTable {
+  uint64_t next_global = 0;
+  std::map<uint64_t, Stamp> stamps;
+  bool operator==(const StampTable&) const = default;
+};
+
+template <class Ar> void fields(Ar& ar, Stamp& s) { ar(s.id, s.token_id); }
+template <class Ar> void fields(Ar& ar, Pass& m) {
+  ar.tag(Sub::kToken);
+  ar(m.epoch, m.token_id, m.rotation, m.next_global);
+}
+template <class Ar> void fields(Ar& ar, Stamps& m) {
+  ar.tag(Sub::kStamps);
+  ar(m.epoch, m.token_id, m.first, m.ids);
+}
+template <class Ar> void fields(Ar& ar, StampNack& m) {
+  ar.tag(Sub::kStampNack);
+  ar(m.epoch, m.from_global);
+}
+template <class Ar> void fields(Ar& ar, RegenQuery& m) {
+  ar.tag(Sub::kRegenQuery);
+  ar(m.epoch, m.regen_id);
+}
+template <class Ar> void fields(Ar& ar, RegenReply& m) {
+  ar.tag(Sub::kRegenReply);
+  ar(m.epoch, m.regen_id, m.next_global);
+}
+template <class Ar> void fields(Ar& ar, StampTable& m) {
+  ar(m.next_global, m.stamps);
+}
+
+}  // namespace token
 
 class TokenRingEngine : public OrderingEngine {
  public:
@@ -91,12 +178,7 @@ class TokenRingEngine : public OrderingEngine {
   bool regen_pending() const { return regen_pending_; }
 
  private:
-  /// A global-sequence assignment: which message carries global g, fenced by
-  /// the id of the token that assigned it.
-  struct Stamp {
-    MsgId id;
-    uint64_t token_id = 0;
-  };
+  using Stamp = token::Stamp;
 
   EngineOut take_token(int64_t now_us);
   EngineOut stamp_and_forward(int64_t now_us, bool may_defer);
@@ -106,10 +188,6 @@ class TokenRingEngine : public OrderingEngine {
   void remember(uint64_t global, const Stamp& s);
   MemberId next_in_ring() const;
   bool stable_everywhere(const DataMsg& m) const;
-
-  sim::Payload encode_token() const;
-  sim::Payload encode_stamp_nack(uint64_t from_global) const;
-  sim::Payload encode_regen_query() const;
 
   EngineTuning tuning_;
   View view_;

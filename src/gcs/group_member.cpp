@@ -96,7 +96,7 @@ void GroupMember::leave() {
   JLOG(kInfo, "gcs") << name() << " leaving";
   if (is_member() && view_.size() > 1) {
     LeaveWire m{make_header()};
-    cast_to_members(encode(m));
+    cast_to_members(net::encode(m));
   }
   become_down();
 }
@@ -149,7 +149,7 @@ void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
     return;
   }
   DataWire wire{make_header(), msg};
-  sim::Payload buf = encode(wire);
+  sim::Payload buf = net::encode(wire);
   execute(config_.send_proc, [this, buf = std::move(buf)] {
     cast_to_members(buf);
     deliver_ready();
@@ -201,19 +201,16 @@ void GroupMember::on_packet(sim::Packet packet) {
   if (state_ == State::kDown) return;
   MsgType type;
   try {
-    type = decode_type(packet.data);
+    type = net::peek_tag<MsgType>(packet.data);
   } catch (const net::WireError&) {
     return;
   }
   sim::Duration cost;
   switch (type) {
     case MsgType::kData: cost = config_.data_proc; break;
-    case MsgType::kCut: {
-      // Peek the periodic flag cheaply: it is the last byte.
-      bool periodic = !packet.data.empty() && packet.data.back() != 0;
-      cost = periodic ? config_.hb_proc : config_.ack_proc;
+    case MsgType::kCut:
+      cost = cut_is_periodic(packet.data) ? config_.hb_proc : config_.ack_proc;
       break;
-    }
     case MsgType::kRetransmit: cost = config_.data_proc; break;
     case MsgType::kVcAck:
     case MsgType::kVcCommit: cost = config_.ctrl_proc * 2; break;
@@ -228,31 +225,45 @@ void GroupMember::on_packet(sim::Packet packet) {
     if (state_ == State::kDown) return;
     try {
       switch (type) {
-        case MsgType::kData: handle_data(decode_data(data)); break;
+        case MsgType::kData:
+          handle_data(net::decode<DataWire>(data));
+          break;
         case MsgType::kCut:
           // The commonest packet (one per member per data message under
           // all-ack): decoded into reused storage.
-          decode_cut(data, rx_cut_);
+          net::decode(data, rx_cut_);
           handle_cut(rx_cut_);
           break;
-        case MsgType::kNack: handle_nack(decode_nack(data)); break;
+        case MsgType::kNack:
+          handle_nack(net::decode<NackWire>(data));
+          break;
         case MsgType::kRetransmit:
-          handle_retransmit(decode_retransmit(data));
+          handle_retransmit(net::decode<RetransmitWire>(data));
           break;
-        case MsgType::kJoinReq: handle_join_req(decode_join_req(data)); break;
-        case MsgType::kLeave: handle_leave(decode_leave(data)); break;
+        case MsgType::kJoinReq:
+          handle_join_req(net::decode<JoinReqWire>(data));
+          break;
+        case MsgType::kLeave:
+          handle_leave(net::decode<LeaveWire>(data));
+          break;
         case MsgType::kVcPropose:
-          handle_vc_propose(decode_vc_propose(data), src);
+          handle_vc_propose(net::decode<VcProposeWire>(data), src);
           break;
-        case MsgType::kVcAck: handle_vc_ack(decode_vc_ack(data)); break;
+        case MsgType::kVcAck:
+          handle_vc_ack(net::decode<VcAckWire>(data));
+          break;
         case MsgType::kVcCommit:
-          handle_vc_commit(decode_vc_commit(data));
+          handle_vc_commit(net::decode<VcCommitWire>(data));
           break;
         case MsgType::kStateReq:
-          handle_state_req(decode_state_req(data), src);
+          handle_state_req(net::decode<StateReqWire>(data), src);
           break;
-        case MsgType::kState: handle_state(decode_state(data)); break;
-        case MsgType::kEngine: handle_engine(decode_engine(data)); break;
+        case MsgType::kState:
+          handle_state(net::decode<StateWire>(data));
+          break;
+        case MsgType::kEngine:
+          handle_engine(net::decode<EngineWire>(data));
+          break;
       }
     } catch (const net::WireError& e) {
       JLOG(kWarn, "gcs") << name() << ": malformed message: " << e.what();
@@ -318,7 +329,7 @@ void GroupMember::handle_nack(NackWire m) {
   ++stats_.retransmits_served;
   m_retransmits_served_.add(1);
   reply.header = make_header();
-  sim::Payload buf = encode(reply);
+  sim::Payload buf = net::encode(reply);
   sim::Endpoint dst{m.header.from, config_.port};
   execute(config_.send_proc,
           [this, buf = std::move(buf), dst] { send(dst, buf); });
@@ -396,14 +407,14 @@ void GroupMember::apply_engine(EngineOut out) {
     ++stats_.engine_sent;
     m_engine_msgs_.add(1);
     EngineWire w{make_header(), std::move(body)};
-    cast_to_members(encode(w));
+    cast_to_members(net::encode(w));
   }
   if (out.unicast) {
     ++stats_.engine_sent;
     m_engine_msgs_.add(1);
     if (out.token_forward) m_token_rotations_.add(1);
     EngineWire w{make_header(), std::move(out.unicast->second)};
-    send(sim::Endpoint{out.unicast->first, config_.port}, encode(w));
+    send(sim::Endpoint{out.unicast->first, config_.port}, net::encode(w));
   }
   if (out.forward_timer.us > 0) {
     set_timer(out.forward_timer, [this] {
@@ -451,7 +462,7 @@ void GroupMember::send_cut(bool periodic) {
     CutWire m{make_header(), true};
     ++stats_.cuts_sent;
     m_cuts_sent_.add(1);
-    cast_to_members(encode(m));
+    cast_to_members(net::encode(m));
     return;
   }
   if (cut_scheduled_) return;
@@ -463,7 +474,7 @@ void GroupMember::send_cut(bool periodic) {
     CutWire m{make_header(), false};
     ++stats_.cuts_sent;
     m_cuts_sent_.add(1);
-    cast_to_members(encode(m));
+    cast_to_members(net::encode(m));
   });
 }
 
@@ -502,7 +513,7 @@ void GroupMember::check_gaps() {
       ++stats_.nacks_sent;
       m_nacks_sent_.add(1);
       m.header = make_header();
-      send(sim::Endpoint{sender, config_.port}, encode(m));
+      send(sim::Endpoint{sender, config_.port}, net::encode(m));
     });
   }
 }
@@ -527,7 +538,7 @@ void GroupMember::heartbeat_tick() {
     for (sim::HostId p : config_.peers)
       if (!view_.contains(p)) outside.push_back(p);
     if (!outside.empty())
-      Process::multicast(config_.port, encode(m), outside);
+      Process::multicast(config_.port, net::encode(m), outside);
   }
 }
 
@@ -642,7 +653,8 @@ void GroupMember::begin_flush(std::vector<MemberId> membership) {
   std::vector<sim::HostId> others;
   for (MemberId m : flush_membership_)
     if (m != id()) others.push_back(m);
-  if (!others.empty()) Process::multicast(config_.port, encode(prop), others);
+  if (!others.empty())
+    Process::multicast(config_.port, net::encode(prop), others);
 
   if (flush_timer_ != 0) cancel_timer(flush_timer_);
   flush_timer_ =
@@ -683,7 +695,7 @@ void GroupMember::handle_vc_propose(VcProposeWire m, sim::Endpoint from) {
     ack.held.push_back(msg);
   }
   ack.engine_state = engine_->transfer_state();
-  send(from, encode(ack));
+  send(from, net::encode(ack));
 
   if (flush_timer_ != 0) cancel_timer(flush_timer_);
   flush_timer_ =
@@ -760,7 +772,7 @@ void GroupMember::complete_flush() {
   for (MemberId m : flush_membership_)
     if (m != id()) others.push_back(m);
   if (!others.empty())
-    Process::multicast(config_.port, encode(commit), others);
+    Process::multicast(config_.port, net::encode(commit), others);
   install_view(commit);
 }
 
@@ -944,7 +956,7 @@ void GroupMember::join_tick() {
   if (state_ != State::kJoining) return;
   ++join_ticks_;
   JoinReqWire m{make_header(), host().incarnation()};
-  cast_to_peers(encode(m));
+  cast_to_peers(net::encode(m));
 
   if (join_ticks_ >= kJoinSettleTicks) {
     // Cold start: no existing member answered; the lowest-id requester
@@ -965,7 +977,7 @@ void GroupMember::join_tick() {
 void GroupMember::request_state() {
   if (!awaiting_state_) return;
   StateReqWire req{make_header(), view_.id};
-  send(sim::Endpoint{state_source_, config_.port}, encode(req));
+  send(sim::Endpoint{state_source_, config_.port}, net::encode(req));
   state_timer_ = set_timer(config_.state_retry, [this] {
     if (!awaiting_state_) return;
     // Rotate to another old member in case the source died.
@@ -996,7 +1008,7 @@ void GroupMember::handle_state_req(StateReqWire m, sim::Endpoint from) {
     return;
   }
   execute(config_.send_proc,
-          [this, buf = encode(reply), from] { send(from, buf); });
+          [this, buf = net::encode(reply), from] { send(from, buf); });
 }
 
 void GroupMember::handle_state(StateWire m) {

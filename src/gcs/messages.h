@@ -130,36 +130,66 @@ struct StateWire {
   bool operator==(const StateWire&) const = default;
 };
 
-// Encoding: [u8 type][header][body]. decode_type peeks the tag so the
-// dispatcher can pick a handler and a CPU cost before full decoding.
-MsgType decode_type(const sim::Payload& buf);
+// -- wire layouts (net/wire.h) ------------------------------------------------
+// Every message is [u8 type][header][body]. net::peek_tag<MsgType> reads the
+// type so the dispatcher can pick a handler and a CPU cost before decoding.
 
-sim::Payload encode(const DataWire&);
-sim::Payload encode(const CutWire&);
-sim::Payload encode(const NackWire&);
-sim::Payload encode(const RetransmitWire&);
-sim::Payload encode(const JoinReqWire&);
-sim::Payload encode(const LeaveWire&);
-sim::Payload encode(const VcProposeWire&);
-sim::Payload encode(const VcAckWire&);
-sim::Payload encode(const VcCommitWire&);
-sim::Payload encode(const StateReqWire&);
-sim::Payload encode(const StateWire&);
-sim::Payload encode(const EngineWire&);
-
-DataWire decode_data(const sim::Payload&);
-CutWire decode_cut(const sim::Payload&);
-/// Decode into `into`, reusing its cut storage (the per-packet hot path).
-void decode_cut(const sim::Payload& buf, CutWire& into);
-NackWire decode_nack(const sim::Payload&);
-RetransmitWire decode_retransmit(const sim::Payload&);
-JoinReqWire decode_join_req(const sim::Payload&);
-LeaveWire decode_leave(const sim::Payload&);
-VcProposeWire decode_vc_propose(const sim::Payload&);
-VcAckWire decode_vc_ack(const sim::Payload&);
-VcCommitWire decode_vc_commit(const sim::Payload&);
-StateReqWire decode_state_req(const sim::Payload&);
-StateWire decode_state(const sim::Payload&);
-EngineWire decode_engine(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, Header& h) {
+  ar(h.from, h.lamport, h.sent_upto, h.received);
+}
+template <class Ar> void fields(Ar& ar, DataWire& m) {
+  ar.tag(MsgType::kData);
+  ar(m.header, m.msg);
+}
+template <class Ar> void fields(Ar& ar, CutWire& m) {
+  ar.tag(MsgType::kCut);
+  ar(m.header, m.periodic);  // periodic stays last: see cut_is_periodic
+}
+/// A cut's periodic flag without decoding it: the flag is the last field of
+/// CutWire, so it is the packet's last byte.
+inline bool cut_is_periodic(const sim::Payload& cut) {
+  return !cut.empty() && cut.back() != 0;
+}
+template <class Ar> void fields(Ar& ar, NackWire& m) {
+  ar.tag(MsgType::kNack);
+  ar(m.header, m.missing);
+}
+template <class Ar> void fields(Ar& ar, RetransmitWire& m) {
+  ar.tag(MsgType::kRetransmit);
+  ar(m.header, m.msgs);
+}
+template <class Ar> void fields(Ar& ar, JoinReqWire& m) {
+  ar.tag(MsgType::kJoinReq);
+  ar(m.header, m.incarnation);
+}
+template <class Ar> void fields(Ar& ar, LeaveWire& m) {
+  ar.tag(MsgType::kLeave);
+  ar(m.header);
+}
+template <class Ar> void fields(Ar& ar, VcProposeWire& m) {
+  ar.tag(MsgType::kVcPropose);
+  ar(m.header, m.proposed, m.members);
+}
+template <class Ar> void fields(Ar& ar, VcAckWire& m) {
+  ar.tag(MsgType::kVcAck);
+  ar(m.header, m.proposed, m.held, m.engine_state);
+}
+template <class Ar> void fields(Ar& ar, VcCommitWire& m) {
+  ar.tag(MsgType::kVcCommit);
+  ar(m.header, m.new_view, m.old_members, m.joiners, m.union_msgs,
+     m.seq_baseline, m.state_source, m.engine_state);
+}
+template <class Ar> void fields(Ar& ar, StateReqWire& m) {
+  ar.tag(MsgType::kStateReq);
+  ar(m.header, m.view_id);
+}
+template <class Ar> void fields(Ar& ar, StateWire& m) {
+  ar.tag(MsgType::kState);
+  ar(m.header, m.view_id, m.state);
+}
+template <class Ar> void fields(Ar& ar, EngineWire& m) {
+  ar.tag(MsgType::kEngine);
+  ar(m.header, m.body);
+}
 
 }  // namespace gcs

@@ -108,19 +108,19 @@ struct Delivered {
 /// copy instead of one node allocation per entry.
 using CutVector = std::vector<std::pair<MemberId, uint64_t>>;
 
-// -- wire helpers -------------------------------------------------------------
+// -- wire layouts (net/wire.h) ------------------------------------------------
+// A CutVector and a std::map<MemberId, uint64_t> share one layout: a u32
+// count, then sorted (member, seq) pairs.
 
-void encode_cut(net::Writer& w, const CutVector& cut);
-/// Decode a cut into `out`, reusing its capacity.
-void decode_cut_into(net::Reader& r, CutVector& out);
-
-void encode_view(net::Writer& w, const View& view);
-View decode_view(net::Reader& r);
-
-void encode_data_msg(net::Writer& w, const DataMsg& m);
-DataMsg decode_data_msg(net::Reader& r);
-
-void encode_u64_map(net::Writer& w, const std::map<MemberId, uint64_t>& m);
-std::map<MemberId, uint64_t> decode_u64_map(net::Reader& r);
+template <class Ar> void fields(Ar& ar, ViewId& id) {
+  ar(id.epoch, id.coordinator);
+}
+template <class Ar> void fields(Ar& ar, View& view) {
+  ar(view.id, view.members);
+}
+template <class Ar> void fields(Ar& ar, MsgId& id) { ar(id.sender, id.seq); }
+template <class Ar> void fields(Ar& ar, DataMsg& m) {
+  ar(m.id, m.lamport, m.level, m.vclock, m.payload);
+}
 
 }  // namespace gcs

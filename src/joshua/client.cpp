@@ -18,12 +18,12 @@ Client::Client(sim::Network& net, sim::HostId host, sim::Port port,
     : rsm::ReplicaClient(net, host, port, {config.heads, config.timeout}),
       config_(std::move(config)) {}
 
-template <typename Response, typename Decode>
-void Client::run_command(sim::Payload request, Decode decode,
+template <typename Response>
+void Client::run_command(sim::Payload request,
                          std::function<void(std::optional<Response>)> done) {
-  execute(config_.cmd_startup, [this, request = std::move(request), decode,
+  execute(config_.cmd_startup, [this, request = std::move(request),
                                 done = std::move(done)]() mutable {
-    this->request(std::move(request), [this, decode, done = std::move(done)](
+    this->request(std::move(request), [this, done = std::move(done)](
                                           std::optional<sim::Payload> resp) {
       if (!resp.has_value()) {
         done(std::nullopt);  // no head answered
@@ -31,7 +31,7 @@ void Client::run_command(sim::Payload request, Decode decode,
       }
       std::optional<Response> decoded;
       try {
-        decoded = decode(*resp);
+        decoded = net::decode<Response>(*resp);
       } catch (const net::WireError&) {
         decoded = std::nullopt;
       }
@@ -46,35 +46,30 @@ void Client::run_command(sim::Payload request, Decode decode,
 void Client::jsub(pbs::JobSpec spec,
                   std::function<void(std::optional<pbs::SubmitResponse>)> done) {
   run_command<pbs::SubmitResponse>(
-      pbs::encode_request(pbs::SubmitRequest{std::move(spec)}),
-      &pbs::decode_submit_response, std::move(done));
+      net::encode(pbs::SubmitRequest{std::move(spec)}), std::move(done));
 }
 
 void Client::jstat(pbs::StatRequest req,
                    std::function<void(std::optional<pbs::StatResponse>)> done) {
-  run_command<pbs::StatResponse>(
-      pbs::encode_request(req), &pbs::decode_stat_response, std::move(done));
+  run_command<pbs::StatResponse>(net::encode(req), std::move(done));
 }
 
 void Client::jdel(pbs::JobId id,
                   std::function<void(std::optional<pbs::SimpleResponse>)> done) {
-  run_command<pbs::SimpleResponse>(
-      pbs::encode_request(pbs::DeleteRequest{id}),
-      &pbs::decode_simple_response, std::move(done));
+  run_command<pbs::SimpleResponse>(net::encode(pbs::DeleteRequest{id}),
+                                   std::move(done));
 }
 
 void Client::jhold(pbs::JobId id,
                    std::function<void(std::optional<pbs::SimpleResponse>)> done) {
-  run_command<pbs::SimpleResponse>(
-      pbs::encode_request(pbs::HoldRequest{id}),
-      &pbs::decode_simple_response, std::move(done));
+  run_command<pbs::SimpleResponse>(net::encode(pbs::HoldRequest{id}),
+                                   std::move(done));
 }
 
 void Client::jrls(pbs::JobId id,
                   std::function<void(std::optional<pbs::SimpleResponse>)> done) {
-  run_command<pbs::SimpleResponse>(
-      pbs::encode_request(pbs::ReleaseRequest{id}),
-      &pbs::decode_simple_response, std::move(done));
+  run_command<pbs::SimpleResponse>(net::encode(pbs::ReleaseRequest{id}),
+                                   std::move(done));
 }
 
 }  // namespace joshua

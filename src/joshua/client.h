@@ -58,8 +58,8 @@ class Client : public rsm::ReplicaClient {
 
  private:
   /// Command startup, the failover loop, decode, command teardown.
-  template <typename Response, typename Decode>
-  void run_command(sim::Payload request, Decode decode,
+  template <typename Response>
+  void run_command(sim::Payload request,
                    std::function<void(std::optional<Response>)> done);
 
   ClientConfig config_;

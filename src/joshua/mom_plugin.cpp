@@ -59,7 +59,7 @@ void MomPlugin::jmutex_attempt(pbs::JobId job, sim::HostId on_behalf,
                      config_.joshua_port};
   net::CallOptions options;
   options.timeout = config_.rpc_timeout;
-  call(head, encode_plugin(JMutexRequest{job, on_behalf, host_id(), replicas}),
+  call(head, net::encode(JMutexRequest{job, on_behalf, host_id(), replicas}),
        [this, job, on_behalf, replicas, head_index, tries_left,
         done = std::move(done)](std::optional<sim::Payload> resp) mutable {
          if (!resp.has_value()) {
@@ -68,7 +68,7 @@ void MomPlugin::jmutex_attempt(pbs::JobId job, sim::HostId on_behalf,
            return;
          }
          try {
-           JMutexResponse r = decode_jmutex_response(*resp);
+           JMutexResponse r = net::decode<JMutexResponse>(*resp);
            if (r.won) {
              ++wins_;
              done(pbs::PrologueDecision::kRun);
@@ -110,7 +110,7 @@ void MomPlugin::jdone_attempt(pbs::JobId job, int32_t exit_code,
                      config_.joshua_port};
   net::CallOptions options;
   options.timeout = config_.rpc_timeout;
-  call(head, encode_plugin(JDoneRequest{job, exit_code, host_id()}),
+  call(head, net::encode(JDoneRequest{job, exit_code, host_id()}),
        [this, job, exit_code, head_index, tries_left,
         done = std::move(done)](std::optional<sim::Payload> resp) mutable {
          if (!resp.has_value()) {

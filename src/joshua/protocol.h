@@ -19,15 +19,6 @@ enum class GroupOp : uint8_t {
   kPreempt = 5,      ///< requeue a running job at the same stream point
 };
 
-/// An intercepted PBS user command; replayed at every head in total order.
-/// On the wire it is the rsm core's command frame (rsm::encode_command).
-struct GroupCommand {
-  gcs::MemberId origin = sim::kInvalidHost;  ///< the head the client contacted
-  uint64_t cmd_seq = 0;  ///< origin-local id for routing the reply back
-  sim::Payload pbs_request;  ///< the raw PBS service-interface request
-  bool operator==(const GroupCommand&) const = default;
-};
-
 struct GroupMutexReq {
   pbs::JobId job = pbs::kInvalidJob;
   gcs::MemberId head = sim::kInvalidHost;  ///< launch attempt on behalf of
@@ -62,17 +53,22 @@ struct GroupPreempt {
   bool operator==(const GroupPreempt&) const = default;
 };
 
-GroupOp peek_group_op(const sim::Payload&);
-sim::Payload encode_group(const GroupCommand&);
-sim::Payload encode_group(const GroupMutexReq&);
-sim::Payload encode_group(const GroupMutexDone&);
-sim::Payload encode_group(const GroupMutexRevoke&);
-sim::Payload encode_group(const GroupPreempt&);
-GroupCommand decode_group_command(const sim::Payload&);
-GroupMutexReq decode_group_mutex_req(const sim::Payload&);
-GroupMutexDone decode_group_mutex_done(const sim::Payload&);
-GroupMutexRevoke decode_group_mutex_revoke(const sim::Payload&);
-GroupPreempt decode_group_preempt(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, GroupMutexReq& m) {
+  ar.tag(GroupOp::kMutexReq);
+  ar(m.job, m.head, m.mom, m.replicas);
+}
+template <class Ar> void fields(Ar& ar, GroupMutexDone& m) {
+  ar.tag(GroupOp::kMutexDone);
+  ar(m.job, m.exit_code, m.head, m.mom);
+}
+template <class Ar> void fields(Ar& ar, GroupMutexRevoke& m) {
+  ar.tag(GroupOp::kMutexRevoke);
+  ar(m.mom);
+}
+template <class Ar> void fields(Ar& ar, GroupPreempt& m) {
+  ar.tag(GroupOp::kPreempt);
+  ar(m.job);
+}
 
 /// Mom-plugin RPC ops share the joshua server port with PBS user commands;
 /// the tag byte range is disjoint from pbs::Op.
@@ -100,12 +96,15 @@ struct JDoneRequest {
   bool operator==(const JDoneRequest&) const = default;
 };
 
-sim::Payload encode_plugin(const JMutexRequest&);
-sim::Payload encode_plugin(const JDoneRequest&);
-JMutexRequest decode_jmutex(const sim::Payload&);
-JDoneRequest decode_jdone(const sim::Payload&);
-sim::Payload encode_jmutex_response(const JMutexResponse&);
-JMutexResponse decode_jmutex_response(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, JMutexRequest& m) {
+  ar.tag(PluginOp::kJMutex);
+  ar(m.job, m.head, m.mom, m.replicas);
+}
+template <class Ar> void fields(Ar& ar, JDoneRequest& m) {
+  ar.tag(PluginOp::kJDone);
+  ar(m.job, m.exit_code, m.mom);
+}
+template <class Ar> void fields(Ar& ar, JMutexResponse& m) { ar(m.won); }
 
 /// Replay-mode state transfer: the compacted command log.
 struct CommandLog {
@@ -117,8 +116,9 @@ struct CommandLog {
   pbs::JobId next_job_id = 0;
   bool operator==(const CommandLog&) const = default;
 };
-sim::Payload encode_command_log(const CommandLog&);
-CommandLog decode_command_log(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, CommandLog& m) {
+  ar(m.requests, m.next_job_id);
+}
 
 /// jmutex arbitration state shipped alongside every state transfer. The
 /// claim table is part of the replicated decision state: a joiner that
@@ -146,8 +146,13 @@ struct MutexTable {
   std::vector<sim::HostId> revoked;  ///< moms whose failure was revoked
   bool operator==(const MutexTable&) const = default;
 };
-sim::Payload encode_mutex_table(const MutexTable&);
-MutexTable decode_mutex_table(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, MutexClaim& m) { ar(m.mom, m.head); }
+template <class Ar> void fields(Ar& ar, MutexEntry& m) {
+  ar(m.job, m.max_real, m.done, m.winner_mom, m.exit_code, m.claims);
+}
+template <class Ar> void fields(Ar& ar, MutexTable& m) {
+  ar(m.entries, m.terminal, m.revoked);
+}
 
 /// State-transfer blob header: distinguishes replay logs from snapshots so
 /// a mixed-mode misconfiguration fails loudly instead of corrupting state.
@@ -158,8 +163,8 @@ struct TransferEnvelope {
   sim::Payload mutexes;  ///< encoded MutexTable (may be empty: blank table)
   bool operator==(const TransferEnvelope&) const = default;
 };
-sim::Payload wrap_transfer(TransferKind kind, sim::Payload body,
-                           sim::Payload mutexes = {});
-TransferEnvelope unwrap_transfer(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, TransferEnvelope& m) {
+  ar(m.kind, m.body, m.mutexes);
+}
 
 }  // namespace joshua

@@ -7,17 +7,20 @@
 
 namespace joshua {
 
+// The command frame is the rsm core's; GroupOp::kCommand is its tag.
+static_assert(static_cast<uint8_t>(GroupOp::kCommand) == rsm::kCommandTag);
+
 namespace {
 /// An error response shaped for the op the client sent, so its decoder
 /// always understands the rejection.
 sim::Payload error_response(pbs::Op op, pbs::Status status) {
   switch (op) {
     case pbs::Op::kSubmit:
-      return pbs::encode_response(pbs::SubmitResponse{status, pbs::kInvalidJob});
+      return net::encode(pbs::SubmitResponse{status, pbs::kInvalidJob});
     case pbs::Op::kStat:
-      return pbs::encode_response(pbs::StatResponse{status, {}});
+      return net::encode(pbs::StatResponse{status, {}});
     default:
-      return pbs::encode_response(pbs::SimpleResponse{status});
+      return net::encode(pbs::SimpleResponse{status});
   }
 }
 
@@ -25,10 +28,14 @@ sim::Payload error_response(pbs::Op op, pbs::Status status) {
 /// Throws net::WireError on a malformed request.
 pbs::JobId target_job(pbs::Op op, const sim::Payload& request) {
   switch (op) {
-    case pbs::Op::kStat: return pbs::decode_stat(request).job_id;
-    case pbs::Op::kDelete: return pbs::decode_delete(request).job_id;
-    case pbs::Op::kHold: return pbs::decode_hold(request).job_id;
-    case pbs::Op::kRelease: return pbs::decode_release(request).job_id;
+    case pbs::Op::kStat:
+      return net::decode<pbs::StatRequest>(request).job_id;
+    case pbs::Op::kDelete:
+      return net::decode<pbs::DeleteRequest>(request).job_id;
+    case pbs::Op::kHold:
+      return net::decode<pbs::HoldRequest>(request).job_id;
+    case pbs::Op::kRelease:
+      return net::decode<pbs::ReleaseRequest>(request).job_id;
     default: return pbs::kInvalidJob;
   }
 }
@@ -40,14 +47,15 @@ pbs::JobId target_job(pbs::Op op, const sim::Payload& request) {
 bool replay_response_ok(const sim::Payload& request,
                         const sim::Payload& response) {
   try {
-    switch (pbs::peek_op(request)) {
+    switch (net::peek_tag<pbs::Op>(request)) {
       case pbs::Op::kSubmit:
-        return pbs::decode_submit_response(response).status ==
+        return net::decode<pbs::SubmitResponse>(response).status ==
                pbs::Status::kOk;
       case pbs::Op::kDelete:
       case pbs::Op::kHold:
       case pbs::Op::kRelease:
-        return pbs::decode_simple_response(response).status == pbs::Status::kOk;
+        return net::decode<pbs::SimpleResponse>(response).status ==
+               pbs::Status::kOk;
       default:
         return true;
     }
@@ -107,7 +115,7 @@ Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
       // delivered revoke arms the damping set on every head before their
       // own detectors fire, so late detections stay local.
       if (node_.in_service() && revoked_moms_.insert(mom).second)
-        node_.order(encode_group(GroupMutexRevoke{mom}));
+        node_.order(net::encode(GroupMutexRevoke{mom}));
       if (prev_failed) prev_failed(mom);
     };
     // Preemption decisions go through the ordered stream: every head's pure
@@ -116,7 +124,7 @@ Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
     // first delivery requeues the victim everywhere at the same point.
     // Later deliveries are no-ops (apply_preempt ignores non-running jobs).
     local_pbs_->request_preempt = [this](pbs::JobId victim) {
-      if (node_.in_service()) node_.order(encode_group(GroupPreempt{victim}));
+      if (node_.in_service()) node_.order(net::encode(GroupPreempt{victim}));
     };
   }
 }
@@ -179,9 +187,9 @@ rsm::Admit Server::admit(const sim::Payload& request,
       tag == static_cast<uint8_t>(PluginOp::kJDone)) {
     try {
       if (tag == static_cast<uint8_t>(PluginOp::kJMutex)) {
-        handle_jmutex(decode_jmutex(request), caller);
+        handle_jmutex(net::decode<JMutexRequest>(request), caller);
       } else {
-        handle_jdone(decode_jdone(request), caller);
+        handle_jdone(net::decode<JDoneRequest>(request), caller);
       }
     } catch (const net::WireError& e) {
       JLOG(kWarn, "joshua") << node_.name()
@@ -259,20 +267,20 @@ void Server::apply_async(const sim::Payload& request, uint64_t tag,
 
 void Server::apply_op(const sim::Payload& op) {
   try {
-    switch (peek_group_op(op)) {
+    switch (net::peek_tag<GroupOp>(op)) {
       case GroupOp::kCommand:
         break;  // the core's frame; never handed to the service
       case GroupOp::kMutexReq:
-        apply_mutex_req(decode_group_mutex_req(op));
+        apply_mutex_req(net::decode<GroupMutexReq>(op));
         break;
       case GroupOp::kMutexDone:
-        apply_mutex_done(decode_group_mutex_done(op));
+        apply_mutex_done(net::decode<GroupMutexDone>(op));
         break;
       case GroupOp::kMutexRevoke:
-        apply_mutex_revoke(decode_group_mutex_revoke(op));
+        apply_mutex_revoke(net::decode<GroupMutexRevoke>(op));
         break;
       case GroupOp::kPreempt:
-        apply_group_preempt(decode_group_preempt(op));
+        apply_group_preempt(net::decode<GroupPreempt>(op));
         break;
     }
   } catch (const net::WireError& e) {
@@ -288,7 +296,7 @@ void Server::apply_op(const sim::Payload& op) {
 uint64_t Server::log_command(const sim::Payload& request) {
   pbs::Op op;
   try {
-    op = pbs::peek_op(request);
+    op = net::peek_tag<pbs::Op>(request);
   } catch (const net::WireError&) {
     return 0;
   }
@@ -310,13 +318,13 @@ void Server::note_command_result(uint64_t log_pos, const sim::Payload& request,
                                  const sim::Payload& response) {
   pbs::Op op;
   try {
-    op = pbs::peek_op(request);
+    op = net::peek_tag<pbs::Op>(request);
   } catch (const net::WireError&) {
     return;
   }
   if (op == pbs::Op::kSubmit) {
     try {
-      pbs::SubmitResponse sub = pbs::decode_submit_response(response);
+      pbs::SubmitResponse sub = net::decode<pbs::SubmitResponse>(response);
       if (sub.status == pbs::Status::kOk) {
         // An array submit owns [job_id, job_id + count); track the top id.
         pbs::JobId top = sub.job_id + (sub.count > 1 ? sub.count - 1 : 0);
@@ -331,7 +339,7 @@ void Server::note_command_result(uint64_t log_pos, const sim::Payload& request,
     }
   } else if (op == pbs::Op::kDelete) {
     try {
-      terminal_jobs_.insert(pbs::decode_delete(request).job_id);
+      terminal_jobs_.insert(net::decode<pbs::DeleteRequest>(request).job_id);
     } catch (const net::WireError&) {
     }
   }
@@ -356,14 +364,15 @@ sim::Payload Server::export_mutex_table() const {
   }
   table.terminal.assign(terminal_jobs_.begin(), terminal_jobs_.end());
   table.revoked.assign(revoked_moms_.begin(), revoked_moms_.end());
-  return encode_mutex_table(table);
+  return net::encode(table);
 }
 
 sim::Payload Server::snapshot() const {
   ++stats_.state_transfers_served;
   if (config_.transfer == TransferMode::kSnapshot) {
-    return wrap_transfer(TransferKind::kSnapshot, local_pbs_->dump_state_blob(),
-                         export_mutex_table());
+    return net::encode(TransferEnvelope{TransferKind::kSnapshot,
+                                        local_pbs_->dump_state_blob(),
+                                        export_mutex_table()});
   }
   // Compacted command log: drop commands about jobs that already reached a
   // terminal state (replaying them would re-run finished work). Submits are
@@ -372,15 +381,15 @@ sim::Payload Server::snapshot() const {
   CommandLog log;
   for (const LogEntry& entry : command_log_) {
     try {
-      if (pbs::peek_op(entry.request) == pbs::Op::kSubmit &&
+      if (net::peek_tag<pbs::Op>(entry.request) == pbs::Op::kSubmit &&
           entry.job != pbs::kInvalidJob) {
-        pbs::SubmitRequest submit = pbs::decode_submit(entry.request);
+        auto submit = net::decode<pbs::SubmitRequest>(entry.request);
         uint32_t count =
             submit.spec.array_count > 1 ? submit.spec.array_count : 1;
         if (count == 1) {
           if (terminal_jobs_.count(entry.job)) continue;  // compacted away
           submit.forced_id = entry.job;
-          log.requests.push_back(pbs::encode_request(submit));
+          log.requests.push_back(net::encode(submit));
           continue;
         }
         // Array submit: sub-jobs reach terminal state independently, so the
@@ -397,7 +406,7 @@ sim::Payload Server::snapshot() const {
           one.spec.array_count = 0;
           one.spec.array_index = static_cast<int32_t>(i);
           one.spec.name = submit.spec.name + "[" + std::to_string(i) + "]";
-          log.requests.push_back(pbs::encode_request(one));
+          log.requests.push_back(net::encode(one));
         }
         continue;
       }
@@ -411,8 +420,8 @@ sim::Payload Server::snapshot() const {
     log.next_job_id = max_job_id_seen_ + 1;
   JLOG(kInfo, "joshua") << node_.name() << ": serving state transfer ("
                         << log.requests.size() << " commands to replay)";
-  return wrap_transfer(TransferKind::kReplayLog, encode_command_log(log),
-                       export_mutex_table());
+  return net::encode(TransferEnvelope{TransferKind::kReplayLog,
+                                      net::encode(log), export_mutex_table()});
 }
 
 void Server::install_mutex_table(const sim::Payload& blob) {
@@ -429,7 +438,7 @@ void Server::install_mutex_table(const sim::Payload& blob) {
   if (blob.empty()) return;
   MutexTable table;
   try {
-    table = decode_mutex_table(blob);
+    table = net::decode<MutexTable>(blob);
   } catch (const net::WireError& e) {
     JLOG(kError, "joshua") << node_.name() << ": corrupt mutex table: " << e.what();
     return;
@@ -453,7 +462,7 @@ void Server::install_mutex_table(const sim::Payload& blob) {
 void Server::install(const sim::Payload& state) {
   TransferEnvelope env;
   try {
-    env = unwrap_transfer(state);
+    env = net::decode<TransferEnvelope>(state);
   } catch (const net::WireError& e) {
     JLOG(kError, "joshua") << node_.name() << ": bad state blob: " << e.what();
     return;
@@ -485,7 +494,7 @@ void Server::install(const sim::Payload& state) {
                           << ": no PBS handle; stale local jobs may linger";
   }
   try {
-    CommandLog log = decode_command_log(body);
+    CommandLog log = net::decode<CommandLog>(body);
     replay_queue_.assign(log.requests.begin(), log.requests.end());
     if (log.next_job_id != 0) {
       // Resume the donor's id sequence even though the compaction dropped
@@ -572,14 +581,14 @@ void Server::handle_jmutex(const JMutexRequest& req,
     (won ? stats_.mutex_grants : stats_.mutex_denials)++;
     (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
     if (won) m_jmutex_wait_.record(0);  // arbitration already settled
-    node_.reply(caller, encode_jmutex_response(JMutexResponse{won}));
+    node_.reply(caller, net::encode(JMutexResponse{won}));
     return;
   }
   mutex_waiters_.emplace(
       req.job, MutexWaiter{req.head, req.mom, caller, node_.sim().now()});
   if (mutex_cast_.insert({req.job, req.mom}).second) {
     node_.order(
-        encode_group(GroupMutexReq{req.job, req.head, req.mom, req.replicas}));
+        net::encode(GroupMutexReq{req.job, req.head, req.mom, req.replicas}));
   }
 }
 
@@ -590,7 +599,7 @@ void Server::handle_jdone(const JDoneRequest& req,
   // the plugin rotate to a head that can actually order the release.
   if (!node_.in_service()) return;
   node_.reply(caller, sim::Payload{});
-  node_.order(encode_group(
+  node_.order(net::encode(
       GroupMutexDone{req.job, req.exit_code, node_.group().id(), req.mom}));
 }
 
@@ -646,7 +655,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
       report.mom_host = done.mom;
       auto job = local_pbs_->find_job(done.job);
       report.cancelled = job.has_value() ? job->cancelled : false;
-      call_local_pbs(pbs::encode_request(report),
+      call_local_pbs(net::encode(report),
                      [](std::optional<sim::Payload>) {});
     });
   }
@@ -688,7 +697,7 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
     ++stats_.mutex_denials;
     m_mutex_denials_.add(1);
     node_.reply(w->second.caller,
-                encode_jmutex_response(JMutexResponse{false}));
+                net::encode(JMutexResponse{false}));
   }
   mutex_waiters_.erase(pre.job);
   mutexes_.erase(pre.job);
@@ -699,7 +708,7 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
   // as ordered commands, so it cannot overtake an in-flight apply.
   if (local_pbs_ != nullptr) {
     node_.execute(config_.exec_proc, [this, job = pre.job] {
-      call_local_pbs(pbs::encode_request(pbs::PreemptRequest{job}),
+      call_local_pbs(net::encode(pbs::PreemptRequest{job}),
                      [](std::optional<sim::Payload>) {});
     });
   }
@@ -721,7 +730,7 @@ void Server::answer_mutex_waiters(pbs::JobId job) {
     (won ? stats_.mutex_grants : stats_.mutex_denials)++;
     (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
     if (won) m_jmutex_wait_.record((node_.sim().now() - w->second.asked).us);
-    node_.reply(w->second.caller, encode_jmutex_response(JMutexResponse{won}));
+    node_.reply(w->second.caller, net::encode(JMutexResponse{won}));
     w = mutex_waiters_.erase(w);
   }
 }

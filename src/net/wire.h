@@ -1,17 +1,40 @@
-// Byte-level wire format helpers.
+// Byte-level wire format.
 //
-// Every protocol in the project (gcs, pbs, joshua) serializes its messages to
-// real byte buffers through Writer/Reader, so the network model charges
-// serialization time for the actual encoded size and tests can round-trip
-// encodings. Integers are little-endian fixed width; strings and blobs are
-// u32-length-prefixed.
+// Every protocol in the project (gcs, pbs, joshua, rsm, pvfs) serializes its
+// messages to real byte buffers, so the network model charges serialization
+// time for the actual encoded size and tests can round-trip encodings.
+//
+// Each message type states its layout once, as a field list that both the
+// encoder and the decoder run:
+//
+//   template <class Ar> void fields(Ar& ar, Msg& m) {
+//     ar.tag(Op::kMsg);  // type byte: written, or read and checked
+//     ar(m.id, m.name, m.items);
+//   }
+//
+// Writer and Reader map each C++ type to its wire form:
+//
+//   enum, uint8_t, bool        u8
+//   uint32_t / uint64_t        u32 / u64
+//   int32_t, int64_t           i64
+//   sim::Time, sim::Duration   i64 microseconds
+//   std::string, sim::Payload  u32 length, then the bytes
+//   std::vector, std::map      u32 count, then the elements (key, value)
+//   std::pair                  first, then second
+//   a type with fields()       its fields, in order
+//
+// Integers are little-endian fixed width. Every count prefix is capped by the
+// bytes left in the buffer. encode() and decode() are the entry points.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
@@ -25,6 +48,36 @@ class WireError : public std::runtime_error {
  public:
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// A map whose key is a field of its value, sent as a u32 count and the
+/// values alone: the key is not repeated on the wire.
+template <class Map, class Key>
+struct KeyedValues {
+  Map& map;
+  Key Map::mapped_type::*key;
+};
+template <class Map, class Key>
+KeyedValues<Map, Key> keyed_values(Map& map, Key Map::mapped_type::*key) {
+  return {map, key};
+}
+
+namespace detail {
+template <class T> struct IsPair : std::false_type {};
+template <class A, class B> struct IsPair<std::pair<A, B>> : std::true_type {};
+template <class T> struct IsVector : std::false_type {};
+template <class T, class A>
+struct IsVector<std::vector<T, A>> : std::true_type {};
+template <class T> struct IsMap : std::false_type {};
+template <class K, class V, class C, class A>
+struct IsMap<std::map<K, V, C, A>> : std::true_type {};
+template <class T> struct IsKeyed : std::false_type {};
+template <class M, class K>
+struct IsKeyed<KeyedValues<M, K>> : std::true_type {};
+
+template <class T>
+constexpr bool kIsTime =
+    std::is_same_v<T, sim::Time> || std::is_same_v<T, sim::Duration>;
+}  // namespace detail
 
 class Writer {
  public:
@@ -48,10 +101,16 @@ class Writer {
     raw(b.data(), b.size());
   }
 
-  template <typename T, typename Fn>
-  void vec(const std::vector<T>& items, Fn encode_one) {
-    u32(static_cast<uint32_t>(items.size()));
-    for (const T& item : items) encode_one(*this, item);
+  /// Write each value in its wire form.
+  template <class... Ts>
+  void operator()(const Ts&... values) {
+    (put(values), ...);
+  }
+
+  /// The type byte that opens a message.
+  template <class E>
+  void tag(E t) {
+    u8(static_cast<uint8_t>(t));
   }
 
   /// Freeze the built bytes into an immutable shared Payload (no copy).
@@ -59,6 +118,44 @@ class Writer {
   size_t size() const { return buf_.size(); }
 
  private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      boolean(v);
+    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, uint8_t>) {
+      static_assert(sizeof(T) == 1, "enums travel as one byte");
+      u8(static_cast<uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, uint32_t>) {
+      u32(v);
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      u64(v);
+    } else if constexpr (std::is_same_v<T, int32_t> ||
+                         std::is_same_v<T, int64_t>) {
+      i64(v);
+    } else if constexpr (detail::kIsTime<T>) {
+      i64(v.us);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      str(v);
+    } else if constexpr (std::is_same_v<T, Payload>) {
+      bytes(v);
+    } else if constexpr (detail::IsPair<T>::value) {
+      put(v.first);
+      put(v.second);
+    } else if constexpr (detail::IsVector<T>::value ||
+                         detail::IsMap<T>::value) {
+      u32(static_cast<uint32_t>(v.size()));
+      for (const auto& item : v) put(item);
+    } else if constexpr (detail::IsKeyed<T>::value) {
+      u32(static_cast<uint32_t>(v.map.size()));
+      for (const auto& item : v.map) put(item.second);
+    } else {
+      static_assert(std::is_class_v<T>, "no wire form for this type");
+      // The field list takes a mutable reference so one list serves both
+      // directions; writing never modifies it.
+      fields(*this, const_cast<T&>(v));
+    }
+  }
+
   void raw(const void* p, size_t n) {
     const auto* b = static_cast<const uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
@@ -79,10 +176,8 @@ class Reader {
   bool boolean() { return u8() != 0; }
 
   std::string str() {
-    uint32_t n = u32();
-    check(n);
-    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
-    pos_ += n;
+    std::string s;
+    get(s);
     return s;
   }
 
@@ -95,15 +190,18 @@ class Reader {
     return b;
   }
 
-  template <typename T, typename Fn>
-  std::vector<T> vec(Fn decode_one) {
-    uint32_t n = u32();
-    // Sanity cap: a count can never exceed the remaining byte count.
-    if (n > remaining()) throw WireError("vector count exceeds buffer");
-    std::vector<T> out;
-    out.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) out.push_back(decode_one(*this));
-    return out;
+  /// Read each value from its wire form, overwriting it. Containers keep
+  /// their capacity, so decoding into a reused value does not allocate.
+  template <class... Ts>
+  void operator()(Ts&&... values) {
+    (get(values), ...);
+  }
+
+  /// Read the type byte that opens a message; throws unless it is `t`.
+  template <class E>
+  void tag(E t) {
+    if (u8() != static_cast<uint8_t>(t))
+      throw WireError("unexpected message type");
   }
 
   size_t remaining() const { return buf_.size() - pos_; }
@@ -115,6 +213,66 @@ class Reader {
   }
 
  private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = boolean();
+    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, uint8_t>) {
+      static_assert(sizeof(T) == 1, "enums travel as one byte");
+      v = static_cast<T>(u8());
+    } else if constexpr (std::is_same_v<T, uint32_t>) {
+      v = u32();
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      v = u64();
+    } else if constexpr (std::is_same_v<T, int32_t> ||
+                         std::is_same_v<T, int64_t>) {
+      v = static_cast<T>(i64());
+    } else if constexpr (detail::kIsTime<T>) {
+      v = T{i64()};
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      uint32_t n = u32();
+      check(n);
+      v.assign(reinterpret_cast<const char*>(buf_.data() + pos_), n);
+      pos_ += n;
+    } else if constexpr (std::is_same_v<T, Payload>) {
+      v = bytes();
+    } else if constexpr (detail::IsPair<T>::value) {
+      get(v.first);
+      get(v.second);
+    } else if constexpr (detail::IsVector<T>::value) {
+      v.resize(count());
+      for (auto& item : v) get(item);
+    } else if constexpr (detail::IsMap<T>::value) {
+      uint32_t n = count();
+      v.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        typename T::key_type key{};
+        typename T::mapped_type value{};
+        get(key);
+        get(value);
+        v.insert_or_assign(v.end(), std::move(key), std::move(value));
+      }
+    } else if constexpr (detail::IsKeyed<T>::value) {
+      uint32_t n = count();
+      v.map.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        typename std::remove_reference_t<decltype(v.map)>::mapped_type value{};
+        get(value);
+        auto key = value.*v.key;
+        v.map.insert_or_assign(v.map.end(), key, std::move(value));
+      }
+    } else {
+      static_assert(std::is_class_v<T>, "no wire form for this type");
+      fields(*this, v);
+    }
+  }
+
+  /// An element count; it can never exceed the bytes left.
+  uint32_t count() {
+    uint32_t n = u32();
+    if (n > remaining()) throw WireError("count exceeds buffer");
+    return n;
+  }
   void check(size_t n) const {
     if (n > remaining()) throw WireError("read past end of buffer");
   }
@@ -126,5 +284,37 @@ class Reader {
   const Payload& buf_;
   size_t pos_ = 0;
 };
+
+/// The wire bytes of `msg`.
+template <class T>
+Payload encode(const T& msg) {
+  Writer w;
+  w(msg);
+  return w.take();
+}
+
+/// Decode a whole buffer into `into`, reusing its storage. Throws WireError
+/// on a wrong type byte, truncation or trailing bytes; `into` is then
+/// partly overwritten.
+template <class T>
+void decode(const Payload& buf, T& into) {
+  Reader r(buf);
+  r(into);
+  r.expect_done();
+}
+
+template <class T>
+T decode(const Payload& buf) {
+  T msg{};
+  decode(buf, msg);
+  return msg;
+}
+
+/// A message's type byte, read without decoding it.
+template <class E>
+E peek_tag(const Payload& buf) {
+  if (buf.empty()) throw WireError("empty message");
+  return static_cast<E>(buf[0]);
+}
 
 }  // namespace net

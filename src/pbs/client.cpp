@@ -18,16 +18,16 @@ Client::Client(sim::Network& net, sim::HostId host, sim::Port port,
     : net::RpcNode(net, host, port, "pbs_client@" + net.host(host).name()),
       config_(std::move(config)) {}
 
-template <typename Response, typename Decode>
-void Client::run_command(sim::Payload request, Decode decode,
+template <typename Response>
+void Client::run_command(sim::Payload request,
                          std::function<void(std::optional<Response>)> done) {
-  execute(config_.cmd_startup, [this, request = std::move(request), decode,
+  execute(config_.cmd_startup, [this, request = std::move(request),
                                 done = std::move(done)]() mutable {
     net::CallOptions options;
     options.timeout = config_.timeout;
     options.attempts = config_.attempts;
     call(config_.server, std::move(request),
-         [this, decode, done = std::move(done)](
+         [this, done = std::move(done)](
              std::optional<sim::Payload> resp) mutable {
            if (!resp.has_value()) {
              done(std::nullopt);
@@ -35,7 +35,7 @@ void Client::run_command(sim::Payload request, Decode decode,
            }
            std::optional<Response> decoded;
            try {
-             decoded = decode(*resp);
+             decoded = net::decode<Response>(*resp);
            } catch (const net::WireError&) {
              decoded = std::nullopt;
            }
@@ -50,67 +50,47 @@ void Client::run_command(sim::Payload request, Decode decode,
 
 void Client::qsub(JobSpec spec,
                   std::function<void(std::optional<SubmitResponse>)> done) {
-  run_command<SubmitResponse>(
-      encode_request(SubmitRequest{std::move(spec)}),
-      [](const sim::Payload& p) { return decode_submit_response(p); },
-      std::move(done));
+  run_command<SubmitResponse>(net::encode(SubmitRequest{std::move(spec)}),
+                              std::move(done));
 }
 
 void Client::qstat(StatRequest req,
                    std::function<void(std::optional<StatResponse>)> done) {
-  run_command<StatResponse>(
-      encode_request(req),
-      [](const sim::Payload& p) { return decode_stat_response(p); },
-      std::move(done));
+  run_command<StatResponse>(net::encode(req), std::move(done));
 }
 
 void Client::qdel(JobId id,
                   std::function<void(std::optional<SimpleResponse>)> done) {
-  run_command<SimpleResponse>(
-      encode_request(DeleteRequest{id}),
-      [](const sim::Payload& p) { return decode_simple_response(p); },
-      std::move(done));
+  run_command<SimpleResponse>(net::encode(DeleteRequest{id}), std::move(done));
 }
 
 void Client::qsig(JobId id, int32_t signal,
                   std::function<void(std::optional<SimpleResponse>)> done) {
-  run_command<SimpleResponse>(
-      encode_request(SignalRequest{id, signal}),
-      [](const sim::Payload& p) { return decode_simple_response(p); },
-      std::move(done));
+  run_command<SimpleResponse>(net::encode(SignalRequest{id, signal}),
+                              std::move(done));
 }
 
 void Client::qhold(JobId id,
                    std::function<void(std::optional<SimpleResponse>)> done) {
-  run_command<SimpleResponse>(
-      encode_request(HoldRequest{id}),
-      [](const sim::Payload& p) { return decode_simple_response(p); },
-      std::move(done));
+  run_command<SimpleResponse>(net::encode(HoldRequest{id}), std::move(done));
 }
 
 void Client::qrls(JobId id,
                   std::function<void(std::optional<SimpleResponse>)> done) {
-  run_command<SimpleResponse>(
-      encode_request(ReleaseRequest{id}),
-      [](const sim::Payload& p) { return decode_simple_response(p); },
-      std::move(done));
+  run_command<SimpleResponse>(net::encode(ReleaseRequest{id}), std::move(done));
 }
 
 void Client::dump_state(
     std::function<void(std::optional<DumpStateResponse>)> done) {
-  run_command<DumpStateResponse>(
-      encode_request(DumpStateRequest{}),
-      [](const sim::Payload& p) { return decode_dump_state_response(p); },
-      std::move(done));
+  run_command<DumpStateResponse>(net::encode(DumpStateRequest{}),
+                                 std::move(done));
 }
 
 void Client::load_state(
     sim::Payload state,
     std::function<void(std::optional<SimpleResponse>)> done) {
-  run_command<SimpleResponse>(
-      encode_request(LoadStateRequest{std::move(state)}),
-      [](const sim::Payload& p) { return decode_simple_response(p); },
-      std::move(done));
+  run_command<SimpleResponse>(net::encode(LoadStateRequest{std::move(state)}),
+                              std::move(done));
 }
 
 }  // namespace pbs

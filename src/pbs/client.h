@@ -58,8 +58,8 @@ class Client : public net::RpcNode {
   void on_request(sim::Payload, sim::Endpoint, uint64_t) override {}
 
  private:
-  template <typename Response, typename Decode>
-  void run_command(sim::Payload request, Decode decode,
+  template <typename Response>
+  void run_command(sim::Payload request,
                    std::function<void(std::optional<Response>)> done);
 
   ClientConfig config_;

@@ -30,71 +30,4 @@ std::string job_id_string(JobId id, const std::string& server_suffix) {
   return std::to_string(id) + "." + server_suffix;
 }
 
-void encode_job_spec(net::Writer& w, const JobSpec& spec) {
-  w.str(spec.name);
-  w.str(spec.user);
-  w.str(spec.queue);
-  w.u32(spec.nodes);
-  w.i64(spec.walltime.us);
-  w.i64(spec.run_time.us);
-  w.i64(spec.priority);
-  w.u32(spec.replicas);
-  w.str(spec.script);
-  w.str(spec.node_type);
-  w.vec(spec.features,
-        [](net::Writer& w2, const std::string& f) { w2.str(f); });
-  w.u32(spec.array_count);
-  w.i64(spec.array_index);
-}
-
-JobSpec decode_job_spec(net::Reader& r) {
-  JobSpec spec;
-  spec.name = r.str();
-  spec.user = r.str();
-  spec.queue = r.str();
-  spec.nodes = r.u32();
-  spec.walltime = sim::Duration{r.i64()};
-  spec.run_time = sim::Duration{r.i64()};
-  spec.priority = static_cast<int32_t>(r.i64());
-  spec.replicas = r.u32();
-  spec.script = r.str();
-  spec.node_type = r.str();
-  spec.features = r.vec<std::string>([](net::Reader& r2) { return r2.str(); });
-  spec.array_count = r.u32();
-  spec.array_index = static_cast<int32_t>(r.i64());
-  return spec;
-}
-
-void encode_job(net::Writer& w, const Job& job) {
-  w.u64(job.id);
-  encode_job_spec(w, job.spec);
-  w.u8(static_cast<uint8_t>(job.state));
-  w.i64(job.submit_time.us);
-  w.i64(job.start_time.us);
-  w.i64(job.end_time.us);
-  w.i64(job.exit_code);
-  w.boolean(job.cancelled);
-  w.u64(job.queue_rank);
-  w.u32(job.exec_host);
-  w.vec(job.replica_hosts,
-        [](net::Writer& w2, sim::HostId h) { w2.u32(h); });
-}
-
-Job decode_job(net::Reader& r) {
-  Job job;
-  job.id = r.u64();
-  job.spec = decode_job_spec(r);
-  job.state = static_cast<JobState>(r.u8());
-  job.submit_time = sim::Time{r.i64()};
-  job.start_time = sim::Time{r.i64()};
-  job.end_time = sim::Time{r.i64()};
-  job.exit_code = static_cast<int32_t>(r.i64());
-  job.cancelled = r.boolean();
-  job.queue_rank = r.u64();
-  job.exec_host = r.u32();
-  job.replica_hosts =
-      r.vec<sim::HostId>([](net::Reader& r2) { return r2.u32(); });
-  return job;
-}
-
 }  // namespace pbs

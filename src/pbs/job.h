@@ -85,10 +85,19 @@ struct Job {
 /// "17.cluster" style PBS job id string.
 std::string job_id_string(JobId id, const std::string& server_suffix);
 
-void encode_job_spec(net::Writer& w, const JobSpec& spec);
-JobSpec decode_job_spec(net::Reader& r);
+// -- wire layouts (net/wire.h) ------------------------------------------------
 
-void encode_job(net::Writer& w, const Job& job);
-Job decode_job(net::Reader& r);
+template <class Ar> void fields(Ar& ar, JobSpec& s) {
+  ar(s.name, s.user, s.queue, s.nodes, s.walltime, s.run_time, s.priority,
+     s.replicas, s.script, s.node_type, s.features, s.array_count,
+     s.array_index);
+}
+template <class Ar> void fields(Ar& ar, Job& j) {
+  ar(j.id, j.spec, j.state, j.submit_time, j.start_time, j.end_time,
+     j.exit_code, j.cancelled, j.queue_rank, j.exec_host, j.replica_hosts);
+}
+
+/// Append a spec's wire bytes to `w` (table digests hash them).
+inline void encode_job_spec(net::Writer& w, const JobSpec& spec) { w(spec); }
 
 }  // namespace pbs

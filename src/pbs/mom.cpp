@@ -19,7 +19,7 @@ void Mom::on_request(sim::Payload request, sim::Endpoint from,
                      uint64_t rpc_id) {
   Op op;
   try {
-    op = peek_op(request);
+    op = net::peek_tag<Op>(request);
   } catch (const net::WireError&) {
     return;
   }
@@ -29,20 +29,21 @@ void Mom::on_request(sim::Payload request, sim::Endpoint from,
     try {
       switch (op) {
         case Op::kMomLaunch:
-          handle_launch(decode_mom_launch(request), from, rpc_id);
+          handle_launch(net::decode<MomLaunchRequest>(request), from, rpc_id);
           break;
         case Op::kMomKill:
-          handle_kill(decode_mom_kill(request), from, rpc_id);
+          handle_kill(net::decode<MomKillRequest>(request), from, rpc_id);
           break;
         case Op::kMomEmuComplete:
-          handle_emu_complete(decode_mom_emu_complete(request), from, rpc_id);
+          handle_emu_complete(net::decode<MomEmuCompleteRequest>(request),
+                              from, rpc_id);
           break;
         case Op::kMomPing:
-          handle_ping(decode_mom_ping(request), from, rpc_id);
+          handle_ping(net::decode<MomPingRequest>(request), from, rpc_id);
           break;
         default:
           respond(from, rpc_id,
-                  encode_response(SimpleResponse{Status::kUnsupported}));
+                  net::encode(SimpleResponse{Status::kUnsupported}));
       }
     } catch (const net::WireError& e) {
       JLOG(kWarn, "mom") << name() << ": bad request: " << e.what();
@@ -62,7 +63,7 @@ void Mom::handle_launch(MomLaunchRequest req, sim::Endpoint from,
     // Late launch attempt for a finished job: emulate and report at once.
     ++launches_emulated_;
     respond(from, rpc_id,
-            encode_response(MomLaunchResponse{Status::kOk, true}));
+            net::encode(MomLaunchResponse{Status::kOk, true}));
     report_to(req.server_host, inst, 0);
     return;
   }
@@ -70,7 +71,7 @@ void Mom::handle_launch(MomLaunchRequest req, sim::Endpoint from,
     // Attach: the requester gets its report when the instance completes.
     ++launches_emulated_;
     respond(from, rpc_id,
-            encode_response(MomLaunchResponse{Status::kOk, true}));
+            net::encode(MomLaunchResponse{Status::kOk, true}));
     return;
   }
 
@@ -79,7 +80,7 @@ void Mom::handle_launch(MomLaunchRequest req, sim::Endpoint from,
   // instance lost earlier, in which case the prologue now says run.
   if (!prologue_) {
     respond(from, rpc_id,
-            encode_response(MomLaunchResponse{Status::kOk, false}));
+            net::encode(MomLaunchResponse{Status::kOk, false}));
     if (inst.state != InstanceState::kRunning) start_job(inst);
     return;
   }
@@ -98,7 +99,7 @@ void Mom::run_prologue(JobId id, sim::HostId requester, sim::Endpoint from,
               switch (decision) {
                 case PrologueDecision::kRun:
                   respond(from, rpc_id,
-                          encode_response(MomLaunchResponse{Status::kOk, false}));
+                          net::encode(MomLaunchResponse{Status::kOk, false}));
                   if (inst.state == InstanceState::kStarting ||
                       inst.state == InstanceState::kEmulated) {
                     start_job(inst);
@@ -107,7 +108,7 @@ void Mom::run_prologue(JobId id, sim::HostId requester, sim::Endpoint from,
                 case PrologueDecision::kEmulate:
                   ++launches_emulated_;
                   respond(from, rpc_id,
-                          encode_response(MomLaunchResponse{Status::kOk, true}));
+                          net::encode(MomLaunchResponse{Status::kOk, true}));
                   if (inst.state == InstanceState::kStarting)
                     inst.state = InstanceState::kEmulated;
                   if (inst.state == InstanceState::kComplete)
@@ -116,7 +117,7 @@ void Mom::run_prologue(JobId id, sim::HostId requester, sim::Endpoint from,
                 case PrologueDecision::kAbort:
                   inst.requesters.erase(requester);
                   respond(from, rpc_id,
-                          encode_response(
+                          net::encode(
                               MomLaunchResponse{Status::kInternal, false}));
                   break;
               }
@@ -188,7 +189,7 @@ void Mom::report_to(sim::HostId server, const Instance& inst, int attempt) {
   JobId id = inst.job.id;
   net::CallOptions options;
   options.timeout = config_.report_retry;
-  call(sim::Endpoint{server, config_.server_port}, encode_request(report),
+  call(sim::Endpoint{server, config_.server_port}, net::encode(report),
        [this, server, id, attempt](std::optional<sim::Payload> resp) {
          if (resp.has_value()) return;  // acked
          // The head did not answer. With the quirk the mom keeps the report
@@ -214,7 +215,7 @@ void Mom::report_to(sim::HostId server, const Instance& inst, int attempt) {
 
 void Mom::handle_kill(const MomKillRequest& req, sim::Endpoint from,
                       uint64_t rpc_id) {
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   auto it = instances_.find(req.job_id);
   if (it == instances_.end()) return;
   Instance& inst = it->second;
@@ -239,12 +240,12 @@ void Mom::handle_ping(const MomPingRequest& req, sim::Endpoint from,
     (void)id;
     if (inst.state == InstanceState::kRunning) ++resp.running_jobs;
   }
-  respond(from, rpc_id, encode_response(resp));
+  respond(from, rpc_id, net::encode(resp));
 }
 
 void Mom::handle_emu_complete(const MomEmuCompleteRequest& req,
                               sim::Endpoint from, uint64_t rpc_id) {
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   auto it = instances_.find(req.job_id);
   if (it == instances_.end()) return;
   Instance& inst = it->second;

@@ -169,52 +169,88 @@ struct JobReport {
   bool operator==(const JobReport&) const = default;
 };
 
-// -- framing -------------------------------------------------------------
-// Request payload: [u8 op][body]. Response payload: op-specific body.
+// -- wire layouts (net/wire.h) ------------------------------------------------
+// A request is [u8 op][body]; net::peek_tag<Op> reads the op. A response is
+// its body alone.
 
-Op peek_op(const sim::Payload& buf);
+template <class Ar> void fields(Ar& ar, SubmitRequest& m) {
+  ar.tag(Op::kSubmit);
+  ar(m.spec, m.forced_id);
+}
+template <class Ar> void fields(Ar& ar, StatRequest& m) {
+  ar.tag(Op::kStat);
+  ar(m.job_id, m.include_complete);
+}
+template <class Ar> void fields(Ar& ar, DeleteRequest& m) {
+  ar.tag(Op::kDelete);
+  ar(m.job_id);
+}
+template <class Ar> void fields(Ar& ar, SignalRequest& m) {
+  ar.tag(Op::kSignal);
+  ar(m.job_id, m.signal);
+}
+template <class Ar> void fields(Ar& ar, HoldRequest& m) {
+  ar.tag(Op::kHold);
+  ar(m.job_id);
+}
+template <class Ar> void fields(Ar& ar, ReleaseRequest& m) {
+  ar.tag(Op::kRelease);
+  ar(m.job_id);
+}
+template <class Ar> void fields(Ar& ar, PreemptRequest& m) {
+  ar.tag(Op::kPreempt);
+  ar(m.job_id);
+}
+template <class Ar> void fields(Ar& ar, DumpStateRequest&) {
+  ar.tag(Op::kDumpState);
+}
+template <class Ar> void fields(Ar& ar, LoadStateRequest& m) {
+  ar.tag(Op::kLoadState);
+  ar(m.state);
+}
+template <class Ar> void fields(Ar& ar, MomLaunchRequest& m) {
+  ar.tag(Op::kMomLaunch);
+  ar(m.job, m.server_host);
+}
+template <class Ar> void fields(Ar& ar, MomKillRequest& m) {
+  ar.tag(Op::kMomKill);
+  ar(m.job_id, m.server_host, m.quiet);
+}
+template <class Ar> void fields(Ar& ar, MomEmuCompleteRequest& m) {
+  ar.tag(Op::kMomEmuComplete);
+  ar(m.job_id, m.exit_code);
+}
+template <class Ar> void fields(Ar& ar, MomPingRequest& m) {
+  ar.tag(Op::kMomPing);
+  ar(m.server_host, m.seq);
+}
+template <class Ar> void fields(Ar& ar, JobReport& m) {
+  ar.tag(Op::kJobReport);
+  ar(m.job_id, m.exit_code, m.cancelled, m.start_time, m.end_time,
+     m.mom_host);
+}
 
-sim::Payload encode_request(const SubmitRequest&);
-sim::Payload encode_request(const StatRequest&);
-sim::Payload encode_request(const DeleteRequest&);
-sim::Payload encode_request(const SignalRequest&);
-sim::Payload encode_request(const HoldRequest&);
-sim::Payload encode_request(const ReleaseRequest&);
-sim::Payload encode_request(const PreemptRequest&);
-sim::Payload encode_request(const DumpStateRequest&);
-sim::Payload encode_request(const LoadStateRequest&);
-sim::Payload encode_request(const MomLaunchRequest&);
-sim::Payload encode_request(const MomKillRequest&);
-sim::Payload encode_request(const MomEmuCompleteRequest&);
-sim::Payload encode_request(const MomPingRequest&);
-sim::Payload encode_request(const JobReport&);
+template <class Ar> void fields(Ar& ar, SubmitResponse& m) {
+  ar(m.status, m.job_id, m.count);
+}
+template <class Ar> void fields(Ar& ar, StatResponse& m) {
+  ar(m.status, m.jobs);
+}
+template <class Ar> void fields(Ar& ar, SimpleResponse& m) { ar(m.status); }
+template <class Ar> void fields(Ar& ar, DumpStateResponse& m) {
+  ar(m.status, m.state);
+}
+template <class Ar> void fields(Ar& ar, MomLaunchResponse& m) {
+  ar(m.status, m.emulated);
+}
+template <class Ar> void fields(Ar& ar, MomPingResponse& m) {
+  ar(m.status, m.seq, m.running_jobs);
+}
 
-SubmitRequest decode_submit(const sim::Payload&);
-StatRequest decode_stat(const sim::Payload&);
-DeleteRequest decode_delete(const sim::Payload&);
-SignalRequest decode_signal(const sim::Payload&);
-HoldRequest decode_hold(const sim::Payload&);
-ReleaseRequest decode_release(const sim::Payload&);
-PreemptRequest decode_preempt(const sim::Payload&);
-LoadStateRequest decode_load_state(const sim::Payload&);
-MomLaunchRequest decode_mom_launch(const sim::Payload&);
-MomKillRequest decode_mom_kill(const sim::Payload&);
-MomEmuCompleteRequest decode_mom_emu_complete(const sim::Payload&);
-MomPingRequest decode_mom_ping(const sim::Payload&);
-JobReport decode_job_report(const sim::Payload&);
-
-sim::Payload encode_response(const SubmitResponse&);
-sim::Payload encode_response(const StatResponse&);
-sim::Payload encode_response(const SimpleResponse&);
-sim::Payload encode_response(const DumpStateResponse&);
-sim::Payload encode_response(const MomLaunchResponse&);
-sim::Payload encode_response(const MomPingResponse&);
-
-SubmitResponse decode_submit_response(const sim::Payload&);
-StatResponse decode_stat_response(const sim::Payload&);
-SimpleResponse decode_simple_response(const sim::Payload&);
-DumpStateResponse decode_dump_state_response(const sim::Payload&);
-MomLaunchResponse decode_mom_launch_response(const sim::Payload&);
-MomPingResponse decode_mom_ping_response(const sim::Payload&);
+/// A request's wire bytes (net::encode under the name benchmarks use).
+template <class Request>
+sim::Payload encode_request(const Request& request) {
+  return net::encode(request);
+}
 
 }  // namespace pbs

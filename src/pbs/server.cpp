@@ -21,7 +21,7 @@ Server::Server(sim::Network& net, sim::HostId host, ServerConfig config)
                    "pbs_server@" + net.host(host).name()),
       config_(std::move(config)),
       scheduler_(config_.sched) {
-  next_job_id_ = config_.job_id_base;
+  state_.next_job_id = config_.job_id_base;
   for (const sim::Endpoint& mom : config_.moms) {
     NodeState n;
     n.host = mom.host;
@@ -66,14 +66,14 @@ Server::Server(sim::Network& net, sim::HostId host, ServerConfig config)
 }
 
 std::optional<Job> Server::find_job(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
+  auto it = state_.jobs.find(id);
+  if (it == state_.jobs.end()) return std::nullopt;
   return it->second;
 }
 
 size_t Server::count_in_state(JobState s) const {
   size_t n = 0;
-  for (const auto& [id, job] : jobs_) {
+  for (const auto& [id, job] : state_.jobs) {
     (void)id;
     if (job.state == s) ++n;
   }
@@ -88,7 +88,7 @@ void Server::on_request(sim::Payload request, sim::Endpoint from,
                         uint64_t rpc_id) {
   Op op;
   try {
-    op = peek_op(request);
+    op = net::peek_tag<Op>(request);
   } catch (const net::WireError&) {
     return;
   }
@@ -105,48 +105,49 @@ void Server::on_request(sim::Payload request, sim::Endpoint from,
     case Op::kDumpState:
     case Op::kLoadState: cost = config_.submit_proc; break;
     default:
-      respond(from, rpc_id, encode_response(SimpleResponse{Status::kUnsupported}));
+      respond(from, rpc_id, net::encode(SimpleResponse{Status::kUnsupported}));
       return;
   }
   execute(cost, [this, request = std::move(request), from, rpc_id, op] {
     try {
       switch (op) {
         case Op::kSubmit:
-          handle_submit(decode_submit(request), from, rpc_id);
+          handle_submit(net::decode<SubmitRequest>(request), from, rpc_id);
           break;
         case Op::kStat:
-          handle_stat(decode_stat(request), from, rpc_id);
+          handle_stat(net::decode<StatRequest>(request), from, rpc_id);
           break;
         case Op::kDelete:
-          handle_delete(decode_delete(request), from, rpc_id);
+          handle_delete(net::decode<DeleteRequest>(request), from, rpc_id);
           break;
         case Op::kSignal:
-          handle_signal(decode_signal(request), from, rpc_id);
+          handle_signal(net::decode<SignalRequest>(request), from, rpc_id);
           break;
         case Op::kHold:
-          handle_hold(decode_hold(request), from, rpc_id);
+          handle_hold(net::decode<HoldRequest>(request), from, rpc_id);
           break;
         case Op::kRelease:
-          handle_release(decode_release(request), from, rpc_id);
+          handle_release(net::decode<ReleaseRequest>(request), from, rpc_id);
           break;
         case Op::kPreempt:
-          handle_preempt(decode_preempt(request), from, rpc_id);
+          handle_preempt(net::decode<PreemptRequest>(request), from, rpc_id);
           break;
         case Op::kJobReport:
-          handle_report(decode_job_report(request), from, rpc_id);
+          handle_report(net::decode<JobReport>(request), from, rpc_id);
           break;
         case Op::kDumpState:
           handle_dump_state(from, rpc_id);
           break;
         case Op::kLoadState:
-          handle_load_state(decode_load_state(request), from, rpc_id);
+          handle_load_state(net::decode<LoadStateRequest>(request), from,
+                            rpc_id);
           break;
         default:
           break;
       }
     } catch (const net::WireError& e) {
       JLOG(kWarn, "pbs") << name() << ": bad request: " << e.what();
-      respond(from, rpc_id, encode_response(SimpleResponse{Status::kInternal}));
+      respond(from, rpc_id, net::encode(SimpleResponse{Status::kInternal}));
     }
   });
 }
@@ -159,25 +160,25 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
   uint32_t count = req.spec.array_count > 1 ? req.spec.array_count : 1;
   if (count > config_.max_array_size) {
     respond(from, rpc_id,
-            encode_response(SubmitResponse{Status::kUnsupported, kInvalidJob,
+            net::encode(SubmitResponse{Status::kUnsupported, kInvalidJob,
                                            0}));
     return;
   }
   JobId base;
   if (req.forced_id != kInvalidJob) {
     for (JobId id = req.forced_id; id < req.forced_id + count; ++id) {
-      if (jobs_.count(id)) {
+      if (state_.jobs.count(id)) {
         respond(from, rpc_id,
-                encode_response(SubmitResponse{Status::kInvalidState,
+                net::encode(SubmitResponse{Status::kInvalidState,
                                                req.forced_id, 0}));
         return;
       }
     }
     base = req.forced_id;
-    next_job_id_ = std::max(next_job_id_, req.forced_id + count);
+    state_.next_job_id = std::max(state_.next_job_id, req.forced_id + count);
   } else {
-    base = next_job_id_;
-    next_job_id_ += count;
+    base = state_.next_job_id;
+    state_.next_job_id += count;
   }
   for (uint32_t i = 0; i < count; ++i) {
     Job job;
@@ -189,9 +190,9 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
     }
     job.state = JobState::kQueued;
     job.submit_time = sim().now();
-    job.queue_rank = next_rank_++;
-    jobs_.emplace(job.id, std::move(job));
-    ++submissions_;
+    job.queue_rank = state_.next_rank++;
+    state_.jobs.emplace(job.id, std::move(job));
+    ++state_.submissions;
   }
   m_jobs_queued_.add(count);
   if (count > 1) m_array_expansions_.add(count);
@@ -199,7 +200,7 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
   JLOG(kDebug, "pbs") << name() << ": queued job " << base << " ("
                       << req.spec.name << (count > 1 ? ", array" : "") << ")";
   respond(from, rpc_id,
-          encode_response(SubmitResponse{Status::kOk, base, count}));
+          net::encode(SubmitResponse{Status::kOk, base, count}));
   request_sched_cycle();
 }
 
@@ -207,33 +208,33 @@ void Server::handle_stat(const StatRequest& req, sim::Endpoint from,
                          uint64_t rpc_id) {
   StatResponse resp;
   if (req.job_id != kInvalidJob) {
-    auto it = jobs_.find(req.job_id);
-    if (it == jobs_.end()) {
+    auto it = state_.jobs.find(req.job_id);
+    if (it == state_.jobs.end()) {
       resp.status = Status::kUnknownJob;
     } else {
       resp.jobs.push_back(it->second);
     }
   } else {
-    for (const auto& [id, job] : jobs_) {
+    for (const auto& [id, job] : state_.jobs) {
       (void)id;
       if (!req.include_complete && job.terminal()) continue;
       resp.jobs.push_back(job);
     }
   }
-  respond(from, rpc_id, encode_response(resp));
+  respond(from, rpc_id, net::encode(resp));
 }
 
 void Server::handle_delete(const DeleteRequest& req, sim::Endpoint from,
                            uint64_t rpc_id) {
-  auto it = jobs_.find(req.job_id);
-  if (it == jobs_.end()) {
-    respond(from, rpc_id, encode_response(SimpleResponse{Status::kUnknownJob}));
+  auto it = state_.jobs.find(req.job_id);
+  if (it == state_.jobs.end()) {
+    respond(from, rpc_id, net::encode(SimpleResponse{Status::kUnknownJob}));
     return;
   }
   Job& job = it->second;
   if (job.terminal()) {
     respond(from, rpc_id,
-            encode_response(SimpleResponse{Status::kInvalidState}));
+            net::encode(SimpleResponse{Status::kInvalidState}));
     return;
   }
   if (job.state == JobState::kRunning) {
@@ -250,21 +251,21 @@ void Server::handle_delete(const DeleteRequest& req, sim::Endpoint from,
     job.end_time = sim().now();
   }
   persist();
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   request_sched_cycle();
 }
 
 void Server::handle_signal(const SignalRequest& req, sim::Endpoint from,
                            uint64_t rpc_id) {
-  auto it = jobs_.find(req.job_id);
-  if (it == jobs_.end()) {
-    respond(from, rpc_id, encode_response(SimpleResponse{Status::kUnknownJob}));
+  auto it = state_.jobs.find(req.job_id);
+  if (it == state_.jobs.end()) {
+    respond(from, rpc_id, net::encode(SimpleResponse{Status::kUnknownJob}));
     return;
   }
   Job& job = it->second;
   if (job.state != JobState::kRunning) {
     respond(from, rpc_id,
-            encode_response(SimpleResponse{Status::kInvalidState}));
+            net::encode(SimpleResponse{Status::kInvalidState}));
     return;
   }
   // SIGTERM/SIGKILL terminate; anything else is delivered but has no
@@ -279,56 +280,56 @@ void Server::handle_signal(const SignalRequest& req, sim::Endpoint from,
     }
     persist();
   }
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
 }
 
 void Server::handle_hold(const HoldRequest& req, sim::Endpoint from,
                          uint64_t rpc_id) {
-  auto it = jobs_.find(req.job_id);
-  if (it == jobs_.end()) {
-    respond(from, rpc_id, encode_response(SimpleResponse{Status::kUnknownJob}));
+  auto it = state_.jobs.find(req.job_id);
+  if (it == state_.jobs.end()) {
+    respond(from, rpc_id, net::encode(SimpleResponse{Status::kUnknownJob}));
     return;
   }
   Job& job = it->second;
   if (job.state != JobState::kQueued) {
     respond(from, rpc_id,
-            encode_response(SimpleResponse{Status::kInvalidState}));
+            net::encode(SimpleResponse{Status::kInvalidState}));
     return;
   }
   job.state = JobState::kHeld;
   persist();
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
 }
 
 void Server::handle_release(const ReleaseRequest& req, sim::Endpoint from,
                             uint64_t rpc_id) {
-  auto it = jobs_.find(req.job_id);
-  if (it == jobs_.end()) {
-    respond(from, rpc_id, encode_response(SimpleResponse{Status::kUnknownJob}));
+  auto it = state_.jobs.find(req.job_id);
+  if (it == state_.jobs.end()) {
+    respond(from, rpc_id, net::encode(SimpleResponse{Status::kUnknownJob}));
     return;
   }
   Job& job = it->second;
   if (job.state != JobState::kHeld) {
     respond(from, rpc_id,
-            encode_response(SimpleResponse{Status::kInvalidState}));
+            net::encode(SimpleResponse{Status::kInvalidState}));
     return;
   }
   job.state = JobState::kQueued;
   persist();
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   request_sched_cycle();
 }
 
 void Server::handle_preempt(const PreemptRequest& req, sim::Endpoint from,
                             uint64_t rpc_id) {
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   apply_preempt(req.job_id);
 }
 
 void Server::apply_preempt(JobId id) {
   preempt_inflight_.erase(id);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
+  auto it = state_.jobs.find(id);
+  if (it == state_.jobs.end()) return;
   Job& job = it->second;
   if (job.state != JobState::kRunning) return;
   // Quiet kills: the requeued job's own death must not echo back as a
@@ -362,9 +363,9 @@ uint32_t Server::preempt_count(JobId id) const {
 void Server::handle_report(const JobReport& report, sim::Endpoint from,
                            uint64_t rpc_id) {
   // Always ack: the mom retries otherwise.
-  respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
-  auto it = jobs_.find(report.job_id);
-  if (it == jobs_.end()) {
+  respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
+  auto it = state_.jobs.find(report.job_id);
+  if (it == state_.jobs.end()) {
     JLOG(kDebug, "pbs") << name() << ": report for unknown job "
                         << report.job_id;
     return;
@@ -385,7 +386,7 @@ void Server::handle_report(const JobReport& report, sim::Endpoint from,
 void Server::handle_dump_state(sim::Endpoint from, uint64_t rpc_id) {
   DumpStateResponse resp;
   resp.state = serialize_state();
-  respond(from, rpc_id, encode_response(resp));
+  respond(from, rpc_id, net::encode(resp));
 }
 
 void Server::handle_load_state(const LoadStateRequest& req, sim::Endpoint from,
@@ -393,10 +394,10 @@ void Server::handle_load_state(const LoadStateRequest& req, sim::Endpoint from,
   try {
     apply_state(req.state);
     persist();
-    respond(from, rpc_id, encode_response(SimpleResponse{Status::kOk}));
+    respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
     request_sched_cycle();
   } catch (const net::WireError&) {
-    respond(from, rpc_id, encode_response(SimpleResponse{Status::kInternal}));
+    respond(from, rpc_id, net::encode(SimpleResponse{Status::kInternal}));
   }
 }
 
@@ -416,11 +417,11 @@ void Server::request_sched_cycle() {
 void Server::run_sched_cycle() {
   m_sched_cycles_.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_sched_,
-                                    jobs_.size(), nodes_.size());
-  SchedDecisions decisions = scheduler_.cycle(jobs_, nodes_, sim().now());
+                                    state_.jobs.size(), nodes_.size());
+  SchedDecisions decisions = scheduler_.cycle(state_.jobs, nodes_, sim().now());
   for (const LaunchDecision& d : decisions.launches) {
-    auto it = jobs_.find(d.job);
-    if (it == jobs_.end()) continue;
+    auto it = state_.jobs.find(d.job);
+    if (it == state_.jobs.end()) continue;
     if (d.replica_sets.empty()) {
       launch(it->second, {d.nodes});
     } else {
@@ -481,12 +482,12 @@ void Server::launch(Job& job,
 }
 
 void Server::send_replica_launch(JobId id, sim::HostId mom_host) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
+  auto it = state_.jobs.find(id);
+  if (it == state_.jobs.end()) return;
   MomLaunchRequest req{it->second, host_id()};
   net::CallOptions options;
   options.timeout = config_.mom_launch_timeout;
-  call(mom_endpoint(mom_host), encode_request(req),
+  call(mom_endpoint(mom_host), net::encode(req),
        [this, id, mom_host](std::optional<sim::Payload> resp) {
          if (!resp.has_value()) {
            // Mom unreachable: declare the node dead (which drops this
@@ -497,7 +498,7 @@ void Server::send_replica_launch(JobId id, sim::HostId mom_host) {
            return;
          }
          try {
-           MomLaunchResponse launch = decode_mom_launch_response(*resp);
+           MomLaunchResponse launch = net::decode<MomLaunchResponse>(*resp);
            if (launch.status != Status::kOk) replica_launch_failed(id, mom_host);
          } catch (const net::WireError&) {
          }
@@ -508,8 +509,8 @@ void Server::send_replica_launch(JobId id, sim::HostId mom_host) {
 /// A mom refused a launch attempt: drop that replica; requeue when it was
 /// the last one. (A timed-out launch goes through note_node_failed instead.)
 void Server::replica_launch_failed(JobId id, sim::HostId mom_host) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
+  auto it = state_.jobs.find(id);
+  if (it == state_.jobs.end()) return;
   Job& job = it->second;
   if (!job.active()) return;
   auto& reps = job.replica_hosts;
@@ -562,7 +563,7 @@ void Server::reap_losers(const Job& job, sim::HostId winner) {
 
 void Server::kill_on(sim::HostId mom_host, JobId id, bool quiet) {
   MomKillRequest kill{id, host_id(), quiet};
-  call(mom_endpoint(mom_host), encode_request(kill),
+  call(mom_endpoint(mom_host), net::encode(kill),
        [](std::optional<sim::Payload>) {});
 }
 
@@ -584,7 +585,7 @@ void Server::note_node_failed(sim::HostId host) {
   // Drop the dead replica from every active job; requeue jobs left without
   // a live replica (automatic failover of non-replicated jobs).
   bool requeued = false;
-  for (auto& [id, job] : jobs_) {
+  for (auto& [id, job] : state_.jobs) {
     if (!job.active()) continue;
     auto& reps = job.replica_hosts;
     bool on_dead = job.exec_host == host ||
@@ -687,7 +688,7 @@ void Server::run_heartbeat_round() {
     net::CallOptions options;
     options.timeout = config_.heartbeat_timeout;
     sim::HostId h = mom.host;
-    call(mom, encode_request(ping),
+    call(mom, net::encode(ping),
          [this, h](std::optional<sim::Payload> resp) {
            NodeState* n = node_by_host(h);
            if (n == nullptr) return;
@@ -711,30 +712,11 @@ void Server::run_heartbeat_round() {
 // Persistence
 // ---------------------------------------------------------------------------
 
-sim::Payload Server::serialize_state() const {
-  net::Writer w;
-  w.u64(next_job_id_);
-  w.u64(next_rank_);
-  w.u64(submissions_);
-  w.u32(static_cast<uint32_t>(jobs_.size()));
-  for (const auto& [id, job] : jobs_) {
-    (void)id;
-    encode_job(w, job);
-  }
-  return w.take();
-}
-
-void Server::apply_state(const sim::Payload& state) {
-  net::Reader r(state);
-  next_job_id_ = r.u64();
-  next_rank_ = r.u64();
-  submissions_ = r.u64();
-  uint32_t n = r.u32();
-  jobs_.clear();
-  preempt_inflight_.clear();
-  for (NodeState& node : nodes_) node.running.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    Job job = decode_job(r);
+void Server::apply_state(const sim::Payload& blob) {
+  // Decode the whole blob before touching the table: a malformed one throws
+  // and leaves the server as it was.
+  auto state = net::decode<ServerState>(blob);
+  for (auto& [id, job] : state.jobs) {
     // Jobs that were running when the state was captured lost their parent
     // server: they restart from the queue (Section 2: applications have to
     // be restarted after an active/standby failover).
@@ -743,9 +725,10 @@ void Server::apply_state(const sim::Payload& state) {
       job.exec_host = sim::kInvalidHost;
       job.replica_hosts.clear();
     }
-    jobs_.emplace(job.id, std::move(job));
   }
-  r.expect_done();
+  state_ = std::move(state);
+  preempt_inflight_.clear();
+  for (NodeState& node : nodes_) node.running.clear();
 }
 
 std::map<std::string, std::string>& Server::storage() {
@@ -779,7 +762,7 @@ void Server::recover() {
   sim::Payload state(blob.begin(), blob.end());
   try {
     apply_state(state);
-    JLOG(kInfo, "pbs") << name() << ": recovered " << jobs_.size()
+    JLOG(kInfo, "pbs") << name() << ": recovered " << state_.jobs.size()
                        << " jobs from storage";
   } catch (const net::WireError& e) {
     JLOG(kError, "pbs") << name() << ": corrupt state: " << e.what();
@@ -787,25 +770,25 @@ void Server::recover() {
 }
 
 void Server::preload_queued(uint64_t count, const JobSpec& spec) {
-  auto hint = jobs_.end();
+  auto hint = state_.jobs.end();
   for (uint64_t i = 0; i < count; ++i) {
     Job job;
-    job.id = next_job_id_++;
+    job.id = state_.next_job_id++;
     job.spec = spec;
     job.state = JobState::kQueued;
     job.submit_time = sim().now();
-    job.queue_rank = next_rank_++;
-    hint = jobs_.emplace_hint(hint, job.id, std::move(job));
-    ++submissions_;
+    job.queue_rank = state_.next_rank++;
+    hint = state_.jobs.emplace_hint(hint, job.id, std::move(job));
+    ++state_.submissions;
   }
   m_jobs_queued_.add(count);
 }
 
 void Server::reset_state() {
-  jobs_.clear();
-  next_job_id_ = config_.job_id_base;
-  next_rank_ = 1;
-  submissions_ = 0;
+  state_.jobs.clear();
+  state_.next_job_id = config_.job_id_base;
+  state_.next_rank = 1;
+  state_.submissions = 0;
   preempt_inflight_.clear();
   preempt_counts_.clear();
   for (NodeState& n : nodes_) n.running.clear();
@@ -825,10 +808,10 @@ void Server::on_crash() {
 
 void Server::on_restart() {
   // Fresh daemon: volatile state resets, then recovery from storage.
-  jobs_.clear();
-  next_job_id_ = config_.job_id_base;
-  next_rank_ = 1;
-  submissions_ = 0;
+  state_.jobs.clear();
+  state_.next_job_id = config_.job_id_base;
+  state_.next_rank = 1;
+  state_.submissions = 0;
   preempt_inflight_.clear();
   preempt_counts_.clear();
   for (NodeState& n : nodes_) {

@@ -78,6 +78,21 @@ struct ServerConfig {
 /// Fill the cost fields from the testbed calibration.
 ServerConfig server_config_from(const sim::Calibration& cal);
 
+/// The job table a server persists and ships in state transfers: its
+/// counters and every job. On the wire (the state blob) each job carries its
+/// own id, so the table's keys are not repeated.
+struct ServerState {
+  JobId next_job_id = 1;
+  uint64_t next_rank = 1;
+  uint64_t submissions = 0;
+  std::map<JobId, Job> jobs;
+  bool operator==(const ServerState&) const = default;
+};
+template <class Ar> void fields(Ar& ar, ServerState& s) {
+  ar(s.next_job_id, s.next_rank, s.submissions,
+     net::keyed_values(s.jobs, &Job::id));
+}
+
 class Server : public net::RpcNode {
  public:
   Server(sim::Network& net, sim::HostId host, ServerConfig config);
@@ -86,11 +101,11 @@ class Server : public net::RpcNode {
 
   // -- introspection (tests, examples, JOSHUA) -------------------------------
 
-  const std::map<JobId, Job>& jobs() const { return jobs_; }
+  const std::map<JobId, Job>& jobs() const { return state_.jobs; }
   std::optional<Job> find_job(JobId id) const;
   size_t count_in_state(JobState s) const;
   const std::vector<NodeState>& nodes() const { return nodes_; }
-  uint64_t submissions() const { return submissions_; }
+  uint64_t submissions() const { return state_.submissions; }
 
   /// Observers (used by JOSHUA's interceptor and by tests).
   std::function<void(const Job&)> on_job_start;
@@ -165,7 +180,7 @@ class Server : public net::RpcNode {
   /// jobs, so replaying it alone would leave this server reissuing ids the
   /// group already assigned.
   void bump_next_job_id(JobId floor) {
-    next_job_id_ = std::max(next_job_id_, floor);
+    state_.next_job_id = std::max(state_.next_job_id, floor);
   }
 
   // net::RpcNode:
@@ -213,17 +228,14 @@ class Server : public net::RpcNode {
   void run_heartbeat_round();
 
   // Persistence.
-  sim::Payload serialize_state() const;
-  void apply_state(const sim::Payload& state);
+  sim::Payload serialize_state() const { return net::encode(state_); }
+  void apply_state(const sim::Payload& blob);
   void persist();
   std::map<std::string, std::string>& storage();
   void arm_checkpoint_timer();
 
   ServerConfig config_;
-  std::map<JobId, Job> jobs_;
-  JobId next_job_id_ = 1;
-  uint64_t next_rank_ = 1;
-  uint64_t submissions_ = 0;
+  ServerState state_;
   std::vector<NodeState> nodes_;
   Scheduler scheduler_;
   bool sched_pending_ = false;

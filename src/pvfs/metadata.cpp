@@ -17,108 +17,27 @@ std::string_view to_string(MdStatus s) {
   return "?";
 }
 
-// -- wire ---------------------------------------------------------------------
-
-sim::Payload encode(const MdRequest& m) {
-  net::Writer w;
-  w.u8(static_cast<uint8_t>(m.op));
-  w.u64(m.dir);
-  w.u64(m.handle);
-  w.u64(m.dir2);
-  w.str(m.name);
-  w.str(m.name2);
-  w.u32(m.mode);
-  w.u64(m.size);
-  return w.take();
-}
-
-MdRequest decode_request(const sim::Payload& buf) {
-  net::Reader r(buf);
-  MdRequest m;
-  m.op = static_cast<MdOp>(r.u8());
-  m.dir = r.u64();
-  m.handle = r.u64();
-  m.dir2 = r.u64();
-  m.name = r.str();
-  m.name2 = r.str();
-  m.mode = r.u32();
-  m.size = r.u64();
-  r.expect_done();
-  return m;
-}
-
-namespace {
-void encode_attr(net::Writer& w, const Attr& a) {
-  w.u8(static_cast<uint8_t>(a.type));
-  w.u32(a.mode);
-  w.u64(a.size);
-  w.u64(a.ctime);
-  w.u64(a.mtime);
-  w.u64(a.version);
-}
-Attr decode_attr(net::Reader& r) {
-  Attr a;
-  a.type = static_cast<ObjType>(r.u8());
-  a.mode = r.u32();
-  a.size = r.u64();
-  a.ctime = r.u64();
-  a.mtime = r.u64();
-  a.version = r.u64();
-  return a;
-}
-}  // namespace
-
-sim::Payload encode(const MdResponse& m) {
-  net::Writer w;
-  w.u8(static_cast<uint8_t>(m.status));
-  w.u64(m.handle);
-  encode_attr(w, m.attr);
-  w.vec(m.entries, [](net::Writer& w2, const MdEntry& e) {
-    w2.str(e.name);
-    w2.u64(e.handle);
-    w2.u8(static_cast<uint8_t>(e.type));
-  });
-  return w.take();
-}
-
-MdResponse decode_response(const sim::Payload& buf) {
-  net::Reader r(buf);
-  MdResponse m;
-  m.status = static_cast<MdStatus>(r.u8());
-  m.handle = r.u64();
-  m.attr = decode_attr(r);
-  m.entries = r.vec<MdEntry>([](net::Reader& r2) {
-    MdEntry e;
-    e.name = r2.str();
-    e.handle = r2.u64();
-    e.type = static_cast<ObjType>(r2.u8());
-    return e;
-  });
-  r.expect_done();
-  return m;
-}
-
 // -- server --------------------------------------------------------------------
 
 MetadataServer::MetadataServer() {
   Object root;
   root.attr.type = ObjType::kDirectory;
   root.attr.mode = 0755;
-  objects_.emplace(kRootHandle, std::move(root));
+  state_.objects.emplace(kRootHandle, std::move(root));
 }
 
 sim::Payload MetadataServer::apply(const sim::Payload& request) {
   MdRequest req;
   try {
-    req = decode_request(request);
+    req = net::decode<MdRequest>(request);
   } catch (const net::WireError&) {
-    return encode(MdResponse{MdStatus::kInvalid, kInvalidHandle, {}, {}});
+    return net::encode(MdResponse{MdStatus::kInvalid, kInvalidHandle, {}, {}});
   }
-  return encode(apply_typed(req));
+  return net::encode(apply_typed(req));
 }
 
 MdResponse MetadataServer::apply_typed(const MdRequest& request) {
-  ++op_counter_;
+  ++state_.op_counter;
   MdResponse response{MdStatus::kInvalid, kInvalidHandle, {}, {}};
   switch (request.op) {
     case MdOp::kLookup: response = lookup(request); break;
@@ -136,7 +55,7 @@ MdResponse MetadataServer::apply_typed(const MdRequest& request) {
   if (response.status != MdStatus::kOk) m_errors_.add();
   if (request.op == MdOp::kReaddir && response.status == MdStatus::kOk)
     m_readdir_entries_.record(static_cast<int64_t>(response.entries.size()));
-  m_objects_.set(static_cast<int64_t>(objects_.size()));
+  m_objects_.set(static_cast<int64_t>(state_.objects.size()));
   return response;
 }
 
@@ -155,7 +74,7 @@ void MetadataServer::instrument(telemetry::Registry& metrics) {
   m_snapshots_ = metrics.counter("pvfs.snapshots");
   m_snapshot_bytes_ = metrics.histogram("pvfs.snapshot_bytes");
   m_installs_ = metrics.counter("pvfs.snapshot_installs");
-  m_objects_.set(static_cast<int64_t>(objects_.size()));
+  m_objects_.set(static_cast<int64_t>(state_.objects.size()));
 }
 
 bool MetadataServer::is_read_only(const sim::Payload& request) const {
@@ -169,13 +88,13 @@ sim::Duration MetadataServer::apply_cost(const sim::Payload& request) const {
 }
 
 const MetadataServer::Object* MetadataServer::find(Handle h) const {
-  auto it = objects_.find(h);
-  return it == objects_.end() ? nullptr : &it->second;
+  auto it = state_.objects.find(h);
+  return it == state_.objects.end() ? nullptr : &it->second;
 }
 
 MetadataServer::Object* MetadataServer::find(Handle h) {
-  auto it = objects_.find(h);
-  return it == objects_.end() ? nullptr : &it->second;
+  auto it = state_.objects.find(h);
+  return it == state_.objects.end() ? nullptr : &it->second;
 }
 
 bool MetadataServer::valid_name(const std::string& name) {
@@ -207,16 +126,16 @@ MdResponse MetadataServer::create(const MdRequest& req, ObjType type) {
   if (dir->entries.count(req.name))
     return {MdStatus::kExists, kInvalidHandle, {}, {}};
 
-  Handle h = next_handle_++;
+  Handle h = state_.next_handle++;
   Object obj;
   obj.attr.type = type;
   obj.attr.mode = req.mode;
-  obj.attr.ctime = obj.attr.mtime = op_counter_;
+  obj.attr.ctime = obj.attr.mtime = state_.op_counter;
   dir->entries.emplace(req.name, h);
-  dir->attr.mtime = op_counter_;
+  dir->attr.mtime = state_.op_counter;
   ++dir->attr.version;
   MdResponse resp{MdStatus::kOk, h, obj.attr, {}};
-  objects_.emplace(h, std::move(obj));
+  state_.objects.emplace(h, std::move(obj));
   return resp;
 }
 
@@ -235,9 +154,9 @@ MdResponse MetadataServer::remove(const MdRequest& req) {
     return {MdStatus::kNotEmpty, h, {}, {}};
   }
   dir->entries.erase(it);
-  dir->attr.mtime = op_counter_;
+  dir->attr.mtime = state_.op_counter;
   ++dir->attr.version;
-  objects_.erase(h);
+  state_.objects.erase(h);
   return {MdStatus::kOk, h, {}, {}};
 }
 
@@ -267,7 +186,7 @@ MdResponse MetadataServer::setattr(const MdRequest& req) {
   if (obj == nullptr) return {MdStatus::kNotFound, kInvalidHandle, {}, {}};
   obj->attr.mode = req.mode;
   if (obj->attr.type == ObjType::kFile) obj->attr.size = req.size;
-  obj->attr.mtime = op_counter_;
+  obj->attr.mtime = state_.op_counter;
   ++obj->attr.version;
   return {MdStatus::kOk, req.handle, obj->attr, {}};
 }
@@ -293,15 +212,15 @@ MdResponse MetadataServer::rename(const MdRequest& req) {
         !existing->entries.empty()) {
       return {MdStatus::kNotEmpty, dit->second, {}, {}};
     }
-    objects_.erase(dit->second);
+    state_.objects.erase(dit->second);
     dst->entries.erase(dit);
   }
   Handle h = it->second;
   src->entries.erase(it);
   dst->entries.emplace(req.name2, h);
-  src->attr.mtime = op_counter_;
+  src->attr.mtime = state_.op_counter;
   ++src->attr.version;
-  dst->attr.mtime = op_counter_;
+  dst->attr.mtime = state_.op_counter;
   ++dst->attr.version;
   return {MdStatus::kOk, h, {}, {}};
 }
@@ -309,48 +228,16 @@ MdResponse MetadataServer::rename(const MdRequest& req) {
 // -- snapshot ------------------------------------------------------------------
 
 sim::Payload MetadataServer::snapshot() const {
-  net::Writer w;
-  w.u64(next_handle_);
-  w.u64(op_counter_);
-  w.u32(static_cast<uint32_t>(objects_.size()));
-  for (const auto& [handle, obj] : objects_) {
-    w.u64(handle);
-    encode_attr(w, obj.attr);
-    w.u32(static_cast<uint32_t>(obj.entries.size()));
-    for (const auto& [name, child] : obj.entries) {
-      w.str(name);
-      w.u64(child);
-    }
-  }
-  sim::Payload buf = w.take();
+  sim::Payload buf = net::encode(state_);
   m_snapshots_.add();
   m_snapshot_bytes_.record(static_cast<int64_t>(buf.size()));
   return buf;
 }
 
 void MetadataServer::install(const sim::Payload& snapshot) {
-  net::Reader r(snapshot);
-  Handle next_handle = r.u64();
-  uint64_t op_counter = r.u64();
-  uint32_t count = r.u32();
-  std::map<Handle, Object> objects;
-  for (uint32_t i = 0; i < count; ++i) {
-    Handle handle = r.u64();
-    Object obj;
-    obj.attr = decode_attr(r);
-    uint32_t entries = r.u32();
-    for (uint32_t e = 0; e < entries; ++e) {
-      std::string name = r.str();
-      obj.entries.emplace(std::move(name), r.u64());
-    }
-    objects.emplace(handle, std::move(obj));
-  }
-  r.expect_done();
-  objects_ = std::move(objects);
-  next_handle_ = next_handle;
-  op_counter_ = op_counter;
+  state_ = net::decode<State>(snapshot);  // throws before any state changes
   m_installs_.add();
-  m_objects_.set(static_cast<int64_t>(objects_.size()));
+  m_objects_.set(static_cast<int64_t>(state_.objects.size()));
 }
 
 // -- helpers ------------------------------------------------------------------

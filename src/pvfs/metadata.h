@@ -89,10 +89,20 @@ struct MdResponse {
   bool operator==(const MdResponse&) const = default;
 };
 
-sim::Payload encode(const MdRequest&);
-MdRequest decode_request(const sim::Payload&);
-sim::Payload encode(const MdResponse&);
-MdResponse decode_response(const sim::Payload&);
+// -- wire layouts (net/wire.h) ------------------------------------------------
+
+template <class Ar> void fields(Ar& ar, Attr& a) {
+  ar(a.type, a.mode, a.size, a.ctime, a.mtime, a.version);
+}
+template <class Ar> void fields(Ar& ar, MdRequest& m) {
+  ar(m.op, m.dir, m.handle, m.dir2, m.name, m.name2, m.mode, m.size);
+}
+template <class Ar> void fields(Ar& ar, MdEntry& e) {
+  ar(e.name, e.handle, e.type);
+}
+template <class Ar> void fields(Ar& ar, MdResponse& m) {
+  ar(m.status, m.handle, m.attr, m.entries);
+}
 
 /// The metadata server itself: deterministic, snapshot-able.
 class MetadataServer : public rsm::IDeterministicService {
@@ -117,8 +127,8 @@ class MetadataServer : public rsm::IDeterministicService {
   void instrument(telemetry::Registry& metrics);
 
   // -- introspection ---------------------------------------------------------
-  size_t object_count() const { return objects_.size(); }
-  uint64_t operations() const { return op_counter_; }
+  size_t object_count() const { return state_.objects.size(); }
+  uint64_t operations() const { return state_.op_counter; }
   /// Resolve an absolute slash path; kInvalidHandle when missing.
   Handle resolve(const std::string& path) const;
   std::optional<Attr> attr_of(Handle h) const;
@@ -127,6 +137,18 @@ class MetadataServer : public rsm::IDeterministicService {
   struct Object {
     Attr attr;
     std::map<std::string, Handle> entries;  ///< directories only
+    template <class Ar> friend void fields(Ar& ar, Object& o) {
+      ar(o.attr, o.entries);
+    }
+  };
+  /// Everything a snapshot carries.
+  struct State {
+    std::map<Handle, Object> objects;
+    Handle next_handle = kRootHandle + 1;
+    uint64_t op_counter = 0;
+    template <class Ar> friend void fields(Ar& ar, State& s) {
+      ar(s.next_handle, s.op_counter, s.objects);
+    }
   };
 
   MdResponse lookup(const MdRequest&) const;
@@ -141,9 +163,7 @@ class MetadataServer : public rsm::IDeterministicService {
   Object* find(Handle h);
   static bool valid_name(const std::string& name);
 
-  std::map<Handle, Object> objects_;
-  Handle next_handle_ = kRootHandle + 1;
-  uint64_t op_counter_ = 0;
+  State state_;
 
   // Telemetry handles (no-op sinks until instrument() is called). Indexed
   // by MdOp value; slot 0 backs out-of-range ops.

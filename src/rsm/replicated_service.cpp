@@ -5,26 +5,6 @@
 
 namespace rsm {
 
-sim::Payload encode_command(const Command& cmd) {
-  net::Writer w;
-  w.u8(kCommandTag);
-  w.u32(cmd.origin);
-  w.u64(cmd.seq);
-  w.bytes(cmd.request);
-  return w.take();
-}
-
-Command decode_command(const sim::Payload& buf) {
-  net::Reader r(buf);
-  if (r.u8() != kCommandTag) throw net::WireError("rsm: not a command");
-  Command cmd;
-  cmd.origin = r.u32();
-  cmd.seq = r.u64();
-  cmd.request = r.bytes();
-  r.expect_done();
-  return cmd;
-}
-
 Telemetry rsm_telemetry(telemetry::Hub& hub) {
   telemetry::Registry& m = hub.metrics();
   Telemetry t;
@@ -87,7 +67,7 @@ void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
     ++stats_.ordered;
     m_.ordered.add(1);
     uint64_t seq = next_seq_++;
-    sim::Payload frame = encode_command({group_.id(), seq, request, 0});
+    sim::Payload frame = net::encode(Command{group_.id(), seq, request, 0});
     pending_[seq] = Pending{caller, sim().now().us, std::move(request)};
     group_.multicast(std::move(frame), gcs::Delivery::kAgreed);
   });
@@ -114,7 +94,7 @@ void ReplicaNode::on_deliver(const gcs::Delivered& msg) {
   }
   Command cmd;
   try {
-    cmd = decode_command(msg.payload);
+    cmd = net::decode<Command>(msg.payload);
   } catch (const net::WireError& e) {
     JLOG(kWarn, "rsm") << name() << ": bad ordered request: " << e.what();
     return;

@@ -41,8 +41,10 @@ struct Command {
   uint64_t tag = 0;       ///< service-private, stamped by on_ordered()
   bool operator==(const Command&) const = default;
 };
-sim::Payload encode_command(const Command&);
-Command decode_command(const sim::Payload&);
+template <class Ar> void fields(Ar& ar, Command& cmd) {
+  ar.tag(kCommandTag);
+  ar(cmd.origin, cmd.seq, cmd.request);  // `tag` stays local
+}
 
 /// Where a client request came from, so an answer can find its way back.
 struct Caller {

@@ -24,45 +24,39 @@ using codec_samples::from_hex;
 using codec_samples::to_hex;
 namespace s = codec_samples;
 
-/// Encode must produce `hex`; decoding `hex` must give back `instance`.
-template <class T, class Encode, class Decode>
-void expect_golden(const char* name, const T& instance, Encode encode,
-                   Decode decode, const char* hex) {
+/// `instance` must encode to `hex`, and `hex` must decode back to
+/// `instance`.
+template <class T>
+void expect_golden(const char* name, const T& instance, const char* hex) {
   SCOPED_TRACE(name);
-  EXPECT_EQ(to_hex(encode(instance)), hex) << name;
+  EXPECT_EQ(to_hex(net::encode(instance)), hex);
   try {
-    T back = decode(from_hex(hex));
-    EXPECT_TRUE(back == instance) << name << ": decoded value differs";
+    EXPECT_TRUE(net::decode<T>(from_hex(hex)) == instance)
+        << "decoded value differs";
   } catch (const std::exception& e) {
-    ADD_FAILURE() << name << ": golden bytes do not decode: " << e.what();
+    ADD_FAILURE() << "golden bytes do not decode: " << e.what();
   }
 }
 
 // -- gcs ----------------------------------------------------------------------
 
 TEST(WireGolden, GcsMessages) {
-  auto enc = [](const auto& m) { return gcs::encode(m); };
   expect_golden("gcs.data", s::data_wire(),
-                enc, gcs::decode_data,
                 "01030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000200000009000000000000"
                 "002a00000000000000030200000000000000010000000000000002000000"
                 "080000000000000002000000dead");
   expect_golden("gcs.cut", s::cut_wire(false),
-                enc, [](const sim::Payload& p) { return gcs::decode_cut(p); },
                 "02030000004d000000000000000c00000000000000020000000000000005"
                 "0000000000000001000000070000000000000000");
   expect_golden("gcs.cut.periodic", s::cut_wire(true),
-                enc, [](const sim::Payload& p) { return gcs::decode_cut(p); },
                 "02030000004d000000000000000c00000000000000020000000000000005"
                 "0000000000000001000000070000000000000001");
   expect_golden("gcs.nack", s::nack_wire(),
-                enc, gcs::decode_nack,
                 "03030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000200000001000000040000"
                 "0000000000020000000700000000000000");
   expect_golden("gcs.retransmit", s::retransmit_wire(),
-                enc, gcs::decode_retransmit,
                 "04030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000200000002000000090000"
                 "00000000002a000000000000000302000000000000000100000000000000"
@@ -70,27 +64,22 @@ TEST(WireGolden, GcsMessages) {
                 "2a0000000000000003020000000000000001000000000000000200000008"
                 "0000000000000002000000dead");
   expect_golden("gcs.join_req", s::join_req_wire(),
-                enc, gcs::decode_join_req,
                 "05030000004d000000000000000c00000000000000020000000000000005"
                 "0000000000000001000000070000000000000005000000");
   expect_golden("gcs.leave", s::leave_wire(),
-                enc, gcs::decode_leave,
                 "06030000004d000000000000000c00000000000000020000000000000005"
                 "00000000000000010000000700000000000000");
   expect_golden("gcs.vc_propose", s::vc_propose_wire(),
-                enc, gcs::decode_vc_propose,
                 "07030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000900000000000000010000"
                 "0003000000000000000100000002000000");
   expect_golden("gcs.vc_ack", s::vc_ack_wire(),
-                enc, gcs::decode_vc_ack,
                 "08030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000900000000000000010000"
                 "00010000000200000009000000000000002a000000000000000302000000"
                 "00000000010000000000000002000000080000000000000002000000dead"
                 "020000000707");
   expect_golden("gcs.vc_commit", s::vc_commit_wire(),
-                enc, gcs::decode_vc_commit,
                 "09030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000900000000000000010000"
                 "000300000000000000010000000200000002000000000000000100000001"
@@ -99,63 +88,53 @@ TEST(WireGolden, GcsMessages) {
                 "02000000dead030000000000000003000000000000000100000008000000"
                 "00000000020000000000000000000000010000000100000005");
   expect_golden("gcs.state_req", s::state_req_wire(),
-                enc, gcs::decode_state_req,
                 "0a030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000400000000000000020000"
                 "00");
   expect_golden("gcs.state", s::state_wire(),
-                enc, gcs::decode_state,
                 "0b030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000400000000000000020000"
                 "000400000001020304");
   expect_golden("gcs.engine", s::engine_wire(),
-                enc, gcs::decode_engine,
                 "0c030000004d000000000000000c00000000000000020000000000000005"
                 "00000000000000010000000700000000000000020000000102");
+}
+
+/// The dispatcher prices a cut by its periodic flag before decoding it, so
+/// the peek must agree with the pinned cut layouts above.
+TEST(WireGolden, CutPeriodicFlagPeek) {
+  for (bool periodic : {false, true}) {
+    sim::Payload cut = net::encode(s::cut_wire(periodic));
+    EXPECT_EQ(gcs::cut_is_periodic(cut), periodic);
+  }
 }
 
 // -- pbs ----------------------------------------------------------------------
 
 TEST(WireGolden, PbsRequests) {
-  auto enc = [](const auto& m) { return pbs::encode_request(m); };
   expect_golden("pbs.submit", s::submit_request(),
-                enc, pbs::decode_submit,
                 "010b000000636c696d6174652d73696d05000000616c696365040000006c"
                 "6f6e670300000000d2496b00000000804a5d0500000000feffffffffffff"
                 "ff020000001b00000023212f62696e2f73680a6d706972756e202e2f636c"
                 "696d6174650a030000006770750200000002000000696206000000626967"
                 "6d656d04000000ffffffffffffffff1700000000000000");
   expect_golden("pbs.stat", s::stat_request(),
-                enc, pbs::decode_stat,
                 "02050000000000000000");
   expect_golden("pbs.delete", pbs::DeleteRequest{7},
-                enc, pbs::decode_delete,
                 "030700000000000000");
   expect_golden("pbs.signal", pbs::SignalRequest{8, -9},
-                enc, pbs::decode_signal,
                 "040800000000000000f7ffffffffffffff");
   expect_golden("pbs.hold", pbs::HoldRequest{3},
-                enc, pbs::decode_hold,
                 "050300000000000000");
   expect_golden("pbs.release", pbs::ReleaseRequest{4},
-                enc, pbs::decode_release,
                 "060400000000000000");
   expect_golden("pbs.preempt", pbs::PreemptRequest{6},
-                enc, pbs::decode_preempt,
                 "070600000000000000");
   expect_golden("pbs.dump_state", pbs::DumpStateRequest{},
-                enc,
-                [](const sim::Payload& p) {
-                  if (p.size() != 1 || pbs::peek_op(p) != pbs::Op::kDumpState)
-                    throw net::WireError("not a dump-state request");
-                  return pbs::DumpStateRequest{};
-                },
                 "0a");
   expect_golden("pbs.load_state", pbs::LoadStateRequest{{1, 2, 3}},
-                enc, pbs::decode_load_state,
                 "0b03000000010203");
   expect_golden("pbs.mom_launch", s::mom_launch_request(),
-                enc, pbs::decode_mom_launch,
                 "1411000000000000000b000000636c696d6174652d73696d05000000616c"
                 "696365040000006c6f6e670300000000d2496b00000000804a5d05000000"
                 "00feffffffffffffff020000001b00000023212f62696e2f73680a6d7069"
@@ -164,28 +143,21 @@ TEST(WireGolden, PbsRequests) {
                 "0000d007000000000000fffffffffffffffff7ffffffffffffff01040000"
                 "00000000000900000002000000090000000b00000002000000");
   expect_golden("pbs.mom_kill", pbs::MomKillRequest{17, 2, true},
-                enc, pbs::decode_mom_kill,
                 "1511000000000000000200000001");
   expect_golden("pbs.mom_emu_complete", pbs::MomEmuCompleteRequest{17, -3},
-                enc, pbs::decode_mom_emu_complete,
                 "161100000000000000fdffffffffffffff");
   expect_golden("pbs.mom_ping", pbs::MomPingRequest{2, 99},
-                enc, pbs::decode_mom_ping,
                 "17020000006300000000000000");
   expect_golden("pbs.job_report", s::job_report(),
-                enc, pbs::decode_job_report,
                 "1e11000000000000000f01000000000000010a0000000000000014000000"
                 "0000000005000000");
 }
 
 TEST(WireGolden, PbsResponses) {
-  auto enc = [](const auto& m) { return pbs::encode_response(m); };
   expect_golden("pbs.submit_response",
                 pbs::SubmitResponse{pbs::Status::kOk, 42, 3},
-                enc, pbs::decode_submit_response,
                 "002a0000000000000003000000");
   expect_golden("pbs.stat_response", s::stat_response(),
-                enc, pbs::decode_stat_response,
                 "000200000011000000000000000b000000636c696d6174652d73696d0500"
                 "0000616c696365040000006c6f6e670300000000d2496b00000000804a5d"
                 "0500000000feffffffffffffff020000001b00000023212f62696e2f7368"
@@ -202,19 +174,15 @@ TEST(WireGolden, PbsResponses) {
                 "00000002000000090000000b000000");
   expect_golden("pbs.simple_response",
                 pbs::SimpleResponse{pbs::Status::kUnknownJob},
-                enc, pbs::decode_simple_response,
                 "01");
   expect_golden("pbs.dump_state_response",
                 pbs::DumpStateResponse{pbs::Status::kOk, {4, 5}},
-                enc, pbs::decode_dump_state_response,
                 "00020000000405");
   expect_golden("pbs.mom_launch_response",
                 pbs::MomLaunchResponse{pbs::Status::kOk, true},
-                enc, pbs::decode_mom_launch_response,
                 "0001");
   expect_golden("pbs.mom_ping_response",
                 pbs::MomPingResponse{pbs::Status::kServerBusy, 99, 2},
-                enc, pbs::decode_mom_ping_response,
                 "04630000000000000002000000");
 }
 
@@ -240,6 +208,9 @@ TEST(WireGolden, PbsStateBlob) {
   h.server->preload_queued(2, s::job_spec());
   EXPECT_EQ(to_hex(h.server->dump_state_blob()), kPbsState);
 
+  expect_golden("pbs.state",
+                pbs::ServerState{3, 3, 2, h.server->jobs()}, kPbsState);
+
   pbstest::PbsHarness h2;
   h2.server->load_state_blob(from_hex(kPbsState));
   EXPECT_TRUE(h2.server->jobs() == h.server->jobs());
@@ -250,64 +221,45 @@ TEST(WireGolden, PbsStateBlob) {
 
 TEST(WireGolden, RsmCommandFrame) {
   expect_golden("rsm.command", s::command(),
-                rsm::encode_command, rsm::decode_command,
                 "0103000000630000000000000003000000010203");
 }
 
 TEST(WireGolden, JoshuaGroupAndPluginOps) {
-  auto group = [](const auto& m) { return joshua::encode_group(m); };
-  auto plugin = [](const auto& m) { return joshua::encode_plugin(m); };
   expect_golden("joshua.mutex_req", joshua::GroupMutexReq{42, 7, 31, 2},
-                group, joshua::decode_group_mutex_req,
                 "022a00000000000000070000001f00000002000000");
   expect_golden("joshua.mutex_done", joshua::GroupMutexDone{42, -271, 7, 31},
-                group, joshua::decode_group_mutex_done,
                 "032a00000000000000f1feffffffffffff070000001f000000");
   expect_golden("joshua.mutex_revoke", joshua::GroupMutexRevoke{31},
-                group, joshua::decode_group_mutex_revoke,
                 "041f000000");
   expect_golden("joshua.preempt", joshua::GroupPreempt{42},
-                group, joshua::decode_group_preempt,
                 "052a00000000000000");
   expect_golden("joshua.jmutex", joshua::JMutexRequest{11, 2, 31, 3},
-                plugin, joshua::decode_jmutex,
                 "c80b00000000000000020000001f00000003000000");
   expect_golden("joshua.jdone", joshua::JDoneRequest{11, -5, 31},
-                plugin, joshua::decode_jdone,
                 "c90b00000000000000fbffffffffffffff1f000000");
   expect_golden("joshua.jmutex_response", joshua::JMutexResponse{true},
-                joshua::encode_jmutex_response, joshua::decode_jmutex_response,
                 "01");
 }
 
 TEST(WireGolden, JoshuaTransferBlobs) {
   expect_golden("joshua.command_log", s::command_log(),
-                joshua::encode_command_log, joshua::decode_command_log,
                 "030000000100000001020000000202030000000303033900000000000000");
   expect_golden("joshua.mutex_table", s::mutex_table(),
-                joshua::encode_mutex_table, joshua::decode_mutex_table,
                 "0200000007000000000000000200000000ffffffff000000000000000002"
                 "0000001f0000000300000020000000040000000900000000000000010000"
                 "000121000000f5ffffffffffffff00000000020000000200000000000000"
                 "09000000000000000100000022000000");
   expect_golden("joshua.transfer", s::transfer_envelope(),
-                [](const joshua::TransferEnvelope& e) {
-                  return joshua::wrap_transfer(e.kind, e.body, e.mutexes);
-                },
-                joshua::unwrap_transfer,
                 "0203000000090807020000000402");
 }
 
 // -- pvfs ---------------------------------------------------------------------
 
 TEST(WireGolden, PvfsMessages) {
-  auto enc = [](const auto& m) { return pvfs::encode(m); };
   expect_golden("pvfs.request", s::md_request(),
-                enc, pvfs::decode_request,
                 "080500000000000000060000000000000007000000000000000500000061"
                 "2e74787405000000622e747874800100000010000000000000");
   expect_golden("pvfs.response", s::md_response(),
-                enc, pvfs::decode_response,
                 "020c0000000000000001ed01000001000000000000000300000000000000"
                 "040000000000000002000000000000000200000001000000780d00000000"
                 "0000000201000000790e0000000000000001");
@@ -411,6 +363,19 @@ TEST(WireGolden, TokenEngineControlBodies) {
   gcs::EngineOut nack = c.on_tick(50);
   ASSERT_EQ(nack.broadcasts.size(), 1u);
   EXPECT_EQ(to_hex(nack.broadcasts[0]), kTokenStampNack);
+}
+
+TEST(WireGolden, TokenEngineBodies) {
+  using namespace gcs::token;
+  expect_golden("token.pass", Pass{3, 1, 1, 2}, kTokenPass);
+  expect_golden("token.stamps", Stamps{3, 1, 1, {{1, 5}}}, kTokenStamps);
+  expect_golden("token.stamps.gap", Stamps{3, 1, 2, {{1, 6}}}, kTokenStampsGap);
+  expect_golden("token.stamp_nack", StampNack{3, 1}, kTokenStampNack);
+  expect_golden("token.regen_query", RegenQuery{3, 2}, kTokenRegenQuery);
+  expect_golden("token.regen_reply", RegenReply{3, 2, 2}, kTokenRegenReply);
+  expect_golden("token.table",
+                StampTable{3, {{1, {{1, 5}, 1}}, {2, {{1, 6}, 1}}}},
+                kTokenTable);
 }
 
 /// Bodies the engine decodes: the golden stamp table installs, and a golden

@@ -48,16 +48,9 @@ class GcsHarness {
         logs[idx].delivered.push_back(d);
         logs[idx].app_log.push_back(d.payload);
       };
-      cb.get_state = [this, idx] {
-        net::Writer w;
-        w.vec(logs[idx].app_log,
-              [](net::Writer& w2, const sim::Payload& p) { w2.bytes(p); });
-        return w.take();
-      };
+      cb.get_state = [this, idx] { return net::encode(logs[idx].app_log); };
       cb.install_state = [this, idx](const sim::Payload& state) {
-        net::Reader r(state);
-        logs[idx].app_log =
-            r.vec<sim::Payload>([](net::Reader& r2) { return r2.bytes(); });
+        net::decode(state, logs[idx].app_log);
       };
       members.push_back(std::make_unique<gcs::GroupMember>(
           net, hosts[static_cast<size_t>(i)], cfg, cb));

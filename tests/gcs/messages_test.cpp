@@ -34,9 +34,9 @@ DataMsg sample_msg() {
 
 TEST(GcsMessages, DataRoundTrip) {
   DataWire m{sample_header(), sample_msg()};
-  sim::Payload buf = encode(m);
-  EXPECT_EQ(decode_type(buf), MsgType::kData);
-  DataWire back = decode_data(buf);
+  sim::Payload buf = net::encode(m);
+  EXPECT_EQ(net::peek_tag<MsgType>(buf), MsgType::kData);
+  DataWire back = net::decode<DataWire>(buf);
   expect_header_eq(back.header, m.header);
   EXPECT_EQ(back.msg.id, m.msg.id);
   EXPECT_EQ(back.msg.lamport, m.msg.lamport);
@@ -48,18 +48,18 @@ TEST(GcsMessages, DataRoundTrip) {
 TEST(GcsMessages, CutRoundTripBothFlags) {
   for (bool periodic : {false, true}) {
     CutWire m{sample_header(), periodic};
-    CutWire back = decode_cut(encode(m));
+    CutWire back = net::decode<CutWire>(net::encode(m));
     expect_header_eq(back.header, m.header);
     EXPECT_EQ(back.periodic, periodic);
     // The dispatcher peeks the periodic flag from the last byte.
-    sim::Payload buf = encode(m);
+    sim::Payload buf = net::encode(m);
     EXPECT_EQ(buf.back() != 0, periodic);
   }
 }
 
 TEST(GcsMessages, NackRoundTrip) {
   NackWire m{sample_header(), {{1, 4}, {2, 7}}};
-  NackWire back = decode_nack(encode(m));
+  NackWire back = net::decode<NackWire>(net::encode(m));
   EXPECT_EQ(back.missing.size(), 2u);
   EXPECT_EQ(back.missing[0], (MsgId{1, 4}));
   EXPECT_EQ(back.missing[1], (MsgId{2, 7}));
@@ -67,23 +67,23 @@ TEST(GcsMessages, NackRoundTrip) {
 
 TEST(GcsMessages, RetransmitRoundTrip) {
   RetransmitWire m{sample_header(), {sample_msg(), sample_msg()}};
-  RetransmitWire back = decode_retransmit(encode(m));
+  RetransmitWire back = net::decode<RetransmitWire>(net::encode(m));
   ASSERT_EQ(back.msgs.size(), 2u);
   EXPECT_EQ(back.msgs[0].id, sample_msg().id);
 }
 
 TEST(GcsMessages, JoinLeaveRoundTrip) {
   JoinReqWire j{sample_header(), 5};
-  JoinReqWire jb = decode_join_req(encode(j));
+  JoinReqWire jb = net::decode<JoinReqWire>(net::encode(j));
   EXPECT_EQ(jb.incarnation, 5u);
   LeaveWire l{sample_header()};
-  LeaveWire lb = decode_leave(encode(l));
+  LeaveWire lb = net::decode<LeaveWire>(net::encode(l));
   expect_header_eq(lb.header, l.header);
 }
 
 TEST(GcsMessages, ViewChangeRoundTrip) {
   VcProposeWire p{sample_header(), {9, 1}, {0, 1, 2}};
-  VcProposeWire pb = decode_vc_propose(encode(p));
+  VcProposeWire pb = net::decode<VcProposeWire>(net::encode(p));
   EXPECT_EQ(pb.proposed, (ViewId{9, 1}));
   EXPECT_EQ(pb.members, (std::vector<MemberId>{0, 1, 2}));
 
@@ -91,7 +91,7 @@ TEST(GcsMessages, ViewChangeRoundTrip) {
   a.header = sample_header();
   a.proposed = {9, 1};
   a.held = {sample_msg()};
-  VcAckWire ab = decode_vc_ack(encode(a));
+  VcAckWire ab = net::decode<VcAckWire>(net::encode(a));
   EXPECT_EQ(ab.proposed, (ViewId{9, 1}));
   ASSERT_EQ(ab.held.size(), 1u);
 
@@ -104,7 +104,7 @@ TEST(GcsMessages, ViewChangeRoundTrip) {
   c.union_msgs = {sample_msg()};
   c.seq_baseline = {{0, 3}, {1, 8}, {2, 0}};
   c.state_source = 0;
-  VcCommitWire cb = decode_vc_commit(encode(c));
+  VcCommitWire cb = net::decode<VcCommitWire>(net::encode(c));
   EXPECT_EQ(cb.new_view.id, c.new_view.id);
   EXPECT_EQ(cb.new_view.members, c.new_view.members);
   EXPECT_EQ(cb.old_members, c.old_members);
@@ -116,26 +116,26 @@ TEST(GcsMessages, ViewChangeRoundTrip) {
 
 TEST(GcsMessages, StateRoundTrip) {
   StateReqWire req{sample_header(), {4, 2}};
-  StateReqWire reqb = decode_state_req(encode(req));
+  StateReqWire reqb = net::decode<StateReqWire>(net::encode(req));
   EXPECT_EQ(reqb.view_id, (ViewId{4, 2}));
 
   StateWire st{sample_header(), {4, 2}, {1, 2, 3, 4}};
-  StateWire stb = decode_state(encode(st));
+  StateWire stb = net::decode<StateWire>(net::encode(st));
   EXPECT_EQ(stb.state, (sim::Payload{1, 2, 3, 4}));
 }
 
 TEST(GcsMessages, TypeMismatchThrows) {
   DataWire m{sample_header(), sample_msg()};
-  sim::Payload buf = encode(m);
-  EXPECT_THROW(decode_cut(buf), net::WireError);
-  EXPECT_THROW(decode_type(sim::Payload{}), net::WireError);
+  sim::Payload buf = net::encode(m);
+  EXPECT_THROW(net::decode<CutWire>(buf), net::WireError);
+  EXPECT_THROW(net::peek_tag<MsgType>(sim::Payload{}), net::WireError);
 }
 
 TEST(GcsMessages, TruncationThrows) {
   DataWire m{sample_header(), sample_msg()};
-  sim::Payload buf = encode(m);
+  sim::Payload buf = net::encode(m);
   buf.resize(buf.size() / 2);
-  EXPECT_THROW(decode_data(buf), net::WireError);
+  EXPECT_THROW(net::decode<DataWire>(buf), net::WireError);
 }
 
 TEST(GcsTypes, ViewIdOrdering) {

@@ -2,33 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include "rsm/replicated_service.h"
+
 namespace {
 
 using namespace joshua;
 
+// An intercepted PBS command travels in the rsm core's command frame,
+// whose tag is GroupOp::kCommand.
 TEST(JoshuaProtocol, GroupCommandRoundTrip) {
-  GroupCommand cmd;
-  cmd.origin = 3;
-  cmd.cmd_seq = 99;
-  cmd.pbs_request = {1, 2, 3};
-  sim::Payload buf = encode_group(cmd);
-  EXPECT_EQ(peek_group_op(buf), GroupOp::kCommand);
-  GroupCommand back = decode_group_command(buf);
+  rsm::Command cmd{3, 99, {1, 2, 3}, 0};
+  sim::Payload buf = net::encode(cmd);
+  EXPECT_EQ(net::peek_tag<GroupOp>(buf), GroupOp::kCommand);
+  rsm::Command back = net::decode<rsm::Command>(buf);
   EXPECT_EQ(back.origin, 3u);
-  EXPECT_EQ(back.cmd_seq, 99u);
-  EXPECT_EQ(back.pbs_request, (sim::Payload{1, 2, 3}));
+  EXPECT_EQ(back.seq, 99u);
+  EXPECT_EQ(back.request, (sim::Payload{1, 2, 3}));
 }
 
 TEST(JoshuaProtocol, MutexMessagesRoundTrip) {
   GroupMutexReq req{42, 7};
-  sim::Payload buf = encode_group(req);
-  EXPECT_EQ(peek_group_op(buf), GroupOp::kMutexReq);
-  GroupMutexReq back = decode_group_mutex_req(buf);
+  sim::Payload buf = net::encode(req);
+  EXPECT_EQ(net::peek_tag<GroupOp>(buf), GroupOp::kMutexReq);
+  GroupMutexReq back = net::decode<GroupMutexReq>(buf);
   EXPECT_EQ(back.job, 42u);
   EXPECT_EQ(back.head, 7u);
 
   GroupMutexDone done{42, 271, 7};
-  GroupMutexDone db = decode_group_mutex_done(encode_group(done));
+  GroupMutexDone db = net::decode<GroupMutexDone>(net::encode(done));
   EXPECT_EQ(db.job, 42u);
   EXPECT_EQ(db.exit_code, 271);
   EXPECT_EQ(db.head, 7u);
@@ -36,18 +37,18 @@ TEST(JoshuaProtocol, MutexMessagesRoundTrip) {
 
 TEST(JoshuaProtocol, PluginMessagesRoundTrip) {
   JMutexRequest req{11, 2};
-  JMutexRequest rb = decode_jmutex(encode_plugin(req));
+  JMutexRequest rb = net::decode<JMutexRequest>(net::encode(req));
   EXPECT_EQ(rb.job, 11u);
   EXPECT_EQ(rb.head, 2u);
 
   JDoneRequest done{11, 5};
-  JDoneRequest db = decode_jdone(encode_plugin(done));
+  JDoneRequest db = net::decode<JDoneRequest>(net::encode(done));
   EXPECT_EQ(db.job, 11u);
   EXPECT_EQ(db.exit_code, 5);
 
   for (bool won : {true, false}) {
     JMutexResponse resp{won};
-    EXPECT_EQ(decode_jmutex_response(encode_jmutex_response(resp)).won, won);
+    EXPECT_EQ(net::decode<JMutexResponse>(net::encode(resp)).won, won);
   }
 }
 
@@ -61,20 +62,22 @@ TEST(JoshuaProtocol, PluginOpsDistinctFromPbsOps) {
 TEST(JoshuaProtocol, CommandLogRoundTrip) {
   CommandLog log;
   log.requests = {{1}, {2, 2}, {3, 3, 3}};
-  CommandLog back = decode_command_log(encode_command_log(log));
+  CommandLog back = net::decode<CommandLog>(net::encode(log));
   ASSERT_EQ(back.requests.size(), 3u);
   EXPECT_EQ(back.requests[2], (sim::Payload{3, 3, 3}));
 }
 
 TEST(JoshuaProtocol, TransferWrapperDistinguishesKinds) {
   sim::Payload body{9, 8, 7};
-  TransferEnvelope env = unwrap_transfer(wrap_transfer(TransferKind::kSnapshot, body));
+  TransferEnvelope env = net::decode<TransferEnvelope>(
+      net::encode(TransferEnvelope{TransferKind::kSnapshot, body, {}}));
   EXPECT_EQ(env.kind, TransferKind::kSnapshot);
   EXPECT_EQ(env.body, body);
   EXPECT_TRUE(env.mutexes.empty());
   sim::Payload mutexes{4, 2};
   TransferEnvelope env2 =
-      unwrap_transfer(wrap_transfer(TransferKind::kReplayLog, body, mutexes));
+      net::decode<TransferEnvelope>(net::encode(
+          TransferEnvelope{TransferKind::kReplayLog, body, mutexes}));
   EXPECT_EQ(env2.kind, TransferKind::kReplayLog);
   EXPECT_EQ(env2.body, body);
   EXPECT_EQ(env2.mutexes, mutexes);
@@ -95,7 +98,7 @@ TEST(JoshuaProtocol, MutexTableRoundTrip) {
   table.terminal = {2, 9};
   table.revoked = {34};
 
-  MutexTable back = decode_mutex_table(encode_mutex_table(table));
+  MutexTable back = net::decode<MutexTable>(net::encode(table));
   ASSERT_EQ(back.entries.size(), 2u);
   EXPECT_EQ(back.entries[0].job, 7u);
   EXPECT_EQ(back.entries[0].max_real, 2u);
@@ -111,19 +114,20 @@ TEST(JoshuaProtocol, MutexTableRoundTrip) {
   EXPECT_EQ(back.terminal, (std::vector<pbs::JobId>{2, 9}));
   EXPECT_EQ(back.revoked, (std::vector<sim::HostId>{34}));
 
-  MutexTable empty = decode_mutex_table(encode_mutex_table(MutexTable{}));
+  MutexTable empty = net::decode<MutexTable>(net::encode(MutexTable{}));
   EXPECT_TRUE(empty.entries.empty());
   EXPECT_TRUE(empty.terminal.empty());
 }
 
 TEST(JoshuaProtocol, MalformedInputsThrow) {
-  EXPECT_THROW(peek_group_op(sim::Payload{}), net::WireError);
-  EXPECT_THROW(decode_group_command(encode_group(GroupMutexReq{1, 2})),
+  EXPECT_THROW(net::peek_tag<GroupOp>(sim::Payload{}), net::WireError);
+  EXPECT_THROW(net::decode<rsm::Command>(net::encode(GroupMutexReq{1, 2})),
                net::WireError);
-  sim::Payload truncated = encode_group(GroupCommand{1, 2, {3, 4, 5}});
+  sim::Payload truncated = net::encode(rsm::Command{1, 2, {3, 4, 5}, 0});
   truncated.resize(truncated.size() - 2);
-  EXPECT_THROW(decode_group_command(truncated), net::WireError);
-  EXPECT_THROW(unwrap_transfer(sim::Payload{1}), net::WireError);
+  EXPECT_THROW(net::decode<rsm::Command>(truncated), net::WireError);
+  EXPECT_THROW(net::decode<TransferEnvelope>(sim::Payload{1}),
+               net::WireError);
 }
 
 }  // namespace

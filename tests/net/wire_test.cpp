@@ -54,11 +54,12 @@ TEST(Wire, StringAndBytesRoundTrip) {
 TEST(Wire, VectorRoundTrip) {
   Writer w;
   std::vector<uint32_t> values{1, 2, 3, 4};
-  w.vec(values, [](Writer& w2, uint32_t v) { w2.u32(v); });
+  w(values);
   sim::Payload buf = w.take();
 
   Reader r(buf);
-  auto back = r.vec<uint32_t>([](Reader& r2) { return r2.u32(); });
+  std::vector<uint32_t> back;
+  r(back);
   EXPECT_EQ(back, values);
 }
 
@@ -85,7 +86,8 @@ TEST(Wire, InsaneVectorCountRejected) {
   w.u32(0xffffffff);  // 4 billion elements in a 4-byte buffer
   sim::Payload buf = w.take();
   Reader r(buf);
-  EXPECT_THROW(r.vec<uint8_t>([](Reader& r2) { return r2.u8(); }), WireError);
+  std::vector<uint8_t> items;
+  EXPECT_THROW(r(items), WireError);
 }
 
 TEST(Wire, TrailingBytesDetected) {

@@ -83,7 +83,7 @@ TEST(Mom, EmuCompleteFinishesEmulatedInstance) {
     void on_request(sim::Payload, sim::Endpoint, uint64_t) override {}
   } raw(h.net, h.head, 23500, "raw");
   raw.call(sim::Endpoint{h.compute[0], 15002},
-           encode_request(MomEmuCompleteRequest{id, 0}),
+           net::encode(MomEmuCompleteRequest{id, 0}),
            [&](std::optional<sim::Payload> r) { acked = r.has_value(); });
   ASSERT_TRUE(h.wait_state(id, JobState::kComplete, sim::seconds(30)));
   EXPECT_TRUE(acked);

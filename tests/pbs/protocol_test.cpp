@@ -35,9 +35,7 @@ Job sample_job() {
 TEST(PbsJob, SpecRoundTrip) {
   net::Writer w;
   encode_job_spec(w, sample_spec());
-  sim::Payload buf = w.take();
-  net::Reader r(buf);
-  JobSpec back = decode_job_spec(r);
+  JobSpec back = net::decode<JobSpec>(w.take());
   EXPECT_EQ(back.name, "climate-sim");
   EXPECT_EQ(back.user, "alice");
   EXPECT_EQ(back.nodes, 3u);
@@ -48,11 +46,7 @@ TEST(PbsJob, SpecRoundTrip) {
 }
 
 TEST(PbsJob, JobRoundTrip) {
-  net::Writer w;
-  encode_job(w, sample_job());
-  sim::Payload buf = w.take();
-  net::Reader r(buf);
-  Job back = decode_job(r);
+  Job back = net::decode<Job>(net::encode(sample_job()));
   EXPECT_EQ(back.id, 17u);
   EXPECT_EQ(back.state, JobState::kRunning);
   EXPECT_EQ(back.queue_rank, 4u);
@@ -71,40 +65,42 @@ TEST(PbsJob, StateHelpers) {
 }
 
 TEST(PbsProtocol, SubmitRoundTrip) {
-  sim::Payload buf = encode_request(SubmitRequest{sample_spec()});
-  EXPECT_EQ(peek_op(buf), Op::kSubmit);
-  SubmitRequest back = decode_submit(buf);
+  sim::Payload buf = net::encode(SubmitRequest{sample_spec()});
+  EXPECT_EQ(net::peek_tag<Op>(buf), Op::kSubmit);
+  SubmitRequest back = net::decode<SubmitRequest>(buf);
   EXPECT_EQ(back.spec.name, "climate-sim");
 }
 
 TEST(PbsProtocol, AllSimpleRequestsRoundTrip) {
-  EXPECT_EQ(decode_delete(encode_request(DeleteRequest{7})).job_id, 7u);
-  SignalRequest sig = decode_signal(encode_request(SignalRequest{8, 9}));
+  EXPECT_EQ(net::decode<DeleteRequest>(net::encode(DeleteRequest{7})).job_id,
+            7u);
+  auto sig = net::decode<SignalRequest>(net::encode(SignalRequest{8, 9}));
   EXPECT_EQ(sig.job_id, 8u);
   EXPECT_EQ(sig.signal, 9);
-  EXPECT_EQ(decode_hold(encode_request(HoldRequest{3})).job_id, 3u);
-  EXPECT_EQ(decode_release(encode_request(ReleaseRequest{4})).job_id, 4u);
-  StatRequest st = decode_stat(encode_request(StatRequest{5, false}));
+  EXPECT_EQ(net::decode<HoldRequest>(net::encode(HoldRequest{3})).job_id, 3u);
+  EXPECT_EQ(net::decode<ReleaseRequest>(net::encode(ReleaseRequest{4})).job_id,
+            4u);
+  StatRequest st = net::decode<StatRequest>(net::encode(StatRequest{5, false}));
   EXPECT_EQ(st.job_id, 5u);
   EXPECT_FALSE(st.include_complete);
 }
 
 TEST(PbsProtocol, MomMessagesRoundTrip) {
   MomLaunchRequest launch{sample_job(), 2};
-  MomLaunchRequest lb = decode_mom_launch(encode_request(launch));
+  MomLaunchRequest lb = net::decode<MomLaunchRequest>(net::encode(launch));
   EXPECT_EQ(lb.job.id, 17u);
   EXPECT_EQ(lb.server_host, 2u);
 
   MomKillRequest kill{17, 2};
-  MomKillRequest kb = decode_mom_kill(encode_request(kill));
+  MomKillRequest kb = net::decode<MomKillRequest>(net::encode(kill));
   EXPECT_EQ(kb.job_id, 17u);
 
   MomEmuCompleteRequest emu{17, 3};
-  MomEmuCompleteRequest eb = decode_mom_emu_complete(encode_request(emu));
+  auto eb = net::decode<MomEmuCompleteRequest>(net::encode(emu));
   EXPECT_EQ(eb.exit_code, 3);
 
   JobReport report{17, 271, true, sim::Time{10}, sim::Time{20}, 5};
-  JobReport rb = decode_job_report(encode_request(report));
+  JobReport rb = net::decode<JobReport>(net::encode(report));
   EXPECT_EQ(rb.job_id, 17u);
   EXPECT_EQ(rb.exit_code, 271);
   EXPECT_TRUE(rb.cancelled);
@@ -114,39 +110,39 @@ TEST(PbsProtocol, MomMessagesRoundTrip) {
 
 TEST(PbsProtocol, StateMessagesRoundTrip) {
   LoadStateRequest load{{1, 2, 3}};
-  EXPECT_EQ(decode_load_state(encode_request(load)).state,
+  EXPECT_EQ(net::decode<LoadStateRequest>(net::encode(load)).state,
             (sim::Payload{1, 2, 3}));
   DumpStateResponse dump{Status::kOk, {4, 5}};
-  EXPECT_EQ(decode_dump_state_response(encode_response(dump)).state,
+  EXPECT_EQ(net::decode<DumpStateResponse>(net::encode(dump)).state,
             (sim::Payload{4, 5}));
 }
 
 TEST(PbsProtocol, ResponsesRoundTrip) {
   SubmitResponse sub{Status::kOk, 42};
-  SubmitResponse sb = decode_submit_response(encode_response(sub));
+  SubmitResponse sb = net::decode<SubmitResponse>(net::encode(sub));
   EXPECT_EQ(sb.job_id, 42u);
   EXPECT_EQ(sb.status, Status::kOk);
 
   StatResponse stat{Status::kOk, {sample_job()}};
-  StatResponse stb = decode_stat_response(encode_response(stat));
+  StatResponse stb = net::decode<StatResponse>(net::encode(stat));
   ASSERT_EQ(stb.jobs.size(), 1u);
   EXPECT_EQ(stb.jobs[0].id, 17u);
 
   SimpleResponse simple{Status::kUnknownJob};
-  EXPECT_EQ(decode_simple_response(encode_response(simple)).status,
+  EXPECT_EQ(net::decode<SimpleResponse>(net::encode(simple)).status,
             Status::kUnknownJob);
 
   MomLaunchResponse launch{Status::kOk, true};
-  MomLaunchResponse lb = decode_mom_launch_response(encode_response(launch));
+  MomLaunchResponse lb = net::decode<MomLaunchResponse>(net::encode(launch));
   EXPECT_TRUE(lb.emulated);
 }
 
 TEST(PbsProtocol, OpMismatchAndTruncationThrow) {
-  sim::Payload buf = encode_request(DeleteRequest{7});
-  EXPECT_THROW(decode_hold(buf), net::WireError);
+  sim::Payload buf = net::encode(DeleteRequest{7});
+  EXPECT_THROW(net::decode<HoldRequest>(buf), net::WireError);
   buf.resize(2);
-  EXPECT_THROW(decode_delete(buf), net::WireError);
-  EXPECT_THROW(peek_op(sim::Payload{}), net::WireError);
+  EXPECT_THROW(net::decode<DeleteRequest>(buf), net::WireError);
+  EXPECT_THROW(net::peek_tag<Op>(sim::Payload{}), net::WireError);
 }
 
 TEST(PbsProtocol, StatusStrings) {

@@ -337,6 +337,42 @@ TEST(PbsServer, DumpAndLoadStateRoundTrip) {
   EXPECT_EQ(server2.submissions(), h.server->submissions());
 }
 
+// A LoadState blob that fails to decode must leave the server as it was:
+// the whole blob is decoded before any of the table is replaced.
+TEST(PbsServer, TruncatedLoadStateLeavesTableUntouched) {
+  PbsHarness h;
+  Client& client = h.make_client();
+  for (int i = 0; i < 3; ++i) h.submit(client, h.quick_job(sim::seconds(60)));
+  testutil::run_until(h.sim, [&] {
+    return h.server->count_in_state(JobState::kRunning) == 1;
+  });
+
+  auto stat_all = [&] {
+    std::optional<StatResponse> resp;
+    client.qstat(StatRequest{}, [&](auto r) { resp = r; });
+    testutil::run_until(h.sim, [&] { return resp.has_value(); });
+    return resp;
+  };
+  std::optional<StatResponse> before = stat_all();
+  ASSERT_TRUE(before.has_value());
+  ASSERT_EQ(before->jobs.size(), 3u);
+
+  sim::Payload blob = h.server->dump_state_blob();
+  sim::Payload truncated = blob.slice(0, blob.size() - 5);
+  std::optional<SimpleResponse> load;
+  client.load_state(truncated, [&](auto r) { load = r; });
+  testutil::run_until(h.sim, [&] { return load.has_value(); });
+  ASSERT_TRUE(load.has_value());
+  EXPECT_EQ(load->status, Status::kInternal);
+
+  std::optional<StatResponse> after = stat_all();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_TRUE(after->jobs == before->jobs) << "a failed load changed the table";
+  EXPECT_EQ(h.server->count_in_state(JobState::kRunning), 1u);
+  EXPECT_EQ(h.submit(client, h.quick_job(sim::seconds(60))), 4u)
+      << "a failed load moved the job id counter";
+}
+
 TEST(PbsServer, CountInStateAndSubmissions) {
   PbsHarness h;
   Client& client = h.make_client();

@@ -183,7 +183,7 @@ TEST_F(MetadataTest, WireRoundTrips) {
   req.name2 = "new";
   req.mode = 0700;
   req.size = 99;
-  MdRequest back = decode_request(encode(req));
+  MdRequest back = net::decode<MdRequest>(net::encode(req));
   EXPECT_EQ(back.op, MdOp::kRename);
   EXPECT_EQ(back.dir2, 5u);
   EXPECT_EQ(back.name2, "new");
@@ -191,7 +191,7 @@ TEST_F(MetadataTest, WireRoundTrips) {
 
   MdResponse resp{MdStatus::kOk, 7, {ObjType::kDirectory, 0755, 0, 1, 2, 3},
                   {{"x", 8, ObjType::kFile}}};
-  MdResponse rback = decode_response(encode(resp));
+  MdResponse rback = net::decode<MdResponse>(net::encode(resp));
   EXPECT_EQ(rback.handle, 7u);
   EXPECT_EQ(rback.attr.type, ObjType::kDirectory);
   ASSERT_EQ(rback.entries.size(), 1u);
@@ -238,8 +238,8 @@ TEST_F(MetadataTest, DeterminismTwoServersSameStream) {
   rm.name = "f";
   stream.push_back(rm);
   for (const MdRequest& r : stream) {
-    sim::Payload ra = a.apply(encode(r));
-    sim::Payload rb = b.apply(encode(r));
+    sim::Payload ra = a.apply(net::encode(r));
+    sim::Payload rb = b.apply(net::encode(r));
     EXPECT_EQ(ra, rb) << "responses must be byte-identical";
   }
   EXPECT_EQ(a.snapshot(), b.snapshot()) << "states must be byte-identical";
@@ -248,19 +248,19 @@ TEST_F(MetadataTest, DeterminismTwoServersSameStream) {
 TEST_F(MetadataTest, ReadOnlyClassification) {
   MdRequest look;
   look.op = MdOp::kLookup;
-  EXPECT_TRUE(md.is_read_only(encode(look)));
+  EXPECT_TRUE(md.is_read_only(net::encode(look)));
   MdRequest rd;
   rd.op = MdOp::kReaddir;
-  EXPECT_TRUE(md.is_read_only(encode(rd)));
+  EXPECT_TRUE(md.is_read_only(net::encode(rd)));
   MdRequest cr;
   cr.op = MdOp::kCreate;
-  EXPECT_FALSE(md.is_read_only(encode(cr)));
+  EXPECT_FALSE(md.is_read_only(net::encode(cr)));
   EXPECT_FALSE(md.is_read_only(sim::Payload{}));
 }
 
 TEST_F(MetadataTest, CorruptRequestYieldsInvalid) {
   sim::Payload garbage{0x1};
-  MdResponse resp = decode_response(md.apply(garbage));
+  MdResponse resp = net::decode<MdResponse>(md.apply(garbage));
   EXPECT_EQ(resp.status, MdStatus::kInvalid);
 }
 

@@ -61,9 +61,9 @@ struct RsmHarness {
                         sim::Duration deadline = sim::seconds(30)) {
     std::optional<pvfs::MdResponse> out;
     bool done = false;
-    client->request(pvfs::encode(req), [&](std::optional<sim::Payload> r) {
+    client->request(net::encode(req), [&](std::optional<sim::Payload> r) {
       done = true;
-      if (r) out = pvfs::decode_response(*r);
+      if (r) out = net::decode<pvfs::MdResponse>(*r);
     });
     testutil::run_until(sim, [&] { return done; }, deadline);
     return out.value_or(pvfs::MdResponse{pvfs::MdStatus::kInvalid,
@@ -190,13 +190,13 @@ TEST(ReplicatedMetadata, ConcurrentClientsStayConsistent) {
   rsm::ReplicaClient client2(h.net, h.login, 20001, ccfg);
 
   std::optional<pvfs::MdStatus> s1, s2;
-  h.client->request(pvfs::encode(mkdir_req("race")),
+  h.client->request(net::encode(mkdir_req("race")),
                     [&](std::optional<sim::Payload> r) {
-                      if (r) s1 = pvfs::decode_response(*r).status;
+                      if (r) s1 = net::decode<pvfs::MdResponse>(*r).status;
                     });
-  client2.request(pvfs::encode(mkdir_req("race")),
+  client2.request(net::encode(mkdir_req("race")),
                   [&](std::optional<sim::Payload> r) {
-                    if (r) s2 = pvfs::decode_response(*r).status;
+                    if (r) s2 = net::decode<pvfs::MdResponse>(*r).status;
                   });
   testutil::run_until(h.sim,
                       [&] { return s1.has_value() && s2.has_value(); });
@@ -226,9 +226,9 @@ TEST(ReplicatedMetadata, ExcludedReplicaFailsPendingRequestsAtOnce) {
   rsm::ReplicaClient client(h.net, h.login, 20002, ccfg);
   std::optional<pvfs::MdResponse> answer;
   sim::Time answered_at{0};
-  client.request(pvfs::encode(mkdir_req("d")),
+  client.request(net::encode(mkdir_req("d")),
                  [&](std::optional<sim::Payload> r) {
-                   if (r) answer = pvfs::decode_response(*r);
+                   if (r) answer = net::decode<pvfs::MdResponse>(*r);
                    answered_at = h.sim.now();
                  });
   rsm::ReplicaNode& md2 = *h.replicas[2];
@@ -249,7 +249,7 @@ TEST(ReplicatedMetadata, ExcludedReplicaFailsPendingRequestsAtOnce) {
   commit.new_view.id = {md2.group().view().id.epoch + 1, h.hosts[0]};
   commit.new_view.members = {h.hosts[0], h.hosts[1]};
   commit.old_members = md2.group().view().members;
-  h.net.send({{h.hosts[2], 7100}, {h.hosts[2], 7100}, gcs::encode(commit)});
+  h.net.send({{h.hosts[2], 7100}, {h.hosts[2], 7100}, net::encode(commit)});
   h.net.clear_partitions();
   sim::Time excluded_at = h.sim.now();
 
