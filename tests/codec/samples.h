@@ -34,11 +34,12 @@ inline sim::Payload from_hex(const std::string& hex) {
   };
   std::vector<uint8_t> bytes;
   for (size_t i = 0; i < hex.size(); i += 2)
-    bytes.push_back(static_cast<uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+    bytes.push_back(
+        static_cast<uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
   return sim::Payload::adopt(std::move(bytes));
 }
 
-// -- gcs -----------------------------------------------------------------------
+// -- gcs ----------------------------------------------------------------------
 
 inline gcs::Header header() {
   return {3, 77, 12, {{0, 5}, {1, 7}}};
@@ -84,7 +85,7 @@ inline gcs::StateReqWire state_req_wire() { return {header(), {4, 2}}; }
 inline gcs::StateWire state_wire() { return {header(), {4, 2}, {1, 2, 3, 4}}; }
 inline gcs::EngineWire engine_wire() { return {header(), {0x01, 0x02}}; }
 
-// -- pbs -----------------------------------------------------------------------
+// -- pbs ----------------------------------------------------------------------
 
 inline pbs::JobSpec job_spec() {
   pbs::JobSpec s;
@@ -130,7 +131,7 @@ inline pbs::StatResponse stat_response() {
   return {pbs::Status::kOk, {job(), job()}};
 }
 
-// -- joshua and rsm ------------------------------------------------------------
+// -- joshua and rsm -----------------------------------------------------------
 
 inline rsm::Command command() { return {3, 99, {1, 2, 3}, 0}; }
 
@@ -159,7 +160,7 @@ inline joshua::TransferEnvelope transfer_envelope() {
   return {joshua::TransferKind::kSnapshot, {9, 8, 7}, {4, 2}};
 }
 
-// -- pvfs ----------------------------------------------------------------------
+// -- pvfs ---------------------------------------------------------------------
 
 inline pvfs::MdRequest md_request() {
   return {pvfs::MdOp::kRename, 5, 6, 7, "a.txt", "b.txt", 0600, 4096};
@@ -179,8 +180,8 @@ inline pvfs::MdResponse md_response() {
 inline void populate(pvfs::MetadataServer& server) {
   pvfs::MdResponse d = server.apply_typed(
       {pvfs::MdOp::kMkdir, pvfs::kRootHandle, 0, 0, "d", "", 0750, 0});
-  pvfs::MdResponse f =
-      server.apply_typed({pvfs::MdOp::kCreate, d.handle, 0, 0, "f", "", 0640, 0});
+  pvfs::MdResponse f = server.apply_typed(
+      {pvfs::MdOp::kCreate, d.handle, 0, 0, "f", "", 0640, 0});
   server.apply_typed({pvfs::MdOp::kSetattr, 0, f.handle, 0, "", "", 0600, 77});
   server.apply_typed(
       {pvfs::MdOp::kCreate, pvfs::kRootHandle, 0, 0, "g", "", 0644, 0});
