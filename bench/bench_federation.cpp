@@ -13,10 +13,11 @@
 //   B. Queue scale: one MILLION queued jobs federated 4 ways vs monolithic,
 //      measuring single-id jstat (served via the local-read fast path --
 //      pbs.jstat_local is reported) and jsub latency against that backlog.
-//   C. Latency parity: a 1-shard 4-head federation under bench_ordering's
-//      cost model must show the same all-ack order p95 as the raw N = 4
-//      sweep point (the default config is behaviour-identical; gated
-//      against baselines/BENCH_federation.json).
+//   C. Latency parity: the bench's own options at one shard (a 4-head
+//      all-ack cluster under bench_ordering's cost model) against a plain
+//      4-head ClusterOptions; both build through joshua::Cluster, so a
+//      one-shard layout must not move the order p95 (gated against
+//      baselines/BENCH_federation.json).
 //
 //   $ ./bench/bench_federation        # table + BENCH_federation.json
 #include <cstdio>
@@ -26,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "fed/federation.h"
+#include "fed/router.h"
 #include "telemetry/scenario_report.h"
 
 namespace {
@@ -52,12 +53,12 @@ struct LegResult {
   uint64_t queued_jobs = 0;
 };
 
-fed::FederationOptions bench_options(int shards, int heads_per_shard,
+joshua::ClusterOptions bench_options(int shards, int heads_per_shard,
                                      gcs::OrderingMode ordering) {
-  fed::FederationOptions fo;
-  fo.shard_count = shards;
-  fo.heads_per_shard = heads_per_shard;
-  fo.computes_per_shard = 1;
+  joshua::ClusterOptions fo;
+  fo.head_count = shards * heads_per_shard;
+  fo.compute_count = shards;
+  fo.shards.count = shards;
   fo.cal = sim::fast_calibration();
   fo.ordering = ordering;
   // Persistence re-encodes the whole queue on every mutation; real sites
@@ -90,7 +91,7 @@ LegResult run_throughput_leg(int shards, int total_cmds) {
   int heads_per_shard = kTotalHeads / shards;
   std::fprintf(stderr, "[A %dx%d] building federation\n", shards,
                heads_per_shard);
-  fed::FederationOptions fo =
+  joshua::ClusterOptions fo =
       bench_options(shards, heads_per_shard, gcs::OrderingMode::kTokenRing);
   // All-to-all heartbeats at 256 heads are 650k messages per simulated
   // second -- pure failure-detector load that drowns the event core without
@@ -98,7 +99,7 @@ LegResult run_throughput_leg(int shards, int total_cmds) {
   // keeps the detector consistent with the 10 s suspect timeout; both
   // sweep points get the same setting, so the comparison is fair.
   fo.gcs_heartbeat = sim::seconds(1);
-  fed::Federation f(std::move(fo));
+  joshua::Cluster f(std::move(fo));
   f.start();
   if (!f.run_until_converged(sim::minutes(10))) {
     std::fprintf(stderr, "[A %dx%d] FAILED to converge\n", shards,
@@ -107,7 +108,7 @@ LegResult run_throughput_leg(int shards, int total_cmds) {
   }
   std::fprintf(stderr, "[A %dx%d] converged at sim %.2fs\n", shards,
                heads_per_shard, f.sim().now().seconds());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
 
   int issued = 0, done = 0, accepted = 0, outstanding = 0;
   std::function<void()> pump = [&] {
@@ -170,10 +171,10 @@ LegResult run_throughput_leg(int shards, int total_cmds) {
 /// local-read fast path answers the stats.
 LegResult run_million_leg(int shards) {
   LegResult out;
-  fed::FederationOptions fo =
+  joshua::ClusterOptions fo =
       bench_options(shards, 1, gcs::OrderingMode::kAllAck);
   fo.jstat_local = true;
-  fed::Federation f(std::move(fo));
+  joshua::Cluster f(std::move(fo));
   f.start();
   if (!f.run_until_converged(sim::minutes(2))) return out;
 
@@ -186,7 +187,7 @@ LegResult run_million_leg(int shards) {
   out.queued_jobs = per_shard * static_cast<uint64_t>(shards);
   std::fprintf(stderr, "[B %d shards] preloaded %llu queued jobs\n", shards,
                static_cast<unsigned long long>(out.queued_jobs));
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
 
   // Single-id jstat sweep across the backlog (the jstat -all path would
   // encode the whole million-job table; per-id reads are what users issue
@@ -197,7 +198,7 @@ LegResult run_million_leg(int shards) {
   for (int i = 0; i < kStats; ++i) {
     uint32_t shard = static_cast<uint32_t>(i) % f.shard_count();
     pbs::StatRequest req;
-    req.job_id = f.shard_map().first_id(shard) +
+    req.job_id = router.layout().first_id(shard) +
                  static_cast<pbs::JobId>(i) % per_shard;
     sim::Time sent = f.sim().now();
     ++pending;
@@ -257,10 +258,8 @@ LegResult run_million_leg(int shards) {
 /// member per round, 20 ms apart. A jsub multicasts from whichever head
 /// the client talks to, so pin one client per head (rotated head lists)
 /// and issue rounds of 4 -- same origins, same concurrency, same cadence.
-/// `Plane` is fed::Federation or joshua::Cluster (same accessor surface).
-template <typename Plane>
-LegResult run_parity_pattern(Plane& plane, const sim::Calibration& cal,
-                             const char* tag) {
+LegResult run_parity_pattern(joshua::Cluster& plane, const char* tag) {
+  const sim::Calibration& cal = plane.options().cal;
   LegResult out;
   constexpr int kHeads = 4;
   std::vector<sim::Endpoint> heads;
@@ -307,24 +306,23 @@ LegResult run_parity_pattern(Plane& plane, const sim::Calibration& cal,
 }
 
 /// Leg C: the behaviour-identical check. The same all-ack jsub pattern
-/// against a 1-shard 4-head federation and a plain 4-head joshua::Cluster;
-/// the federation layer at shard_count = 1 must not move the gcs order
-/// latency. (The absolute number sits above bench_ordering's raw allack.n4
+/// against the bench's options at one shard and a plain 4-head
+/// ClusterOptions; a one-shard layout must not move the gcs order latency. (The absolute number sits above bench_ordering's raw allack.n4
 /// point because every delivered jsub also EXECUTES on each replica here;
 /// bench_ordering orders empty payloads.)
 std::pair<LegResult, LegResult> run_parity_leg() {
   LegResult fed_point, mono_point;
-  // GroupConfig's default hb/ctrl costs this time (ClusterOptions carries
-  // no overrides for them): at N = 4 they are noise, and the comparison
-  // only needs both planes configured identically.
-  fed::FederationOptions fo = bench_options(1, 4, gcs::OrderingMode::kAllAck);
+  // GroupConfig's default hb/ctrl costs this time (the plain options keep
+  // them): at N = 4 they are noise, and the comparison only needs both
+  // planes configured identically.
+  joshua::ClusterOptions fo = bench_options(1, 4, gcs::OrderingMode::kAllAck);
   fo.gcs_hb_proc = sim::kDurationZero;
   fo.gcs_ctrl_proc = sim::kDurationZero;
-  fo.pbs_persist = true;  // Cluster always persists; configure both alike
-  fed::Federation f(std::move(fo));
+  fo.pbs_persist = true;  // the plain options persist; configure both alike
+  joshua::Cluster f(std::move(fo));
   f.start();
   if (f.run_until_converged(sim::minutes(2)))
-    fed_point = run_parity_pattern(f, f.options().cal, "fed 1x4 allack");
+    fed_point = run_parity_pattern(f, "fed 1x4 allack");
 
   joshua::ClusterOptions co;
   co.head_count = 4;
@@ -336,7 +334,7 @@ std::pair<LegResult, LegResult> run_parity_leg() {
   joshua::Cluster mono(co);
   mono.start();
   if (mono.run_until_converged(sim::minutes(2)))
-    mono_point = run_parity_pattern(mono, co.cal, "monolithic 4-head allack");
+    mono_point = run_parity_pattern(mono, "monolithic 4-head allack");
   return {fed_point, mono_point};
 }
 

@@ -12,13 +12,13 @@
 #include <cstdio>
 #include <string>
 
-#include "fed/federation.h"
+#include "fed/router.h"
 #include "telemetry/scenario_report.h"
 #include "util/logging.h"
 
 namespace {
 
-void banner(fed::Federation& f, const std::string& msg) {
+void banner(joshua::Cluster& f, const std::string& msg) {
   std::printf("[%8.3fs] %s\n", f.sim().now().seconds(), msg.c_str());
 }
 
@@ -28,20 +28,20 @@ int main(int argc, char** argv) {
   jutil::Logger::instance().set_level(jutil::LogLevel::kWarn);
   std::string prefix = argc > 1 ? argv[1] : "fed_smoke";
 
-  fed::FederationOptions options;
-  options.shard_count = 2;
-  options.heads_per_shard = 2;
-  options.computes_per_shard = 1;
-  options.queue_globs = {{"batch*"}, {"*"}};
+  joshua::ClusterOptions options;
+  options.head_count = 4;
+  options.compute_count = 2;
+  options.shards.count = 2;
+  options.shards.queues = {{"batch*"}, {"*"}};
   options.cal = sim::fast_calibration();
-  fed::Federation f(std::move(options));
+  joshua::Cluster f(std::move(options));
   f.start();
   if (!f.run_until_converged()) {
     std::printf("FATAL: a shard never formed its initial view\n");
     return 1;
   }
   banner(f, "2 shards x 2 heads in service (batch* | catch-all)");
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
 
   // --- glob-routed submits: ids come from the owning shard's block ---------
   int accepted = 0;
@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
               "debug -> job %llu (shard %u)\n",
               f.sim().now().seconds(), accepted,
               static_cast<unsigned long long>(batch_id),
-              *f.shard_map().owner_of(batch_id),
+              *router.layout().owner_of(batch_id),
               static_cast<unsigned long long>(debug_id),
-              *f.shard_map().owner_of(debug_id));
+              *router.layout().owner_of(debug_id));
 
   // --- jstat-all: one merged listing over both ordering groups --------------
   size_t listed = 0;
@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
 
   const fed::Router::Stats& rs = router.stats();
   bool pass = accepted == 3 && listed == 3 && sorted && outage_ok &&
-              deleted == 4 && f.shard_map().owner_of(batch_id) == 0u &&
-              f.shard_map().owner_of(debug_id) == 1u && rs.fanouts >= 2;
+              deleted == 4 && router.layout().owner_of(batch_id) == 0u &&
+              router.layout().owner_of(debug_id) == 1u && rs.fanouts >= 2;
 
   telemetry::ScenarioReport report;
   report.set_meta("scenario", "fed_smoke");

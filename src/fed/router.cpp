@@ -2,23 +2,20 @@
 
 #include <algorithm>
 
-#include "sim/calibration.h"
-#include "sim/network.h"
-
 namespace fed {
 
-Router::Router(sim::Network& net, sim::HostId host, sim::Port first_port,
-               const ShardMap& map,
-               const std::vector<std::vector<sim::Endpoint>>& shard_heads,
-               const sim::Calibration& cal)
-    : map_(&map) {
-  for (uint32_t s = 0; s < map.shard_count(); ++s) {
-    joshua::ClientConfig cfg =
-        joshua::joshua_client_config_from(cal, shard_heads.at(s));
+Router::Router(joshua::Cluster& cluster)
+    : layout_(&cluster.options().shards) {
+  uint32_t shards = cluster.shard_count();
+  sim::Port first_port = cluster.claim_client_ports(shards);
+  for (uint32_t s = 0; s < shards; ++s) {
+    joshua::ClientConfig cfg = joshua::joshua_client_config_from(
+        cluster.options().cal, cluster.shard_endpoints(s));
     clients_.push_back(std::make_unique<joshua::Client>(
-        net, host, static_cast<sim::Port>(first_port + s), std::move(cfg)));
+        cluster.net(), cluster.login_host(),
+        static_cast<sim::Port>(first_port + s), std::move(cfg)));
   }
-  telemetry::Registry& m = net.sim().telemetry().metrics();
+  telemetry::Registry& m = cluster.sim().telemetry().metrics();
   m_routed_ = m.counter("fed.routed");
   m_fanouts_ = m.counter("fed.fanouts");
   m_fanout_reads_ = m.counter("fed.fanout_reads");
@@ -37,7 +34,7 @@ uint64_t Router::failovers() const {
 template <typename Response>
 bool Router::route_by_id(pbs::JobId id, uint32_t& shard,
                          std::function<void(std::optional<Response>)>& done) {
-  std::optional<uint32_t> owner = map_->owner_of(id);
+  std::optional<uint32_t> owner = layout_->owner_of(id);
   if (!owner.has_value()) {
     // No shard's id block contains this id, so no head anywhere could know
     // it: answer kUnknownJob locally rather than burning an ordered slot.
@@ -56,7 +53,7 @@ bool Router::route_by_id(pbs::JobId id, uint32_t& shard,
 
 void Router::jsub(pbs::JobSpec spec,
                   std::function<void(std::optional<pbs::SubmitResponse>)> done) {
-  uint32_t shard = map_->place(spec.queue, next_salt_++);
+  uint32_t shard = layout_->place(spec.queue, next_salt_++);
   ++stats_.routed;
   m_routed_.add(1);
   clients_[shard]->jsub(std::move(spec), std::move(done));
@@ -77,7 +74,7 @@ void Router::jstat(pbs::StatRequest req,
   // cross-shard semantic.
   ++stats_.fanouts;
   m_fanouts_.add(1);
-  uint32_t shards = map_->shard_count();
+  uint32_t shards = layout_->shard_count();
   struct Merge {
     std::vector<pbs::Job> jobs;
     pbs::Status status = pbs::Status::kOk;
@@ -164,7 +161,7 @@ void Router::jdel_all(std::function<void(std::optional<uint64_t>)> done) {
     auto count = std::make_shared<Count>();
     count->pending = resp->jobs.size();
     for (const pbs::Job& job : resp->jobs) {
-      std::optional<uint32_t> owner = map_->owner_of(job.id);
+      std::optional<uint32_t> owner = layout_->owner_of(job.id);
       if (!owner.has_value()) {  // cannot happen for a shard-reported id
         if (--count->pending == 0 && done) done(count->deleted);
         continue;

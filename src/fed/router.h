@@ -16,27 +16,23 @@
 #include <optional>
 #include <vector>
 
-#include "fed/shard_map.h"
-#include "joshua/client.h"
+#include "joshua/cluster.h"
 #include "telemetry/metrics.h"
 
 namespace fed {
 
 class Router {
  public:
-  /// One joshua::Client per shard, created on `host` at ports
-  /// first_port, first_port+1, ... `shard_heads[s]` lists shard s's JOSHUA
-  /// server endpoints. `map` must outlive the router.
-  Router(sim::Network& net, sim::HostId host, sim::Port first_port,
-         const ShardMap& map,
-         const std::vector<std::vector<sim::Endpoint>>& shard_heads,
-         const sim::Calibration& cal);
+  /// One joshua::Client per shard on the cluster's login node, each knowing
+  /// its shard's heads, at consecutive ports claimed from the cluster. The
+  /// cluster (and with it the layout) must outlive the router.
+  explicit Router(joshua::Cluster& cluster);
   ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  const ShardMap& map() const { return *map_; }
+  const joshua::ShardLayout& layout() const { return *layout_; }
   joshua::Client& client(uint32_t shard) { return *clients_.at(shard); }
   /// Head failovers summed over every shard's client.
   uint64_t failovers() const;
@@ -77,7 +73,7 @@ class Router {
   bool route_by_id(pbs::JobId id, uint32_t& shard,
                    std::function<void(std::optional<Response>)>& done);
 
-  const ShardMap* map_;
+  const joshua::ShardLayout* layout_;
   std::vector<std::unique_ptr<joshua::Client>> clients_;
   uint64_t next_salt_ = 0;  ///< spreads hash-placed same-queue submits
   Stats stats_;

@@ -5,6 +5,14 @@
 // compute nodes each running a PBS mom + JOSHUA mom plugin, plus a login
 // node for clients. Also builds the plain-TORQUE baseline (no JOSHUA) used
 // by Figures 10 and 11.
+//
+// ClusterOptions::shards turns the same testbed into a federation: with
+// count > 1 each shard is one unmodified paper cluster -- its own gcs group
+// ("joshua-s<k>" on its own heads), PBS replica set numbering jobs from the
+// shard's id block, compute nodes and mom plugins -- all over one simulated
+// network, fronted by a fed::Router. Nothing crosses shards below the
+// router, which is why aggregate ordered throughput scales with the shard
+// count while every per-shard guarantee stays the paper's.
 #pragma once
 
 #include <memory>
@@ -14,6 +22,7 @@
 #include "joshua/client.h"
 #include "joshua/mom_plugin.h"
 #include "joshua/server.h"
+#include "joshua/shard_layout.h"
 #include "pbs/client.h"
 #include "pbs/mom.h"
 #include "pbs/server.h"
@@ -23,24 +32,6 @@
 #include "sim/simulation.h"
 
 namespace joshua {
-
-/// Federation layout (the configuration file's `shards` section): how the
-/// job-id space / queue set is partitioned across independent ordering
-/// groups. `Cluster` itself ignores it -- count <= 1 is the paper's single
-/// replication group -- and `fed::Federation` consumes it to wire one gcs
-/// group + PBS replica set per shard.
-struct ShardLayout {
-  int count = 1;
-  /// Job-id block size per shard; 0 = the federation default (2^32).
-  pbs::JobId id_stride = 0;
-  /// Per shard: indexes into the cluster's head list. Must partition
-  /// 0..heads-1 when count > 1.
-  std::vector<std::vector<int>> heads;
-  /// Per shard: queue globs this shard owns (may be empty everywhere, in
-  /// which case submits place by hash of the queue name).
-  std::vector<std::vector<std::string>> queues;
-  bool sharded() const { return count > 1; }
-};
 
 struct ClusterOptions {
   int head_count = 2;
@@ -75,8 +66,19 @@ struct ClusterOptions {
   /// member may pipeline before further sends queue (0 = unbounded, the
   /// legacy behaviour). Defaults to JOSHUA_ORDER_WINDOW, then 0.
   uint32_t order_window = gcs::order_window_from_env();
-  /// Federation layout; ignored by Cluster (see ShardLayout).
+  /// Federation layout: count > 1 wires one replication group per shard
+  /// (see ShardLayout). Validated by the Cluster constructor.
   ShardLayout shards{};
+  /// PBS persistence. Benches preloading millions of jobs switch it off --
+  /// the encode cost is real but not what they measure.
+  bool pbs_persist = true;
+  /// Local-read fast path for jstat: off keeps every command ordered, the
+  /// paper's semantics.
+  bool jstat_local = false;
+  /// gcs CPU cost overrides for heartbeat and control messages; zero keeps
+  /// the GroupConfig defaults.
+  sim::Duration gcs_hb_proc = sim::kDurationZero;
+  sim::Duration gcs_ctrl_proc = sim::kDurationZero;
 };
 
 /// Well-known ports of the testbed.
@@ -91,6 +93,7 @@ struct Ports {
 
 class Cluster {
  public:
+  /// Throws jutil::ConfigError when options.shards cannot be wired.
   explicit Cluster(ClusterOptions options);
   ~Cluster();
 
@@ -114,22 +117,31 @@ class Cluster {
   MomPlugin& mom_plugin(size_t compute) { return *plugins_.at(compute); }
   size_t head_count() const { return pbs_servers_.size(); }
   size_t compute_count() const { return moms_.size(); }
+  uint32_t shard_count() const { return options_.shards.shard_count(); }
+  uint32_t shard_of_head(size_t head) const { return head_shard_.at(head); }
+  /// The JOSHUA endpoints of one shard's heads.
+  std::vector<sim::Endpoint> shard_endpoints(uint32_t shard) const;
 
   /// Start every JOSHUA server (joins the group). No-op without JOSHUA.
   void start();
 
-  /// Run the simulation until all live heads share one installed view (or
-  /// the deadline passes). Returns true on convergence.
+  /// Run the simulation until each shard's live heads share one installed
+  /// view (or the deadline passes). Returns true on convergence.
   bool run_until_converged(sim::Duration deadline = sim::seconds(30));
 
-  /// True when every live head's gcs agrees on one view of size
+  /// True when every shard's live heads agree on one view of size
   /// `expected_members`.
   bool converged(size_t expected_members) const;
+  /// True when every shard's live heads agree on one view of all of them.
+  bool converged() const;
 
   /// A JOSHUA client on the login node knowing every head.
   Client& make_jclient();
   /// A plain PBS client on the login node talking to one head directly.
   pbs::Client& make_pbs_client(size_t head);
+  /// Reserve `n` consecutive client ports on the login node (a router's
+  /// per-shard clients); returns the first.
+  sim::Port claim_client_ports(uint32_t n);
 
   /// Endpoint helpers.
   sim::Endpoint joshua_endpoint(size_t head) const {
@@ -140,6 +152,12 @@ class Cluster {
   }
 
  private:
+  /// Live heads per shard.
+  std::vector<size_t> live_heads() const;
+  /// Each shard s's live heads are members sharing one view of
+  /// `expected[s]` members.
+  bool converged(const std::vector<size_t>& expected) const;
+
   ClusterOptions options_;
   sim::Simulation sim_;
   sim::Network net_;
@@ -147,6 +165,8 @@ class Cluster {
   std::vector<sim::HostId> head_hosts_;
   std::vector<sim::HostId> compute_hosts_;
   sim::HostId login_host_ = sim::kInvalidHost;
+  std::vector<std::vector<size_t>> shard_heads_;  ///< head indexes per shard
+  std::vector<uint32_t> head_shard_;              ///< shard of each head
   std::vector<std::unique_ptr<pbs::Server>> pbs_servers_;
   std::vector<std::unique_ptr<pbs::Mom>> moms_;
   std::vector<std::unique_ptr<Server>> joshua_servers_;

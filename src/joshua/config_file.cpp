@@ -1,31 +1,25 @@
 #include "joshua/config_file.h"
 
-#include <set>
-
-#include "telemetry/report_diff.h"
 #include "util/strings.h"
 
 namespace joshua {
 
 namespace {
 
-/// Parse the `shards` section into a validated ShardLayout. The errors here
-/// are deployment-file mistakes an operator must see clearly: a head in two
-/// shards, a head in none, a queue two shards both claim, or a queue no
-/// shard would accept.
-ShardLayout shard_layout_from(const jutil::Config& shards, int head_count) {
+/// Read the `shards` section into a ShardLayout. Only the file syntax is
+/// checked here (a missing shard section, a head index that is not a
+/// number); whether the layout can be wired is ShardLayout::validate's call.
+ShardLayout shard_layout_from(const jutil::Config& shards) {
   ShardLayout layout;
   layout.count = static_cast<int>(shards.get_int("count", 1));
-  if (layout.count < 1)
-    throw jutil::ConfigError("shards count must be >= 1, got " +
-                             std::to_string(layout.count));
   layout.id_stride = static_cast<pbs::JobId>(shards.get_int("stride", 0));
-  if (layout.count == 1 && shards.section_titles("shard").empty())
-    return layout;  // degenerate single shard: nothing else to check
+  // Without per-shard sections the heads split contiguously and submits
+  // place by hash.
+  if (layout.count < 1 || shards.section_titles("shard").empty())
+    return layout;
 
   layout.heads.resize(static_cast<size_t>(layout.count));
   layout.queues.resize(static_cast<size_t>(layout.count));
-  std::set<int> assigned_heads;
   for (int s = 0; s < layout.count; ++s) {
     const jutil::Config* shard = shards.section("shard", std::to_string(s));
     if (shard == nullptr)
@@ -34,80 +28,22 @@ ShardLayout shard_layout_from(const jutil::Config& shards, int head_count) {
                                std::to_string(layout.count) + ")");
     size_t ix = static_cast<size_t>(s);
     for (const std::string& h : shard->get_list("heads")) {
-      int head = 0;
       try {
-        head = std::stoi(h);
+        layout.heads[ix].push_back(std::stoi(h));
       } catch (const std::exception&) {
         throw jutil::ConfigError("shard " + std::to_string(s) +
                                  ": bad head index '" + h + "'");
       }
-      if (head < 0 || head >= head_count)
-        throw jutil::ConfigError("shard " + std::to_string(s) + ": head " +
-                                 std::to_string(head) +
-                                 " out of range (heads = " +
-                                 std::to_string(head_count) + ")");
-      if (!assigned_heads.insert(head).second)
-        throw jutil::ConfigError("head " + std::to_string(head) +
-                                 " assigned to more than one shard");
-      layout.heads[ix].push_back(head);
     }
-    if (layout.heads[ix].empty())
-      throw jutil::ConfigError("shard " + std::to_string(s) +
-                               " has no heads");
     layout.queues[ix] = shard->get_list("queues");
   }
-  if (static_cast<int>(assigned_heads.size()) != head_count)
-    throw jutil::ConfigError(
-        "shards: " + std::to_string(head_count -
-                                    static_cast<int>(assigned_heads.size())) +
-        " head(s) assigned to no shard");
-
-  // Queue globs: either no shard routes by queue (hash placement), or the
-  // globs must be overlap-free and leave no queue unassigned.
-  bool any_globs = false;
-  for (const auto& globs : layout.queues) any_globs |= !globs.empty();
-  if (any_globs) {
-    bool catch_all = false;
-    std::set<std::string> seen;
-    for (int s = 0; s < layout.count; ++s) {
-      size_t ix = static_cast<size_t>(s);
-      if (layout.queues[ix].empty())
-        throw jutil::ConfigError("shard " + std::to_string(s) +
-                                 " has no queue globs while other shards "
-                                 "route by queue");
-      for (const std::string& glob : layout.queues[ix]) {
-        if (glob == "*") catch_all = true;
-        if (!seen.insert(glob).second)
-          throw jutil::ConfigError("queue glob '" + glob +
-                                   "' claimed by more than one shard");
-      }
-    }
-    // A literal (wildcard-free) queue name matched by another shard's glob
-    // is an overlap even though the strings differ: both shards would claim
-    // submits to that queue.
-    for (int s = 0; s < layout.count; ++s) {
-      for (const std::string& literal : layout.queues[static_cast<size_t>(s)]) {
-        if (literal.find_first_of("*?") != std::string::npos) continue;
-        for (int t = 0; t < layout.count; ++t) {
-          if (t == s) continue;
-          for (const std::string& glob : layout.queues[static_cast<size_t>(t)]) {
-            // The catch-all is the fallback (consulted only when nothing
-            // else matches); it overlaps nothing by construction.
-            if (glob == "*") continue;
-            if (telemetry::glob_match(glob, literal))
-              throw jutil::ConfigError(
-                  "queue '" + literal + "' (shard " + std::to_string(s) +
-                  ") overlaps glob '" + glob + "' (shard " +
-                  std::to_string(t) + ")");
-          }
-        }
-      }
-    }
-    if (!catch_all)
-      throw jutil::ConfigError(
-          "shards route by queue but no shard owns the catch-all '*' glob; "
-          "queues matching no glob would be unassigned");
-  }
+  auto all_empty = [](const auto& lists) {
+    for (const auto& list : lists)
+      if (!list.empty()) return false;
+    return true;
+  };
+  if (all_empty(layout.heads)) layout.heads.clear();
+  if (all_empty(layout.queues)) layout.queues.clear();
   return layout;
 }
 
@@ -118,8 +54,6 @@ ClusterOptions cluster_options_from_config(std::string_view text) {
   ClusterOptions options;
   options.head_count = static_cast<int>(cfg.get_int("heads", 2));
   options.compute_count = static_cast<int>(cfg.get_int("computes", 2));
-  if (options.head_count < 1 || options.compute_count < 1)
-    throw jutil::ConfigError("heads/computes must be >= 1");
 
   std::string transfer =
       jutil::to_lower(cfg.get_string("transfer", "replay"));
@@ -209,7 +143,9 @@ ClusterOptions cluster_options_from_config(std::string_view text) {
   }
 
   if (const jutil::Config* shards = cfg.section("shards", ""))
-    options.shards = shard_layout_from(*shards, options.head_count);
+    options.shards = shard_layout_from(*shards);
+  options.shards.validate(options.head_count, options.compute_count,
+                          options.with_joshua);
   return options;
 }
 
@@ -240,22 +176,25 @@ std::string cluster_options_to_config(const ClusterOptions& options) {
   ordering.set("engine", engine_name);
   ordering.set("batch", std::to_string(options.order_batch));
   ordering.set("window", std::to_string(options.order_window));
-  if (options.shards.sharded()) {
+  const ShardLayout& layout = options.shards;
+  if (layout.count != 1 || layout.id_stride != 0 || !layout.heads.empty() ||
+      !layout.queues.empty()) {
     jutil::Config& shards = cfg.add_section("shards", "");
-    shards.set("count", std::to_string(options.shards.count));
-    if (options.shards.id_stride != 0)
-      shards.set("stride", std::to_string(options.shards.id_stride));
-    for (int s = 0; s < options.shards.count; ++s) {
-      jutil::Config& shard = shards.add_section("shard", std::to_string(s));
-      size_t ix = static_cast<size_t>(s);
-      std::vector<std::string> heads;
-      if (ix < options.shards.heads.size())
-        for (int h : options.shards.heads[ix])
-          heads.push_back(std::to_string(h));
-      shard.set_list("heads", std::move(heads));
-      if (ix < options.shards.queues.size() &&
-          !options.shards.queues[ix].empty())
-        shard.set_list("queues", options.shards.queues[ix]);
+    shards.set("count", std::to_string(layout.count));
+    if (layout.id_stride != 0)
+      shards.set("stride", std::to_string(layout.id_stride));
+    if (!layout.heads.empty() || !layout.queues.empty()) {
+      for (int s = 0; s < layout.count; ++s) {
+        jutil::Config& shard = shards.add_section("shard", std::to_string(s));
+        size_t ix = static_cast<size_t>(s);
+        if (ix < layout.heads.size() && !layout.heads[ix].empty()) {
+          std::vector<std::string> heads;
+          for (int h : layout.heads[ix]) heads.push_back(std::to_string(h));
+          shard.set_list("heads", std::move(heads));
+        }
+        if (ix < layout.queues.size() && !layout.queues[ix].empty())
+          shard.set_list("queues", layout.queues[ix]);
+      }
     }
   }
   return cfg.to_string();

@@ -3,7 +3,7 @@
 // JOSHUA v0.1 reads its deployment from libconfuse-style configuration
 // files (Figure 9); this maps the same format onto ClusterOptions:
 //
-//   heads = 2                # head-node count
+//   heads = 4                # head-node count
 //   computes = 2             # compute-node count
 //   transfer = replay        # replay | snapshot
 //   auto_rejoin = false
@@ -20,7 +20,7 @@
 //     flush_ms = 1200
 //   }
 //   shards {                 # federation layout (optional; default 1 shard)
-//     count = 2
+//     count = 2              # Cluster wires one replication group per shard
 //     stride = 4294967296    # job-id block per shard (optional)
 //     shard 0 {
 //       heads = {0, 1}       # indexes into the head list
@@ -31,6 +31,9 @@
 //       queues = {"*"}
 //     }
 //   }
+//
+// The `shard` sections are optional: without them the heads split
+// contiguously into equal shards and submits place by hash of the queue.
 #pragma once
 
 #include <string_view>
@@ -41,8 +44,8 @@
 namespace joshua {
 
 /// Parse a configuration file body into ClusterOptions. Unknown keys are
-/// ignored (forward compatibility); invalid values throw
-/// jutil::ConfigError.
+/// ignored (forward compatibility); invalid values, and a `shards` layout
+/// ShardLayout::validate refuses, throw jutil::ConfigError.
 ClusterOptions cluster_options_from_config(std::string_view text);
 
 /// Render options back to configuration-file syntax (round-trippable).

@@ -30,6 +30,7 @@
 
 #include "gcs/group_member.h"
 #include "joshua/protocol.h"
+#include "joshua/shard_layout.h"
 #include "net/rpc.h"
 #include "pbs/protocol.h"
 #include "pbs/server.h"
@@ -39,18 +40,16 @@ namespace joshua {
 
 enum class TransferMode : uint8_t { kReplay = 0, kSnapshot = 1 };
 
-/// This server's slice of a federated job-id space. The federation layer
-/// (src/fed/) carves the id space into contiguous blocks of `id_stride` ids
-/// per shard; shard s owns (s*stride, (s+1)*stride]. count <= 1 means
-/// unsharded -- every id is owned, today's single-group behaviour.
+/// This server's slice of a federated job-id space (see ShardLayout for the
+/// id-block rule). count <= 1 means unsharded -- every id is owned, the
+/// paper's single-group behaviour.
 struct ShardIdentity {
   uint32_t shard = 0;
   uint32_t count = 1;
-  pbs::JobId id_stride = 0;
-  bool sharded() const { return count > 1 && id_stride != 0; }
+  pbs::JobId id_stride = kDefaultIdStride;
+  bool sharded() const { return count > 1; }
   bool owns(pbs::JobId id) const {
-    if (!sharded()) return true;
-    return id != pbs::kInvalidJob && (id - 1) / id_stride == shard;
+    return !sharded() || id_block_owner(id, count, id_stride) == shard;
   }
 };
 

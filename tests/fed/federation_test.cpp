@@ -1,23 +1,24 @@
-// Federation integration: independent ordering groups per shard behind the
-// router. Covers routed submits (glob and hash placement), the merged
-// jstat-all read, the mass delete, misrouted-id rejection at both the
-// router and the server, and the jstat local-read fast path.
-#include "fed/federation.h"
+// Federation integration: a sharded joshua::Cluster -- independent ordering
+// groups per shard -- behind the router. Covers routed submits (glob and
+// hash placement), the merged jstat-all read, the mass delete, misrouted-id
+// rejection at both the router and the server, the jstat local-read fast
+// path, and a federation built from a deployment file.
+#include "fed/router.h"
 
 #include <gtest/gtest.h>
 
+#include "joshua/config_file.h"
 #include "testutil.h"
 
 namespace {
 
-fed::FederationOptions fast_fed(int shards, int heads_per_shard,
-                                int computes_per_shard, uint64_t seed = 1) {
-  fed::FederationOptions options;
-  options.shard_count = shards;
-  options.heads_per_shard = heads_per_shard;
-  options.computes_per_shard = computes_per_shard;
+joshua::ClusterOptions fast_fed(int shards, int heads_per_shard,
+                                int computes_per_shard) {
+  joshua::ClusterOptions options;
+  options.head_count = shards * heads_per_shard;
+  options.compute_count = shards * computes_per_shard;
+  options.shards.count = shards;
   options.cal = sim::fast_calibration();
-  options.seed = seed;
   return options;
 }
 
@@ -30,7 +31,7 @@ pbs::JobSpec queued_job(const std::string& queue,
   return spec;
 }
 
-pbs::JobId jsub_sync(fed::Federation& f, fed::Router& router,
+pbs::JobId jsub_sync(joshua::Cluster& f, fed::Router& router,
                      pbs::JobSpec spec) {
   std::optional<pbs::SubmitResponse> resp;
   bool done = false;
@@ -44,12 +45,13 @@ pbs::JobId jsub_sync(fed::Federation& f, fed::Router& router,
 }
 
 TEST(Federation, SingleShardMatchesMonolithicNumbering) {
-  fed::Federation f(fast_fed(1, 2, 1));
+  joshua::Cluster f(fast_fed(1, 2, 1));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
-  // No sharding: ids come out 1, 2, 3 exactly as joshua::Cluster hands
-  // them out -- the behaviour-identical default the baselines depend on.
+  fed::Router router(f);
+  // No sharding: ids come out 1, 2, 3 exactly as a joshua::Client on the
+  // same cluster gets them -- the behaviour-identical default the baselines
+  // depend on.
   EXPECT_EQ(jsub_sync(f, router, queued_job("batch")), 1u);
   EXPECT_EQ(jsub_sync(f, router, queued_job("debug")), 2u);
   EXPECT_EQ(jsub_sync(f, router, queued_job("gpu")), 3u);
@@ -57,21 +59,21 @@ TEST(Federation, SingleShardMatchesMonolithicNumbering) {
 }
 
 TEST(Federation, GlobRoutedSubmitsLandInOwningShards) {
-  fed::FederationOptions options = fast_fed(2, 2, 1);
-  options.queue_globs = {{"batch*"}, {"*"}};
-  fed::Federation f(std::move(options));
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
+  options.shards.queues = {{"batch*"}, {"*"}};
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
 
   pbs::JobId batch_id = jsub_sync(f, router, queued_job("batch"));
   pbs::JobId debug_id = jsub_sync(f, router, queued_job("debug"));
   ASSERT_NE(batch_id, pbs::kInvalidJob);
   ASSERT_NE(debug_id, pbs::kInvalidJob);
-  EXPECT_EQ(f.shard_map().owner_of(batch_id), 0u);
-  EXPECT_EQ(f.shard_map().owner_of(debug_id), 1u);
-  EXPECT_EQ(batch_id, f.shard_map().first_id(0));
-  EXPECT_EQ(debug_id, f.shard_map().first_id(1));
+  EXPECT_EQ(router.layout().owner_of(batch_id), 0u);
+  EXPECT_EQ(router.layout().owner_of(debug_id), 1u);
+  EXPECT_EQ(batch_id, router.layout().first_id(0));
+  EXPECT_EQ(debug_id, router.layout().first_id(1));
 
   // Every replica of the owning shard has the job; the other shard's
   // replicas have never heard of it -- the groups share nothing.
@@ -83,12 +85,12 @@ TEST(Federation, GlobRoutedSubmitsLandInOwningShards) {
 }
 
 TEST(Federation, JstatAllMergesShardsSortedById) {
-  fed::FederationOptions options = fast_fed(2, 2, 1);
-  options.queue_globs = {{"batch*"}, {"*"}};
-  fed::Federation f(std::move(options));
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
+  options.shards.queues = {{"batch*"}, {"*"}};
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
 
   pbs::JobId debug_id = jsub_sync(f, router, queued_job("debug"));
   pbs::JobId batch_id = jsub_sync(f, router, queued_job("batch"));
@@ -115,12 +117,12 @@ TEST(Federation, JstatAllMergesShardsSortedById) {
 }
 
 TEST(Federation, MassDeleteSpansShards) {
-  fed::FederationOptions options = fast_fed(2, 2, 1);
-  options.queue_globs = {{"batch*"}, {"*"}};
-  fed::Federation f(std::move(options));
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
+  options.shards.queues = {{"batch*"}, {"*"}};
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
 
   std::vector<pbs::JobId> ids;
   ids.push_back(jsub_sync(f, router, queued_job("batch")));
@@ -147,16 +149,16 @@ TEST(Federation, MassDeleteSpansShards) {
 }
 
 TEST(Federation, MisroutedIdsRejectedAtBothLayers) {
-  fed::FederationOptions options = fast_fed(2, 2, 1);
-  fed::Federation f(std::move(options));
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
   pbs::JobId id = jsub_sync(f, router, queued_job("batch"));
   ASSERT_NE(id, pbs::kInvalidJob);
 
   // Router layer: an id beyond every shard's block never touches the wire.
-  pbs::JobId impossible = f.shard_map().first_id(2) + 7;
+  pbs::JobId impossible = router.layout().first_id(2) + 7;
   std::optional<pbs::SimpleResponse> resp;
   bool done = false;
   router.jdel(impossible, [&](std::optional<pbs::SimpleResponse> r) {
@@ -170,7 +172,7 @@ TEST(Federation, MisroutedIdsRejectedAtBothLayers) {
 
   // Server layer: a direct client asking the wrong shard for a perfectly
   // valid id is turned away before the ordered path.
-  uint32_t owner = *f.shard_map().owner_of(id);
+  uint32_t owner = *router.layout().owner_of(id);
   std::optional<pbs::StatResponse> stat;
   done = false;
   pbs::StatRequest req;
@@ -189,12 +191,12 @@ TEST(Federation, MisroutedIdsRejectedAtBothLayers) {
 }
 
 TEST(Federation, JstatLocalFastPathSkipsOrdering) {
-  fed::FederationOptions options = fast_fed(2, 2, 1);
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
   options.jstat_local = true;
-  fed::Federation f(std::move(options));
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
   pbs::JobId id = jsub_sync(f, router, queued_job("batch"));
   ASSERT_NE(id, pbs::kInvalidJob);
 
@@ -230,10 +232,10 @@ TEST(Federation, BatchedOrderingKeepsShardInvariants) {
   // The batching/window knobs must reach every shard's group and must not
   // disturb the per-shard replication invariants: every replica of a shard
   // agrees on its job set, no job leaks across shards, all submits land.
-  fed::FederationOptions options = fast_fed(2, 2, 1);
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
   options.order_batch = 64;
   options.order_window = 16;
-  fed::Federation f(std::move(options));
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
   for (size_t h = 0; h < f.head_count(); ++h) {
@@ -241,7 +243,7 @@ TEST(Federation, BatchedOrderingKeepsShardInvariants) {
     EXPECT_EQ(f.joshua_server(h).group().config().inflight_window, 16u);
   }
 
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
   std::vector<pbs::JobId> ids;
   for (int i = 0; i < 24; ++i) {
     pbs::JobId id =
@@ -252,7 +254,7 @@ TEST(Federation, BatchedOrderingKeepsShardInvariants) {
   f.sim().run_for(sim::seconds(2));  // let the ordered commands settle
 
   for (pbs::JobId id : ids) {
-    std::optional<uint32_t> owner = f.shard_map().owner_of(id);
+    std::optional<uint32_t> owner = router.layout().owner_of(id);
     ASSERT_TRUE(owner.has_value()) << "job " << id;
     for (size_t h = 0; h < f.head_count(); ++h) {
       EXPECT_EQ(f.pbs_server(h).find_job(id).has_value(),
@@ -263,11 +265,11 @@ TEST(Federation, BatchedOrderingKeepsShardInvariants) {
 }
 
 TEST(Federation, SurvivesHeadLossPerShard) {
-  fed::FederationOptions options = fast_fed(2, 2, 1);
-  fed::Federation f(std::move(options));
+  joshua::ClusterOptions options = fast_fed(2, 2, 1);
+  joshua::Cluster f(std::move(options));
   f.start();
   ASSERT_TRUE(f.run_until_converged());
-  fed::Router& router = f.make_router();
+  fed::Router router(f);
   ASSERT_NE(jsub_sync(f, router, queued_job("batch")), pbs::kInvalidJob);
 
   // Kill one head of shard 0; the shard reforms with its survivor and both
@@ -277,6 +279,85 @@ TEST(Federation, SurvivesHeadLossPerShard) {
   ASSERT_TRUE(f.run_until_converged());
   EXPECT_NE(jsub_sync(f, router, queued_job("batch")), pbs::kInvalidJob);
   EXPECT_NE(jsub_sync(f, router, queued_job("other")), pbs::kInvalidJob);
+}
+
+/// The deployment-file example from joshua/config_file.h's header.
+constexpr const char* kExampleDeployment = R"(
+  heads = 4
+  computes = 2
+  transfer = replay
+  auto_rejoin = false
+  quirk_mom = false
+  require_majority = false
+  seed = 1
+  scheduler {
+    policy = fifo
+    exclusive = true
+  }
+  gcs {
+    heartbeat_ms = 100
+    suspect_ms = 500
+    flush_ms = 1200
+  }
+  shards {
+    count = 2
+    stride = 4294967296
+    shard 0 {
+      heads = {0, 1}
+      queues = {"batch*"}
+    }
+    shard 1 {
+      heads = {2, 3}
+      queues = {"*"}
+    }
+  }
+)";
+
+/// Submit to `queue` through the router; the job must land in `owner`'s id
+/// block and exist on exactly `owner`'s heads.
+void expect_owned_by(joshua::Cluster& f, fed::Router& router,
+                     const std::string& queue, uint32_t owner) {
+  pbs::JobId id = jsub_sync(f, router, queued_job(queue));
+  ASSERT_NE(id, pbs::kInvalidJob) << queue;
+  EXPECT_EQ(router.layout().owner_of(id), owner) << queue;
+  EXPECT_EQ(id, router.layout().first_id(owner)) << queue;
+  f.sim().run_for(sim::seconds(1));  // every replica applies the submit
+  for (size_t h = 0; h < f.head_count(); ++h)
+    EXPECT_EQ(f.pbs_server(h).find_job(id).has_value(),
+              f.shard_of_head(h) == owner)
+        << queue << " at head " << h;
+}
+
+TEST(Federation, DeploymentFileBuildsShardedPlane) {
+  joshua::ClusterOptions options =
+      joshua::cluster_options_from_config(kExampleDeployment);
+  options.cal = sim::fast_calibration();
+  joshua::Cluster f(std::move(options));
+  ASSERT_EQ(f.shard_count(), 2u);
+  f.start();
+  ASSERT_TRUE(f.run_until_converged());
+  fed::Router router(f);
+  expect_owned_by(f, router, "batch1", 0);
+  expect_owned_by(f, router, "debug", 1);
+}
+
+TEST(Federation, NonContiguousHeadListsAreHonoured) {
+  std::string text = kExampleDeployment;
+  text.replace(text.find("heads = {0, 1}"), 14, "heads = {0, 2}");
+  text.replace(text.find("heads = {2, 3}"), 14, "heads = {1, 3}");
+  joshua::ClusterOptions options = joshua::cluster_options_from_config(text);
+  options.cal = sim::fast_calibration();
+  joshua::Cluster f(std::move(options));
+  EXPECT_EQ(f.shard_of_head(0), 0u);
+  EXPECT_EQ(f.shard_of_head(1), 1u);
+  EXPECT_EQ(f.shard_of_head(2), 0u) << "lists honoured, not re-split";
+  EXPECT_EQ(f.shard_of_head(3), 1u);
+  f.start();
+  ASSERT_TRUE(f.run_until_converged());
+  EXPECT_EQ(f.joshua_server(2).group().view().size(), 2u);
+  fed::Router router(f);
+  expect_owned_by(f, router, "batch1", 0);
+  expect_owned_by(f, router, "debug", 1);
 }
 
 }  // namespace

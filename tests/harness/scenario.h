@@ -37,7 +37,7 @@
 #include <tuple>
 #include <vector>
 
-#include "fed/federation.h"
+#include "fed/router.h"
 #include "ha/availability.h"
 #include "joshua/cluster.h"
 #include "pbs/workload.h"
@@ -63,8 +63,8 @@ struct ScenarioOptions {
   int heads = 3;
   int computes = 2;
   /// Federated control plane: partition heads/computes into this many
-  /// independent ordering groups behind a fed::Router (heads must split
-  /// evenly). 1 = the monolithic cluster, today's behaviour. Campaigns read
+  /// independent ordering groups behind a fed::Router (heads and computes
+  /// must split evenly). 1 = the monolithic cluster, today's behaviour. Campaigns read
   /// JOSHUA_SHARDS (like JOSHUA_REPLICATION / JOSHUA_COMPUTES) so CI can
   /// sweep the shard count without recompiling.
   int shards = 1;
@@ -207,144 +207,52 @@ struct ScenarioResult {
   bool ok() const { return violations.empty(); }
 };
 
-/// Either control plane behind the one accessor surface the runner needs:
-/// the monolithic joshua::Cluster (shards = 1) or a fed::Federation. The
-/// campaign logic -- workload, fault schedule, invariants, availability
-/// accounting -- is identical either way; only command entry (Client vs
-/// Router) and the convergence predicate differ.
-class Plane {
- public:
-  explicit Plane(const ScenarioOptions& o) {
-    if (o.shards <= 1) {
-      joshua::ClusterOptions copt;
-      copt.head_count = o.heads;
-      copt.compute_count = o.computes;
-      copt.cal = sim::fast_calibration();
-      copt.seed = o.seed;
-      copt.transfer = o.transfer;
-      copt.gcs_heartbeat = o.gcs_heartbeat;
-      copt.gcs_suspect = o.gcs_suspect;
-      copt.gcs_flush = o.gcs_flush;
-      copt.ordering = o.ordering;
-      copt.mom_heartbeat = o.mom_heartbeat;
-      copt.heartbeat_miss_limit = o.heartbeat_miss_limit;
-      copt.sched = o.sched;
-      cluster_ = std::make_unique<joshua::Cluster>(copt);
-      return;
-    }
-    fed::FederationOptions fopt;
-    fopt.shard_count = o.shards;
-    fopt.heads_per_shard = std::max(1, o.heads / o.shards);
-    fopt.computes_per_shard = std::max(1, o.computes / o.shards);
-    fopt.cal = sim::fast_calibration();
-    fopt.seed = o.seed;
-    fopt.transfer = o.transfer;
-    fopt.gcs_heartbeat = o.gcs_heartbeat;
-    fopt.gcs_suspect = o.gcs_suspect;
-    fopt.gcs_flush = o.gcs_flush;
-    fopt.ordering = o.ordering;
-    fopt.mom_heartbeat = o.mom_heartbeat;
-    fopt.heartbeat_miss_limit = o.heartbeat_miss_limit;
-    fopt.sched = o.sched;
-    fed_ = std::make_unique<fed::Federation>(std::move(fopt));
+/// Command entry point: a joshua::Client on the login node (one shard) or a
+/// fed::Router fronting every shard. Same jsub/jstat/jdel surface. One shard
+/// keeps the plain client: a router's fed.* counters would enter the digest.
+struct Issuer {
+  joshua::Client* client = nullptr;
+  std::unique_ptr<fed::Router> router;
+  void jsub(pbs::JobSpec spec,
+            std::function<void(std::optional<pbs::SubmitResponse>)> done) {
+    client ? client->jsub(std::move(spec), std::move(done))
+           : router->jsub(std::move(spec), std::move(done));
   }
-
-  bool federated() const { return fed_ != nullptr; }
-  joshua::Cluster& cluster() { return *cluster_; }  ///< shards = 1 only
-
-  sim::Simulation& sim() {
-    return cluster_ ? cluster_->sim() : fed_->sim();
+  void jstat(pbs::StatRequest req,
+             std::function<void(std::optional<pbs::StatResponse>)> done) {
+    client ? client->jstat(std::move(req), std::move(done))
+           : router->jstat(std::move(req), std::move(done));
   }
-  sim::Network& net() { return cluster_ ? cluster_->net() : fed_->net(); }
-  sim::FailureInjector& faults() {
-    return cluster_ ? cluster_->faults() : fed_->faults();
+  void jdel(pbs::JobId id,
+            std::function<void(std::optional<pbs::SimpleResponse>)> done) {
+    client ? client->jdel(id, std::move(done))
+           : router->jdel(id, std::move(done));
   }
-  size_t head_count() const {
-    return cluster_ ? cluster_->head_count() : fed_->head_count();
+  uint64_t failovers() const {
+    if (client) return client->failovers();
+    return router ? router->failovers() : 0;
   }
-  size_t compute_count() const {
-    return cluster_ ? cluster_->compute_count() : fed_->compute_count();
-  }
-  const std::vector<sim::HostId>& head_hosts() const {
-    return cluster_ ? cluster_->head_hosts() : fed_->head_hosts();
-  }
-  const std::vector<sim::HostId>& compute_hosts() const {
-    return cluster_ ? cluster_->compute_hosts() : fed_->compute_hosts();
-  }
-  pbs::Server& pbs_server(size_t i) {
-    return cluster_ ? cluster_->pbs_server(i) : fed_->pbs_server(i);
-  }
-  joshua::Server& joshua_server(size_t i) {
-    return cluster_ ? cluster_->joshua_server(i) : fed_->joshua_server(i);
-  }
-  pbs::Mom& mom(size_t i) { return cluster_ ? cluster_->mom(i) : fed_->mom(i); }
-  /// Ordering group of a head: always 0 for the monolithic cluster, the
-  /// owning shard under federation. Replica-consistency invariants hold
-  /// within a group; across groups the job tables are disjoint by design.
-  uint32_t group_of_head(size_t i) const {
-    return cluster_ ? 0 : fed_->shard_of_head(i);
-  }
-
-  void start() { cluster_ ? cluster_->start() : fed_->start(); }
-  bool run_until_converged(sim::Duration deadline) {
-    return cluster_ ? cluster_->run_until_converged(deadline)
-                    : fed_->run_until_converged(deadline);
-  }
-  /// All live, in-service heads share one installed view (per ordering
-  /// group: the single group, or every shard's own).
-  bool converged_live() const {
-    if (fed_) return fed_->converged();
-    size_t live = 0;
-    for (size_t i = 0; i < cluster_->head_count(); ++i) {
-      if (!cluster_->net().host(cluster_->head_hosts()[i]).up()) continue;
-      if (cluster_->joshua_server(i).in_service()) ++live;
-    }
-    return live > 0 && cluster_->converged(live);
-  }
-
-  /// Command entry point: a joshua::Client on the login node (monolithic)
-  /// or a fed::Router fronting every shard. Same jsub/jstat/jdel surface.
-  struct Issuer {
-    joshua::Client* client = nullptr;
-    fed::Router* router = nullptr;
-    void jsub(pbs::JobSpec spec,
-              std::function<void(std::optional<pbs::SubmitResponse>)> done) {
-      client ? client->jsub(std::move(spec), std::move(done))
-             : router->jsub(std::move(spec), std::move(done));
-    }
-    void jstat(pbs::StatRequest req,
-               std::function<void(std::optional<pbs::StatResponse>)> done) {
-      client ? client->jstat(std::move(req), std::move(done))
-             : router->jstat(std::move(req), std::move(done));
-    }
-    void jdel(pbs::JobId id,
-              std::function<void(std::optional<pbs::SimpleResponse>)> done) {
-      client ? client->jdel(id, std::move(done))
-             : router->jdel(id, std::move(done));
-    }
-    uint64_t failovers() const {
-      return client ? client->failovers() : router->failovers();
-    }
-  };
-  Issuer make_issuer() {
-    Issuer issuer;
-    if (cluster_)
-      issuer.client = &cluster_->make_jclient();
-    else
-      issuer.router = &fed_->make_router();
-    return issuer;
-  }
-
- private:
-  std::unique_ptr<joshua::Cluster> cluster_;
-  std::unique_ptr<fed::Federation> fed_;
 };
 
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(ScenarioOptions options)
       : options_(std::move(options)) {
-    cluster_ = std::make_unique<Plane>(options_);
+    joshua::ClusterOptions copt;
+    copt.head_count = options_.heads;
+    copt.compute_count = options_.computes;
+    copt.cal = sim::fast_calibration();
+    copt.seed = options_.seed;
+    copt.transfer = options_.transfer;
+    copt.gcs_heartbeat = options_.gcs_heartbeat;
+    copt.gcs_suspect = options_.gcs_suspect;
+    copt.gcs_flush = options_.gcs_flush;
+    copt.ordering = options_.ordering;
+    copt.mom_heartbeat = options_.mom_heartbeat;
+    copt.heartbeat_miss_limit = options_.heartbeat_miss_limit;
+    copt.sched = options_.sched;
+    copt.shards.count = options_.shards;
+    cluster_ = std::make_unique<joshua::Cluster>(copt);
     if (options_.trace_capacity != 0)
       cluster_->sim().telemetry().trace().set_capacity(options_.trace_capacity);
 
@@ -364,13 +272,11 @@ class ScenarioRunner {
     }
   }
 
-  Plane& plane() { return *cluster_; }
-  /// The monolithic cluster (valid only when options.shards <= 1).
-  joshua::Cluster& cluster() { return cluster_->cluster(); }
+  joshua::Cluster& cluster() { return *cluster_; }
 
   ScenarioResult run() {
     ScenarioResult result;
-    Plane& cluster = *cluster_;
+    joshua::Cluster& cluster = *cluster_;
     sim::Simulation& sim = cluster.sim();
 
     cluster.start();
@@ -395,7 +301,10 @@ class ScenarioRunner {
     }
     result.max_concurrent_down = max_concurrent_down();
 
-    issuer_ = cluster.make_issuer();
+    if (cluster.shard_count() > 1)
+      issuer_.router = std::make_unique<fed::Router>(cluster);
+    else
+      issuer_.client = &cluster.make_jclient();
     if (options_.trace.has_value()) {
       pbs::WorkloadProfile profile = *options_.trace;
       profile.duration = std::min(profile.duration, options_.duration);
@@ -625,7 +534,7 @@ class ScenarioRunner {
     for (size_t i = 0; i < cluster_->head_count(); ++i) {
       const auto& server = cluster_->joshua_server(i);
       if (!server.in_service()) continue;
-      uint64_t& e = group_epoch[cluster_->group_of_head(i)];
+      uint64_t& e = group_epoch[cluster_->shard_of_head(i)];
       e = std::max(e, server.group().view().id.epoch);
     }
     uint64_t sum = 0;
@@ -720,7 +629,7 @@ class ScenarioRunner {
 
   /// All live, in-service heads share one view (no flush in flight); with
   /// shards, every ordering group independently.
-  bool group_stable() const { return cluster_->converged_live(); }
+  bool group_stable() const { return cluster_->converged(); }
 
   /// joshuatest::heads_consistent, inlined so the harness has no dependency
   /// on the joshua test directory: identical live-job tables everywhere.
@@ -741,8 +650,7 @@ class ScenarioRunner {
       for (const auto& [id, job] : cluster_->pbs_server(i).jobs()) {
         if (!job.terminal()) live.emplace_back(id, job.state, job.cancelled);
       }
-      auto [it, inserted] =
-          ref.emplace(cluster_->group_of_head(i), live);
+      auto [it, inserted] = ref.emplace(cluster_->shard_of_head(i), live);
       any = true;
       if (!inserted && live != it->second) return false;
     }
@@ -952,8 +860,7 @@ class ScenarioRunner {
     result.jstat_attempted = tally_.jstat_attempted;
     result.jstat_ok = tally_.jstat_ok;
     result.commands_failed = tally_.commands_failed;
-    result.client_failovers =
-        (issuer_.client || issuer_.router) ? issuer_.failovers() : 0;
+    result.client_failovers = issuer_.failovers();
     for (pbs::JobId id : accepted_order_) {
       if (completed_seen_.count(id) != 0) ++result.jobs_completed;
     }
@@ -1023,8 +930,8 @@ class ScenarioRunner {
   }
 
   ScenarioOptions options_;
-  std::unique_ptr<Plane> cluster_;
-  Plane::Issuer issuer_;
+  std::unique_ptr<joshua::Cluster> cluster_;
+  Issuer issuer_;
   bool workload_done_ = false;
 
   struct Tally {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "joshua/shard_layout_cases.h"
+
 namespace {
 
 using joshua::cluster_options_from_config;
@@ -212,59 +214,25 @@ TEST(ClusterConfig, ShardsRoundTrip) {
 }
 
 TEST(ClusterConfig, ShardsValidationErrors) {
-  // A head claimed by two shards.
-  EXPECT_THROW(cluster_options_from_config(R"(
-    heads = 4
-    shards {
-      count = 2
-      shard 0 { heads = {0, 1} }
-      shard 1 { heads = {1, 2, 3} }
+  // The deployment file refuses every case of the shared table, through the
+  // same validator as code-built options ("shards:" marks its errors, so a
+  // case cannot pass on a syntax error instead).
+  for (const layoutcases::BadLayout& c : layoutcases::bad_layouts()) {
+    std::string text = cluster_options_to_config(c.options);
+    try {
+      joshua::ClusterOptions parsed = cluster_options_from_config(text);
+      // The file has no key for plain TORQUE: that case is refused when the
+      // parsed layout is built without JOSHUA.
+      ASSERT_FALSE(c.options.with_joshua) << c.what << " parsed:\n" << text;
+      parsed.with_joshua = false;
+      joshua::Cluster cluster(parsed);
+      ADD_FAILURE() << c.what << " built:\n" << text;
+    } catch (const jutil::ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("shards: ", 0), 0u)
+          << c.what << ": " << e.what();
     }
-  )"),
-               jutil::ConfigError);
-  // A head assigned to no shard.
-  EXPECT_THROW(cluster_options_from_config(R"(
-    heads = 4
-    shards {
-      count = 2
-      shard 0 { heads = {0, 1} }
-      shard 1 { heads = {2} }
-    }
-  )"),
-               jutil::ConfigError);
-  // Overlapping queue globs: two shards both claim queue "batch".
-  EXPECT_THROW(cluster_options_from_config(R"(
-    heads = 4
-    shards {
-      count = 2
-      shard 0 {
-        heads = {0, 1}
-        queues = {"batch*", "*"}
-      }
-      shard 1 {
-        heads = {2, 3}
-        queues = {"batch"}
-      }
-    }
-  )"),
-               jutil::ConfigError);
-  // No catch-all: some queue would be unassigned.
-  EXPECT_THROW(cluster_options_from_config(R"(
-    heads = 4
-    shards {
-      count = 2
-      shard 0 {
-        heads = {0, 1}
-        queues = {"batch*"}
-      }
-      shard 1 {
-        heads = {2, 3}
-        queues = {"debug*"}
-      }
-    }
-  )"),
-               jutil::ConfigError);
-  // Missing per-shard section.
+  }
+  // File syntax: a missing per-shard section.
   EXPECT_THROW(cluster_options_from_config(R"(
     heads = 4
     shards {
@@ -273,6 +241,32 @@ TEST(ClusterConfig, ShardsValidationErrors) {
     }
   )"),
                jutil::ConfigError);
+  // File syntax: a head index that is not a number.
+  EXPECT_THROW(cluster_options_from_config(R"(
+    heads = 4
+    shards {
+      count = 2
+      shard 0 { heads = {0, one} }
+      shard 1 { heads = {2, 3} }
+    }
+  )"),
+               jutil::ConfigError);
+}
+
+TEST(ClusterConfig, ShardsWithoutHeadListsSplitContiguously) {
+  joshua::ClusterOptions options = cluster_options_from_config(R"(
+    heads = 4
+    computes = 2
+    shards { count = 2 }
+  )");
+  EXPECT_TRUE(options.shards.heads.empty());
+  EXPECT_EQ(options.shards.head_sets(options.head_count),
+            (std::vector<std::vector<int>>{{0, 1}, {2, 3}}));
+  joshua::ClusterOptions back =
+      cluster_options_from_config(cluster_options_to_config(options));
+  EXPECT_EQ(back.shards.count, 2);
+  EXPECT_TRUE(back.shards.heads.empty());
+  EXPECT_TRUE(back.shards.queues.empty());
 }
 
 TEST(ClusterConfig, ConfiguredClusterActuallyRuns) {

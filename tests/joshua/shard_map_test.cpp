@@ -1,31 +1,34 @@
-// ShardMap edge cases: the partition function must degenerate exactly to
-// today's single-group routing, refuse ids no shard can own, and place
-// deterministically -- every router and head computing the same answer is
-// what stands in for a replicated directory service.
-#include "fed/shard_map.h"
+// The shard map (ShardLayout's partition rules) edge cases: the partition
+// function must degenerate exactly to the single-group routing, refuse ids
+// no shard can own, and place deterministically -- every router and head
+// computing the same answer is what stands in for a replicated directory
+// service.
+#include "joshua/shard_layout.h"
 
 #include <gtest/gtest.h>
 
 #include "joshua/server.h"
+#include "joshua/shard_layout_cases.h"
 #include "util/config.h"
 #include "util/rng.h"
 
 namespace {
 
-using fed::ShardMap;
-using fed::ShardMapConfig;
+using joshua::ShardLayout;
 
 TEST(ShardMap, SingleShardDegeneratesToTodaysRouting) {
-  // Default-constructed and explicit 1-shard maps behave like the
+  // Default-constructed and explicit 1-shard layouts behave like the
   // monolithic cluster: every id owned by the one group, every queue
   // placed there, ids numbered from 1.
-  ShardMap def;
-  ShardMapConfig one;
-  one.shard_count = 1;
-  ShardMap explicit_one(one);
-  for (const ShardMap* map : {&def, &explicit_one}) {
+  ShardLayout def;
+  ShardLayout explicit_one;
+  explicit_one.count = 1;
+  explicit_one.heads = {{0, 1}};
+  for (const ShardLayout* map : {&def, &explicit_one}) {
+    EXPECT_NO_THROW(map->validate(2, 2, true));
+    EXPECT_NO_THROW(map->validate(2, 2, false)) << "plain TORQUE is 1 shard";
     EXPECT_EQ(map->shard_count(), 1u);
-    EXPECT_TRUE(map->single_shard());
+    EXPECT_FALSE(map->sharded());
     EXPECT_FALSE(map->routes_by_queue());
     EXPECT_EQ(map->first_id(0), 1u);
     EXPECT_EQ(map->owner_of(1), 0u);
@@ -34,13 +37,14 @@ TEST(ShardMap, SingleShardDegeneratesToTodaysRouting) {
     EXPECT_EQ(map->place("anything", 77), 0u);
   }
   EXPECT_FALSE(def.owner_of(pbs::kInvalidJob).has_value());
+  EXPECT_EQ(def.stride(), joshua::kDefaultIdStride)
+      << "stride 0 selects the default block";
 }
 
 TEST(ShardMap, OwnerOfMatchesIdBlocks) {
-  ShardMapConfig cfg;
-  cfg.shard_count = 4;
-  cfg.id_stride = 100;
-  ShardMap map(cfg);
+  ShardLayout map;
+  map.count = 4;
+  map.id_stride = 100;
   EXPECT_EQ(map.first_id(0), 1u);
   EXPECT_EQ(map.first_id(3), 301u);
   EXPECT_EQ(map.owner_of(1), 0u);
@@ -50,10 +54,9 @@ TEST(ShardMap, OwnerOfMatchesIdBlocks) {
 }
 
 TEST(ShardMap, UnknownIdsRejected) {
-  ShardMapConfig cfg;
-  cfg.shard_count = 4;
-  cfg.id_stride = 100;
-  ShardMap map(cfg);
+  ShardLayout map;
+  map.count = 4;
+  map.id_stride = 100;
   // Beyond every shard's block: no shard can ever have issued these.
   EXPECT_FALSE(map.owner_of(pbs::kInvalidJob).has_value());
   EXPECT_FALSE(map.owner_of(401).has_value());
@@ -63,10 +66,9 @@ TEST(ShardMap, UnknownIdsRejected) {
 TEST(ShardMap, AgreesWithServerSideShardIdentity) {
   // The router's owner_of and the server's owns() are the same partition
   // evaluated at the two ends of the wire; they must never disagree.
-  ShardMapConfig cfg;
-  cfg.shard_count = 3;
-  cfg.id_stride = 50;
-  ShardMap map(cfg);
+  ShardLayout map;
+  map.count = 3;
+  map.id_stride = 50;
   for (uint32_t s = 0; s < 3; ++s) {
     joshua::ShardIdentity ident;
     ident.shard = s;
@@ -80,10 +82,10 @@ TEST(ShardMap, AgreesWithServerSideShardIdentity) {
 }
 
 TEST(ShardMap, QueueGlobRouting) {
-  ShardMapConfig cfg;
-  cfg.shard_count = 3;
-  cfg.queue_globs = {{"batch*"}, {"debug", "interactive"}, {"*"}};
-  ShardMap map(cfg);
+  ShardLayout map;
+  map.count = 3;
+  map.queues = {{"batch*"}, {"debug", "interactive"}, {"*"}};
+  EXPECT_NO_THROW(map.validate(3, 3, true));
   EXPECT_TRUE(map.routes_by_queue());
   EXPECT_EQ(map.place("batch"), 0u);
   EXPECT_EQ(map.place("batch_long"), 0u);
@@ -100,60 +102,38 @@ TEST(ShardMap, DeterministicHashPlacementProperty) {
   // happens (no shard starves over a few hundred draws).
   for (uint64_t seed : {7u, 19u, 23u}) {
     jutil::Rng rng(seed);
-    ShardMapConfig cfg;
-    cfg.shard_count = static_cast<uint32_t>(rng.uniform(2, 8));
-    ShardMap a(cfg), b(cfg);
-    std::vector<uint64_t> hits(cfg.shard_count, 0);
+    ShardLayout a;
+    a.count = static_cast<int>(rng.uniform(2, 8));
+    ShardLayout b = a;
+    std::vector<uint64_t> hits(a.shard_count(), 0);
     for (int i = 0; i < 400; ++i) {
       std::string queue = "q" + std::to_string(rng.next_u64(1u << 20));
       uint64_t salt = rng.next_u64(1ull << 40);
       uint32_t placed = a.place(queue, salt);
       EXPECT_EQ(placed, b.place(queue, salt)) << "seed " << seed;
-      ASSERT_LT(placed, cfg.shard_count);
+      ASSERT_LT(placed, a.shard_count());
       ++hits[placed];
     }
-    for (uint32_t s = 0; s < cfg.shard_count; ++s)
+    for (uint32_t s = 0; s < a.shard_count(); ++s)
       EXPECT_GT(hits[s], 0u) << "seed " << seed << " starved shard " << s;
   }
 }
 
 TEST(ShardMap, ValidationRejectsBadPartitions) {
-  ShardMapConfig zero_shards;
-  zero_shards.shard_count = 0;
-  EXPECT_THROW(ShardMap{zero_shards}, jutil::ConfigError);
-
-  ShardMapConfig zero_stride;
-  zero_stride.shard_count = 2;
-  zero_stride.id_stride = 0;
-  EXPECT_THROW(ShardMap{zero_stride}, jutil::ConfigError);
-
-  ShardMapConfig wrong_arity;
-  wrong_arity.shard_count = 3;
-  wrong_arity.queue_globs = {{"a"}, {"*"}};
-  EXPECT_THROW(ShardMap{wrong_arity}, jutil::ConfigError);
-
-  ShardMapConfig empty_list;
-  empty_list.shard_count = 2;
-  empty_list.queue_globs = {{"batch*"}, {}};
-  EXPECT_THROW(ShardMap{empty_list}, jutil::ConfigError);
-
-  ShardMapConfig duplicate;
-  duplicate.shard_count = 2;
-  duplicate.queue_globs = {{"batch"}, {"batch", "*"}};
-  EXPECT_THROW(ShardMap{duplicate}, jutil::ConfigError);
-
-  // A literal name one shard claims that another shard's glob also matches:
-  // both would accept submits to "batch9".
-  ShardMapConfig overlap;
-  overlap.shard_count = 2;
-  overlap.queue_globs = {{"batch*", "*"}, {"batch9"}};
-  EXPECT_THROW(ShardMap{overlap}, jutil::ConfigError);
-
-  // No catch-all: a queue matching no glob would have no owner.
-  ShardMapConfig uncovered;
-  uncovered.shard_count = 2;
-  uncovered.queue_globs = {{"batch*"}, {"debug*"}};
-  EXPECT_THROW(ShardMap{uncovered}, jutil::ConfigError);
+  // Code-built options: the validator refuses every case of the shared
+  // table, and so does the builder (it validates before wiring anything).
+  for (const layoutcases::BadLayout& c : layoutcases::bad_layouts()) {
+    const joshua::ClusterOptions& o = c.options;
+    EXPECT_THROW(o.shards.validate(o.head_count, o.compute_count,
+                                   o.with_joshua),
+                 jutil::ConfigError)
+        << c.what;
+    EXPECT_THROW(joshua::Cluster{o}, jutil::ConfigError) << c.what;
+  }
+  // The base the table edits is itself valid.
+  joshua::ClusterOptions base = layoutcases::two_shards();
+  EXPECT_NO_THROW(base.shards.validate(base.head_count, base.compute_count,
+                                       base.with_joshua));
 }
 
 }  // namespace

@@ -36,9 +36,9 @@ ScenarioOptions campaign_options(sim::Duration duration, uint64_t seed) {
   options.heads = 3;
   options.computes = 2;
   // JOSHUA_SHARDS > 1 runs the same campaign against a federated control
-  // plane (scenario.h builds a fed::Federation behind the router). Each
-  // shard keeps a pair of heads so single-head losses never open a
-  // per-shard service gap.
+  // plane (scenario.h builds a sharded joshua::Cluster behind a
+  // fed::Router). Each shard keeps a pair of heads so single-head losses
+  // never open a per-shard service gap.
   options.shards = scenariotest::env_int("JOSHUA_SHARDS", 1, 1, 8);
   if (options.shards > 1) {
     options.heads = 2 * options.shards;
