@@ -243,7 +243,8 @@ LegResult run_million_leg(int shards) {
   out.jsub_ms_mean = jsub_total_ms / accepted;
 
   for (size_t h = 0; h < f.head_count(); ++h)
-    out.jstat_local_served += f.joshua_server(h).stats().jstat_local_served;
+    out.jstat_local_served +=
+        f.joshua_server(h).core_stats().local_reads.count();
   out.ok = true;
   std::fprintf(stderr,
                "[B %d shards] jstat p95 %.2f ms, jsub mean %.2f ms, "

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
               cluster.sim().now().seconds(),
               cluster.pbs_server(0).jobs().size(),
               static_cast<unsigned long long>(
-                  cluster.joshua_server(0).stats().replays_applied));
+                  cluster.joshua_server(0).stats().replays_applied.count()));
 
   // --- drain ---------------------------------------------------------------
   cluster.sim().run_for(sim::seconds(120));

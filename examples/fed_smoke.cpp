@@ -110,10 +110,11 @@ int main(int argc, char** argv) {
               f.sim().now().seconds(),
               static_cast<unsigned long long>(deleted));
 
-  const fed::Router::Stats& rs = router.stats();
+  const fed::Router::Telemetry& rs = router.stats();
   bool pass = accepted == 3 && listed == 3 && sorted && outage_ok &&
               deleted == 4 && router.layout().owner_of(batch_id) == 0u &&
-              router.layout().owner_of(debug_id) == 1u && rs.fanouts >= 2;
+              router.layout().owner_of(debug_id) == 1u &&
+              rs.fanouts.count() >= 2;
 
   telemetry::ScenarioReport report;
   report.set_meta("scenario", "fed_smoke");
@@ -123,10 +124,11 @@ int main(int argc, char** argv) {
   report.set("jstat_all_sorted", sorted ? 1 : 0);
   report.set("outage_submission_ok", outage_ok ? 1 : 0);
   report.set("mass_deleted", static_cast<double>(deleted));
-  report.set("router.routed", static_cast<double>(rs.routed));
-  report.set("router.fanouts", static_cast<double>(rs.fanouts));
-  report.set("router.fanout_reads", static_cast<double>(rs.fanout_reads));
-  report.set("router.rejects", static_cast<double>(rs.rejects));
+  report.set("router.routed", static_cast<double>(rs.routed.count()));
+  report.set("router.fanouts", static_cast<double>(rs.fanouts.count()));
+  report.set("router.fanout_reads",
+             static_cast<double>(rs.fanout_reads.count()));
+  report.set("router.rejects", static_cast<double>(rs.rejects.count()));
   report.set("smoke_passed", pass ? 1 : 0);
   report.note_metrics(f.sim().telemetry().metrics());
   std::string report_path = prefix + ".report.json";

@@ -22,7 +22,7 @@ void show_heads(joshua::Cluster& cluster) {
                 server.group().view().size(),
                 cluster.pbs_server(i).jobs().size(),
                 static_cast<unsigned long long>(
-                    server.stats().replays_applied));
+                    server.stats().replays_applied.count()));
   }
 }
 

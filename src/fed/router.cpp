@@ -16,11 +16,11 @@ Router::Router(joshua::Cluster& cluster)
         static_cast<sim::Port>(first_port + s), std::move(cfg)));
   }
   telemetry::Registry& m = cluster.sim().telemetry().metrics();
-  m_routed_ = m.counter("fed.routed");
-  m_fanouts_ = m.counter("fed.fanouts");
-  m_fanout_reads_ = m.counter("fed.fanout_reads");
-  m_rejects_ = m.counter("fed.rejects");
-  m_mass_deleted_ = m.counter("fed.mass_deleted");
+  m_.routed = m.counter("fed.routed");
+  m_.fanouts = m.counter("fed.fanouts");
+  m_.fanout_reads = m.counter("fed.fanout_reads");
+  m_.rejects = m.counter("fed.rejects");
+  m_.mass_deleted = m.counter("fed.mass_deleted");
 }
 
 Router::~Router() = default;
@@ -38,15 +38,13 @@ bool Router::route_by_id(pbs::JobId id, uint32_t& shard,
   if (!owner.has_value()) {
     // No shard's id block contains this id, so no head anywhere could know
     // it: answer kUnknownJob locally rather than burning an ordered slot.
-    ++stats_.rejects;
-    m_rejects_.add(1);
+    m_.rejects.add(1);
     Response resp;
     resp.status = pbs::Status::kUnknownJob;
     if (done) done(resp);
     return false;
   }
-  ++stats_.routed;
-  m_routed_.add(1);
+  m_.routed.add(1);
   shard = *owner;
   return true;
 }
@@ -54,8 +52,7 @@ bool Router::route_by_id(pbs::JobId id, uint32_t& shard,
 void Router::jsub(pbs::JobSpec spec,
                   std::function<void(std::optional<pbs::SubmitResponse>)> done) {
   uint32_t shard = layout_->place(spec.queue, next_salt_++);
-  ++stats_.routed;
-  m_routed_.add(1);
+  m_.routed.add(1);
   clients_[shard]->jsub(std::move(spec), std::move(done));
 }
 
@@ -72,8 +69,7 @@ void Router::jstat(pbs::StatRequest req,
   // answer is a consistent totally-ordered snapshot of *its* jobs; the
   // merge is only as fresh as the slowest shard, which is the documented
   // cross-shard semantic.
-  ++stats_.fanouts;
-  m_fanouts_.add(1);
+  m_.fanouts.add(1);
   uint32_t shards = layout_->shard_count();
   struct Merge {
     std::vector<pbs::Job> jobs;
@@ -84,8 +80,7 @@ void Router::jstat(pbs::StatRequest req,
   auto merge = std::make_shared<Merge>();
   merge->pending = shards;
   for (uint32_t s = 0; s < shards; ++s) {
-    ++stats_.fanout_reads;
-    m_fanout_reads_.add(1);
+    m_.fanout_reads.add(1);
     clients_[s]->jstat(
         req, [this, merge, done](std::optional<pbs::StatResponse> resp) {
           if (!resp.has_value()) {
@@ -166,14 +161,12 @@ void Router::jdel_all(std::function<void(std::optional<uint64_t>)> done) {
         if (--count->pending == 0 && done) done(count->deleted);
         continue;
       }
-      ++stats_.routed;
-      m_routed_.add(1);
+      m_.routed.add(1);
       clients_[*owner]->jdel(
           job.id, [this, count, done](std::optional<pbs::SimpleResponse> r) {
             if (r.has_value() && r->status == pbs::Status::kOk) {
               ++count->deleted;
-              ++stats_.mass_deleted;
-              m_mass_deleted_.add(1);
+              m_.mass_deleted.add(1);
             }
             if (--count->pending == 0 && done) done(count->deleted);
           });

@@ -37,14 +37,15 @@ class Router {
   /// Head failovers summed over every shard's client.
   uint64_t failovers() const;
 
-  struct Stats {
-    uint64_t routed = 0;       ///< single-shard commands forwarded
-    uint64_t fanouts = 0;      ///< cross-shard operations (jstat-all, jdel-all)
-    uint64_t fanout_reads = 0; ///< per-shard reads those fan-outs issued
-    uint64_t rejects = 0;      ///< ids no shard can own, refused locally
-    uint64_t mass_deleted = 0; ///< jobs deleted by jdel_all
+  /// Registry handles ("fed.*"); a counter's count() is this router's own.
+  struct Telemetry {
+    telemetry::Counter routed;        ///< single-shard commands forwarded
+    telemetry::Counter fanouts;       ///< cross-shard ops (jstat-all, jdel-all)
+    telemetry::Counter fanout_reads;  ///< per-shard reads those fan-outs issued
+    telemetry::Counter rejects;       ///< ids no shard can own, refused locally
+    telemetry::Counter mass_deleted;  ///< jobs deleted by jdel_all
   };
-  const Stats& stats() const { return stats_; }
+  const Telemetry& stats() const { return m_; }
 
   /// Routed by queue (glob owner or hash); the owning shard orders it.
   void jsub(pbs::JobSpec spec,
@@ -76,12 +77,7 @@ class Router {
   const joshua::ShardLayout* layout_;
   std::vector<std::unique_ptr<joshua::Client>> clients_;
   uint64_t next_salt_ = 0;  ///< spreads hash-placed same-queue submits
-  Stats stats_;
-  telemetry::Counter m_routed_;
-  telemetry::Counter m_fanouts_;
-  telemetry::Counter m_fanout_reads_;
-  telemetry::Counter m_rejects_;
-  telemetry::Counter m_mass_deleted_;
+  Telemetry m_;
 };
 
 }  // namespace fed

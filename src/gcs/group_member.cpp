@@ -38,24 +38,24 @@ GroupMember::GroupMember(sim::Network& net, sim::HostId host,
   }
   telemetry::Hub& hub = net.sim().telemetry();
   telemetry::Registry& m = hub.metrics();
-  m_data_sent_ = m.counter("gcs.data_sent");
-  m_data_received_ = m.counter("gcs.data_received");
-  m_nacks_sent_ = m.counter("gcs.nacks_sent");
-  m_retransmits_served_ = m.counter("gcs.retransmits_served");
-  m_delivered_ = m.counter("gcs.delivered");
-  m_views_installed_ = m.counter("gcs.views_installed");
-  m_cuts_sent_ = m.counter("gcs.cuts_sent");
-  m_engine_msgs_ = m.counter("gcs.engine_msgs_sent");
-  m_token_rotations_ = m.counter("gcs.token.rotations");
-  m_window_stalls_ = m.counter("gcs.window_stalls");
-  m_pipeline_depth_ = m.gauge("gcs.pipeline_depth");
-  m_order_latency_ = m.histogram("gcs.order_latency_us");
-  m_token_hold_ = m.histogram("gcs.token.hold_us");
-  m_batch_size_ = m.histogram("gcs.batch_size");
+  m_.data_sent = m.counter("gcs.data_sent");
+  m_.data_received = m.counter("gcs.data_received");
+  m_.nacks_sent = m.counter("gcs.nacks_sent");
+  m_.retransmits_served = m.counter("gcs.retransmits_served");
+  m_.delivered = m.counter("gcs.delivered");
+  m_.views_installed = m.counter("gcs.views_installed");
+  m_.cuts_sent = m.counter("gcs.cuts_sent");
+  m_.engine_msgs_sent = m.counter("gcs.engine_msgs_sent");
+  m_.token_rotations = m.counter("gcs.token.rotations");
+  m_.window_stalls = m.counter("gcs.window_stalls");
+  m_.pipeline_depth = m.gauge("gcs.pipeline_depth");
+  m_.order_latency = m.histogram("gcs.order_latency_us");
+  m_.token_hold = m.histogram("gcs.token.hold_us");
+  m_.batch_size = m.histogram("gcs.batch_size");
   if (!config_.telemetry_scope.empty()) {
-    m_scope_delivered_ =
+    m_.scope_delivered =
         m.counter("gcs." + config_.telemetry_scope + ".delivered");
-    m_scope_order_latency_ =
+    m_.scope_order_latency =
         m.histogram("gcs." + config_.telemetry_scope + ".order_latency_us");
   }
   tc_view_ = hub.trace().intern("gcs.view");
@@ -117,14 +117,13 @@ void GroupMember::multicast(sim::Payload payload, Delivery level) {
     // sends already wait behind it -- per-sender FIFO must hold). Queue
     // locally instead of growing every receiver's unordered backlog; the
     // window reopens as our own messages come back ordered.
-    ++stats_.window_stalls;
-    m_window_stalls_.add(1);
+    m_.window_stalls.add(1);
     window_queue_.emplace_back(std::move(payload), level);
     return;
   }
   if (ordered) {
     ++inflight_;
-    m_pipeline_depth_.set(inflight_);
+    m_.pipeline_depth.set(inflight_);
   }
   do_multicast(std::move(payload), level);
 }
@@ -139,8 +138,7 @@ void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
   retain(msg);
   buffer_.insert(msg);
   buffer_.observe(id(), lamport_, my_seq_, buffer_.received_vector());
-  ++stats_.data_sent;
-  m_data_sent_.add(1);
+  m_.data_sent.add(1);
   order_inflight_[msg.id.seq & 63] = {msg.id.seq, sim().now().us};
   apply_engine(engine_->on_local_send(msg, sim().now().us));
 
@@ -162,7 +160,7 @@ void GroupMember::release_window() {
     auto [payload, level] = std::move(window_queue_.front());
     window_queue_.pop_front();
     ++inflight_;
-    m_pipeline_depth_.set(inflight_);
+    m_.pipeline_depth.set(inflight_);
     do_multicast(std::move(payload), level);
   }
 }
@@ -286,8 +284,7 @@ void GroupMember::note_alive(MemberId peer) {
 
 void GroupMember::handle_data(DataWire m) {
   if (!is_member() || !view_.contains(m.header.from)) return;
-  ++stats_.data_received;
-  m_data_received_.add(1);
+  m_.data_received.add(1);
   note_alive(m.header.from);
   tick_lamport(m.msg.lamport);
   buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
@@ -308,7 +305,7 @@ void GroupMember::handle_data(DataWire m) {
 
 void GroupMember::handle_cut(const CutWire& m) {
   if (!is_member() || !view_.contains(m.header.from)) return;
-  ++stats_.cuts_received;
+  m_.cuts_received.add(1);
   note_alive(m.header.from);
   tick_lamport(m.header.lamport);
   buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
@@ -326,8 +323,7 @@ void GroupMember::handle_nack(NackWire m) {
     if (it != retained_.end()) reply.msgs.push_back(it->second);
   }
   if (reply.msgs.empty()) return;
-  ++stats_.retransmits_served;
-  m_retransmits_served_.add(1);
+  m_.retransmits_served.add(1);
   reply.header = make_header();
   sim::Payload buf = net::encode(reply);
   sim::Endpoint dst{m.header.from, config_.port};
@@ -360,16 +356,15 @@ void GroupMember::deliver_ready() {
 }
 
 void GroupMember::deliver_to_app(const DataMsg& m) {
-  ++stats_.delivered;
-  m_delivered_.add(1);
-  m_scope_delivered_.add(1);
+  m_.delivered.add(1);
+  m_.scope_delivered.add(1);
   if (m.id.sender == id()) {
     // Multicast -> own ordered delivery latency (the paper's "latency of
     // the total-ordering protocol" metric).
     const auto& [seq, sent_us] = order_inflight_[m.id.seq & 63];
     if (seq == m.id.seq) {
-      m_order_latency_.record(sim().now().us - sent_us);
-      m_scope_order_latency_.record(sim().now().us - sent_us);
+      m_.order_latency.record(sim().now().us - sent_us);
+      m_.scope_order_latency.record(sim().now().us - sent_us);
     }
     // An own ordered message coming back retires flow-control debt and may
     // reopen the window for queued sends (no-op while flushing: install_view
@@ -377,7 +372,7 @@ void GroupMember::deliver_to_app(const DataMsg& m) {
     if ((m.level == Delivery::kAgreed || m.level == Delivery::kSafe) &&
         inflight_ > 0) {
       --inflight_;
-      m_pipeline_depth_.set(inflight_);
+      m_.pipeline_depth.set(inflight_);
       if (!window_queue_.empty()) release_window();
     }
   }
@@ -401,18 +396,16 @@ void GroupMember::handle_engine(EngineWire m) {
 }
 
 void GroupMember::apply_engine(EngineOut out) {
-  if (out.token_hold_us >= 0) m_token_hold_.record(out.token_hold_us);
-  for (uint32_t n : out.batch_sizes) m_batch_size_.record(n);
+  if (out.token_hold_us >= 0) m_.token_hold.record(out.token_hold_us);
+  for (uint32_t n : out.batch_sizes) m_.batch_size.record(n);
   for (sim::Payload& body : out.broadcasts) {
-    ++stats_.engine_sent;
-    m_engine_msgs_.add(1);
+    m_.engine_msgs_sent.add(1);
     EngineWire w{make_header(), std::move(body)};
     cast_to_members(net::encode(w));
   }
   if (out.unicast) {
-    ++stats_.engine_sent;
-    m_engine_msgs_.add(1);
-    if (out.token_forward) m_token_rotations_.add(1);
+    m_.engine_msgs_sent.add(1);
+    if (out.token_forward) m_.token_rotations.add(1);
     EngineWire w{make_header(), std::move(out.unicast->second)};
     send(sim::Endpoint{out.unicast->first, config_.port}, net::encode(w));
   }
@@ -448,7 +441,7 @@ void GroupMember::schedule_ack_cut() {
 
 void GroupMember::flush_ack_cut() {
   if (unacked_data_ == 0) return;
-  m_batch_size_.record(unacked_data_);
+  m_.batch_size.record(unacked_data_);
   send_cut(/*periodic=*/false);
 }
 
@@ -460,8 +453,7 @@ void GroupMember::send_cut(bool periodic) {
     // everything heard so far -- the batching counter restarts.
     unacked_data_ = 0;
     CutWire m{make_header(), true};
-    ++stats_.cuts_sent;
-    m_cuts_sent_.add(1);
+    m_.cuts_sent.add(1);
     cast_to_members(net::encode(m));
     return;
   }
@@ -472,8 +464,7 @@ void GroupMember::send_cut(bool periodic) {
     unacked_data_ = 0;
     if (!is_member() || view_.size() <= 1) return;
     CutWire m{make_header(), false};
-    ++stats_.cuts_sent;
-    m_cuts_sent_.add(1);
+    m_.cuts_sent.add(1);
     cast_to_members(net::encode(m));
   });
 }
@@ -510,8 +501,7 @@ void GroupMember::check_gaps() {
       for (const MsgId& gap : ids)
         if (buffer_.received_upto(gap.sender) < gap.seq) m.missing.push_back(gap);
       if (m.missing.empty()) return;
-      ++stats_.nacks_sent;
-      m_nacks_sent_.add(1);
+      m_.nacks_sent.add(1);
       m.header = make_header();
       send(sim::Endpoint{sender, config_.port}, net::encode(m));
     });
@@ -848,8 +838,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   // Start the engine's new-view epoch (token mode: the lowest member mints
   // the view's token) now that stream positions are settled.
   apply_engine(engine_->reset(view_, id(), now.us));
-  ++stats_.views_installed;
-  m_views_installed_.add(1);
+  m_.views_installed.add(1);
   telemetry::TraceBuffer& tr = sim().telemetry().trace();
   if (flush_started_us_ >= 0) {
     tr.complete(flush_started_us_, now.us, host_id(), tc_flush_,
@@ -895,7 +884,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   // The flush delivered -- or identically discarded -- every message this
   // member had in flight, so the flow-control debt resets with the view.
   inflight_ = 0;
-  m_pipeline_depth_.set(0);
+  m_.pipeline_depth.set(0);
 
   // Release queued sends through multicast() (which re-applies the window):
   // window-stalled sends first -- they predate anything buffered during the
@@ -1060,7 +1049,7 @@ void GroupMember::become_down() {
   flush_started_us_ = -1;
   pending_sends_.clear();
   inflight_ = 0;
-  m_pipeline_depth_.set(0);
+  m_.pipeline_depth.set(0);
   window_queue_.clear();
   unacked_data_ = 0;
   awaiting_state_ = false;

@@ -148,19 +148,30 @@ class GroupMember : public sim::Process {
   const OrderingEngine& engine() const { return *engine_; }
 
   // -- statistics ------------------------------------------------------------
-  struct Stats {
-    uint64_t data_sent = 0;
-    uint64_t data_received = 0;
-    uint64_t cuts_sent = 0;
-    uint64_t cuts_received = 0;
-    uint64_t nacks_sent = 0;
-    uint64_t retransmits_served = 0;
-    uint64_t delivered = 0;
-    uint64_t views_installed = 0;
-    uint64_t engine_sent = 0;  ///< ordering-engine control messages sent
-    uint64_t window_stalls = 0;  ///< sends queued at the flow-control window
+  /// Registry handles ("gcs.*", cells shared by every member in one
+  /// simulation); a counter's count() is this member's own number.
+  struct Telemetry {
+    telemetry::Counter data_sent;
+    telemetry::Counter data_received;
+    telemetry::Counter nacks_sent;
+    telemetry::Counter retransmits_served;
+    telemetry::Counter delivered;
+    telemetry::Counter views_installed;
+    telemetry::Counter cuts_sent;
+    telemetry::Counter cuts_received;  ///< no registry name: counts locally
+    telemetry::Counter engine_msgs_sent;  ///< ordering-engine control messages
+    telemetry::Counter token_rotations;
+    telemetry::Counter window_stalls;  ///< sends queued at the send window
+    telemetry::Gauge pipeline_depth;
+    telemetry::Histogram order_latency;
+    telemetry::Histogram token_hold;
+    telemetry::Histogram batch_size;
+    /// Scoped duplicates ("gcs.<telemetry_scope>.*"); null cells when the
+    /// scope is empty, so recording them is a no-op outside federations.
+    telemetry::Counter scope_delivered;
+    telemetry::Histogram scope_order_latency;
   };
-  const Stats& stats() const { return stats_; }
+  const Telemetry& stats() const { return m_; }
   /// Own AGREED/SAFE multicasts currently in flight (flow-control debt).
   uint32_t inflight() const { return inflight_; }
 
@@ -274,29 +285,8 @@ class GroupMember : public sim::Process {
   int merge_tick_ = 0;
 
   bool cut_scheduled_ = false;
-  Stats stats_;
   CutWire rx_cut_;  ///< decode storage reused by every inbound cut
-
-  // Telemetry (registry cells shared by all members in one simulation;
-  // registered in the ctor body, updated next to the stats_ increments).
-  telemetry::Counter m_data_sent_;
-  telemetry::Counter m_data_received_;
-  telemetry::Counter m_nacks_sent_;
-  telemetry::Counter m_retransmits_served_;
-  telemetry::Counter m_delivered_;
-  telemetry::Counter m_views_installed_;
-  telemetry::Counter m_cuts_sent_;
-  telemetry::Counter m_engine_msgs_;
-  telemetry::Counter m_token_rotations_;
-  telemetry::Counter m_window_stalls_;
-  telemetry::Gauge m_pipeline_depth_;
-  telemetry::Histogram m_order_latency_;
-  telemetry::Histogram m_token_hold_;
-  telemetry::Histogram m_batch_size_;
-  /// Scoped duplicates ("gcs.<telemetry_scope>.*"); null cells when the
-  /// scope is empty, so recording them is a no-op outside federations.
-  telemetry::Counter m_scope_delivered_;
-  telemetry::Histogram m_scope_order_latency_;
+  Telemetry m_;  ///< registered in the ctor body
   uint16_t tc_view_ = 0;   ///< trace category "gcs.view"
   uint16_t tc_flush_ = 0;  ///< trace category "gcs.flush"
   /// Start of the flush this member is currently in, or -1 (for the

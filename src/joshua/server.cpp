@@ -134,36 +134,29 @@ rsm::Telemetry Server::instrument(telemetry::Hub& hub,
   telemetry::Registry& m = hub.metrics();
   rsm::Telemetry core;
   core.ordered = m.counter("joshua.commands_intercepted");
-  m_commands_executed_ = m.counter("joshua.commands_executed");
-  m_replays_applied_ = m.counter("joshua.replays_applied");
-  m_mutex_grants_ = m.counter("joshua.mutex_grants");
-  m_mutex_denials_ = m.counter("joshua.mutex_denials");
-  m_mutex_revokes_ = m.counter("joshua.mutex_revokes");
-  m_dup_done_suppressed_ = m.counter("joshua.dup_completions_suppressed");
-  m_ordered_completions_ = m.counter("joshua.ordered_completions");
-  m_preempts_ordered_ = m.counter("joshua.preempts_ordered");
-  m_reports_rejected_ = m.counter("joshua.reports_rejected");
-  m_replay_divergence_ = m.counter("joshua.replay_divergence." + host);
+  m_.commands_executed = m.counter("joshua.commands_executed");
+  m_.replays_applied = m.counter("joshua.replays_applied");
+  m_.mutex_grants = m.counter("joshua.mutex_grants");
+  m_.mutex_denials = m.counter("joshua.mutex_denials");
+  m_.mutex_revokes = m.counter("joshua.mutex_revokes");
+  m_.dup_completions_suppressed =
+      m.counter("joshua.dup_completions_suppressed");
+  m_.ordered_completions = m.counter("joshua.ordered_completions");
+  m_.preempts_ordered = m.counter("joshua.preempts_ordered");
+  m_.reports_rejected = m.counter("joshua.reports_rejected");
+  m_.replay_divergence = m.counter("joshua.replay_divergence." + host);
   // "pbs.jstat_local": stat queries served from the local replica, the
   // read path that never pays for total order.
   core.local_reads = m.counter("pbs.jstat_local");
-  m_shard_rejects_ = m.counter("joshua.shard_rejects");
+  m_.shard_rejects = m.counter("joshua.shard_rejects");
   core.order_latency = m.histogram("joshua.intercept_to_reply_us");
   core.local_latency = m.histogram("joshua.jstat_local_us");
-  m_jmutex_wait_ = m.histogram("joshua.jmutex_wait_us");
+  m_.jmutex_wait = m.histogram("joshua.jmutex_wait_us");
   core.order_span = hub.trace().intern("joshua.command");
   tc_replay_ = hub.trace().intern("joshua.replay");
   core.view_span = hub.trace().intern("joshua.view");
   tc_revoke_ = hub.trace().intern("joshua.mutex_revoke");
   return core;
-}
-
-Server::Stats Server::stats() const {
-  Stats s = stats_;
-  s.commands_intercepted = node_.stats().ordered;
-  s.replies_relayed = node_.stats().replies;
-  s.jstat_local_served = node_.stats().local_reads;
-  return s;
 }
 
 void Server::call_local_pbs(
@@ -222,8 +215,7 @@ rsm::Admit Server::admit(const sim::Payload& request,
       return rsm::Admit::kHandled;
     }
     if (target != pbs::kInvalidJob && !config_.shard.owns(target)) {
-      ++stats_.shard_rejects;
-      m_shard_rejects_.add(1);
+      m_.shard_rejects.add(1);
       return reject(pbs::Status::kUnknownJob);
     }
   }
@@ -248,8 +240,7 @@ bool Server::on_ordered(rsm::Command& cmd) {
     held_commands_.push_back(std::move(cmd));
     return false;
   }
-  ++stats_.commands_executed;
-  m_commands_executed_.add(1);
+  m_.commands_executed.add(1);
   // Logged at delivery, so a state transfer captured before the apply
   // stage finishes still carries the command.
   cmd.tag = log_command(cmd.request);
@@ -368,7 +359,6 @@ sim::Payload Server::export_mutex_table() const {
 }
 
 sim::Payload Server::snapshot() const {
-  ++stats_.state_transfers_served;
   if (config_.transfer == TransferMode::kSnapshot) {
     return net::encode(TransferEnvelope{TransferKind::kSnapshot,
                                         local_pbs_->dump_state_blob(),
@@ -529,15 +519,14 @@ void Server::replay_next() {
   sim::Payload request = std::move(replay_queue_.front());
   replay_queue_.pop_front();
   uint64_t log_pos = log_command(request);  // nobody awaits a reply
-  ++stats_.replays_applied;
-  m_replays_applied_.add(1);
+  m_.replays_applied.add(1);
   node_.sim().telemetry().trace().instant(
       node_.sim().now().us, node_.host_id(), tc_replay_,
-      stats_.replays_applied, replay_queue_.size());
+      m_.replays_applied.count(), replay_queue_.size());
   call_local_pbs(request, [this, log_pos, request](
                               std::optional<sim::Payload> response) {
     if (!response.has_value() || !replay_response_ok(request, *response)) {
-      m_replay_divergence_.add(1);
+      m_.replay_divergence.add(1);
       JLOG(kWarn, "joshua") << node_.name()
                             << ": replayed command produced a divergent response";
     }
@@ -573,14 +562,13 @@ bool Server::mutex_answerable(const MutexState& state, sim::HostId mom) {
 
 void Server::handle_jmutex(const JMutexRequest& req,
                            const rsm::Caller& caller) {
-  ++stats_.mutex_requests;
+  m_.mutex_requests.add(1);
   if (!node_.in_service()) return;  // no answer; the plugin rotates heads
   auto it = mutexes_.find(req.job);
   if (it != mutexes_.end() && mutex_answerable(it->second, req.mom)) {
     bool won = mutex_winner(it->second, req.mom, req.head);
-    (won ? stats_.mutex_grants : stats_.mutex_denials)++;
-    (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
-    if (won) m_jmutex_wait_.record(0);  // arbitration already settled
+    (won ? m_.mutex_grants : m_.mutex_denials).add(1);
+    if (won) m_.jmutex_wait.record(0);  // arbitration already settled
     node_.reply(caller, net::encode(JMutexResponse{won}));
     return;
   }
@@ -628,8 +616,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
   if (state.done) {
     // A losing replica that really ran (it won a slot) also sends jdone;
     // only the first one in total order decides the job.
-    ++stats_.dup_completions_suppressed;
-    m_dup_done_suppressed_.add(1);
+    m_.dup_completions_suppressed.add(1);
     return;
   }
   state.done = true;
@@ -646,8 +633,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
   // behind a command (routine once ack cuts coalesce) cannot overtake its
   // apply at the colocated PBS.
   if (local_pbs_ != nullptr) {
-    ++stats_.ordered_completions;
-    m_ordered_completions_.add(1);
+    m_.ordered_completions.add(1);
     node_.execute(config_.exec_proc, [this, done] {
       pbs::JobReport report;
       report.job_id = done.job;
@@ -662,8 +648,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
 }
 
 void Server::apply_mutex_revoke(const GroupMutexRevoke& rev) {
-  ++stats_.mutex_revokes;
-  m_mutex_revokes_.add(1);
+  m_.mutex_revokes.add(1);
   revoked_moms_.insert(rev.mom);
   size_t released = 0;
   for (auto& entry : mutexes_) {
@@ -694,16 +679,14 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
   // the relaunch's fresh claims actually go out.
   auto [begin, end] = mutex_waiters_.equal_range(pre.job);
   for (auto w = begin; w != end; ++w) {
-    ++stats_.mutex_denials;
-    m_mutex_denials_.add(1);
+    m_.mutex_denials.add(1);
     node_.reply(w->second.caller,
                 net::encode(JMutexResponse{false}));
   }
   mutex_waiters_.erase(pre.job);
   mutexes_.erase(pre.job);
   std::erase_if(mutex_cast_, [&](const auto& e) { return e.first == pre.job; });
-  ++stats_.preempts_ordered;
-  m_preempts_ordered_.add(1);
+  m_.preempts_ordered.add(1);
   // Inject the requeue into the local PBS through the same exec_proc stage
   // as ordered commands, so it cannot overtake an in-flight apply.
   if (local_pbs_ != nullptr) {
@@ -727,9 +710,8 @@ void Server::answer_mutex_waiters(pbs::JobId job) {
       continue;
     }
     bool won = mutex_winner(state, w->second.mom, w->second.head);
-    (won ? stats_.mutex_grants : stats_.mutex_denials)++;
-    (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
-    if (won) m_jmutex_wait_.record((node_.sim().now() - w->second.asked).us);
+    (won ? m_.mutex_grants : m_.mutex_denials).add(1);
+    if (won) m_.jmutex_wait.record((node_.sim().now() - w->second.asked).us);
     node_.reply(w->second.caller, net::encode(JMutexResponse{won}));
     w = mutex_waiters_.erase(w);
   }
@@ -750,11 +732,11 @@ bool Server::filter_report(const pbs::JobReport& report) {
     // The winner is not decided yet; the ordered MutexDone will complete
     // the job when it is. Dropping the report is safe - completion no
     // longer depends on it.
-    m_reports_rejected_.add(1);
+    m_.reports_rejected.add(1);
     return false;
   }
   if (state.winner_mom == report.mom_host) return true;
-  m_reports_rejected_.add(1);
+  m_.reports_rejected.add(1);
   return false;
 }
 

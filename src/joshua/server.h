@@ -101,23 +101,29 @@ class Server : private rsm::IDeterministicService {
   const gcs::GroupMember& group() const { return node_.group(); }
   gcs::GroupMember& group() { return node_.group(); }
 
-  struct Stats {
-    uint64_t commands_intercepted = 0;
-    uint64_t commands_executed = 0;
-    uint64_t replies_relayed = 0;
-    uint64_t mutex_requests = 0;
-    uint64_t mutex_grants = 0;   ///< jmutex answered "won"
-    uint64_t mutex_denials = 0;  ///< jmutex answered "lost"
-    uint64_t mutex_revokes = 0;  ///< ordered compute-node revocations applied
-    uint64_t dup_completions_suppressed = 0;  ///< extra MutexDones ignored
-    uint64_t ordered_completions = 0;  ///< completions applied from MutexDone
-    uint64_t preempts_ordered = 0;     ///< ordered preemptions applied
-    uint64_t state_transfers_served = 0;
-    uint64_t replays_applied = 0;
-    uint64_t jstat_local_served = 0;  ///< stats answered off the local replica
-    uint64_t shard_rejects = 0;       ///< commands naming out-of-shard ids
+  /// Registry handles ("joshua.*"); a counter's count() is this head's own
+  /// number. The core's counters (commands intercepted, replies relayed,
+  /// stats answered locally) are core_stats().
+  struct Telemetry {
+    telemetry::Counter commands_executed;
+    telemetry::Counter replays_applied;
+    telemetry::Counter mutex_requests;  ///< no registry name: counts locally
+    telemetry::Counter mutex_grants;    ///< jmutex answered "won"
+    telemetry::Counter mutex_denials;   ///< jmutex answered "lost"
+    telemetry::Counter mutex_revokes;   ///< ordered compute-node revocations
+    telemetry::Counter dup_completions_suppressed;  ///< extra MutexDones
+    telemetry::Counter ordered_completions;  ///< applied from MutexDone
+    telemetry::Counter preempts_ordered;     ///< ordered preemptions applied
+    telemetry::Counter reports_rejected;
+    /// Per-head ("joshua.replay_divergence.<host>"): replayed commands whose
+    /// local PBS response disagreed with what the replayed log implies. Any
+    /// nonzero value means this head's rebuilt state drifted from the group.
+    telemetry::Counter replay_divergence;
+    telemetry::Counter shard_rejects;  ///< commands naming out-of-shard ids
+    telemetry::Histogram jmutex_wait;  ///< jmutex arrival -> grant
   };
-  Stats stats() const;
+  const Telemetry& stats() const { return m_; }
+  const rsm::Telemetry& core_stats() const { return node_.stats(); }
 
  private:
   // rsm::IDeterministicService:
@@ -173,23 +179,7 @@ class Server : private rsm::IDeterministicService {
 
   JoshuaConfig config_;
   pbs::Server* local_pbs_;
-  // Telemetry ("joshua.*" metrics), filled by node_'s constructor through
-  // instrument().
-  telemetry::Counter m_commands_executed_;
-  telemetry::Counter m_replays_applied_;
-  telemetry::Counter m_mutex_grants_;
-  telemetry::Counter m_mutex_denials_;
-  telemetry::Counter m_mutex_revokes_;
-  telemetry::Counter m_dup_done_suppressed_;
-  telemetry::Counter m_ordered_completions_;
-  telemetry::Counter m_preempts_ordered_;
-  telemetry::Counter m_reports_rejected_;
-  /// Per-head ("joshua.replay_divergence.<host>"): replayed commands whose
-  /// local PBS response disagreed with what the replayed log implies. Any
-  /// nonzero value means this head's rebuilt state drifted from the group.
-  telemetry::Counter m_replay_divergence_;
-  telemetry::Counter m_shard_rejects_;
-  telemetry::Histogram m_jmutex_wait_;  ///< jmutex arrival -> grant
+  Telemetry m_;  ///< filled by node_'s constructor through instrument()
   uint16_t tc_replay_ = 0;   ///< trace category "joshua.replay"
   uint16_t tc_revoke_ = 0;   ///< trace category "joshua.mutex_revoke"
 
@@ -239,10 +229,6 @@ class Server : private rsm::IDeterministicService {
   bool replaying_ = false;
   std::deque<sim::Payload> replay_queue_;
   std::deque<rsm::Command> held_commands_;
-
-  /// Joshua-only counters; the core's ones are merged in by stats().
-  /// Mutable: serving a state transfer (snapshot() const) counts.
-  mutable Stats stats_;
 
   /// Last: built after, and destroyed before, everything its callbacks reach.
   rsm::ReplicaNode node_;

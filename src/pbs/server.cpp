@@ -31,25 +31,25 @@ Server::Server(sim::Network& net, sim::HostId host, ServerConfig config)
   }
   telemetry::Hub& hub = net.sim().telemetry();
   telemetry::Registry& m = hub.metrics();
-  m_jobs_queued_ = m.counter("pbs.jobs_queued");
-  m_jobs_launched_ = m.counter("pbs.jobs_launched");
-  m_jobs_completed_ = m.counter("pbs.jobs_completed");
-  m_sched_cycles_ = m.counter("pbs.sched_cycles");
-  m_replicas_dispatched_ = m.counter("pbs.replicas_dispatched");
-  m_replicas_reaped_ = m.counter("pbs.replicas_reaped");
-  m_reports_suppressed_ = m.counter("pbs.reports_suppressed");
-  m_jobs_requeued_ = m.counter("pbs.jobs_requeued");
-  m_heartbeat_misses_ = m.counter("pbs.heartbeat_misses");
-  m_node_failovers_ = m.counter("pbs.node_failovers");
-  m_node_recoveries_ = m.counter("pbs.node_recoveries");
-  m_queue_wait_ = m.histogram("pbs.queue_wait_us");
-  m_failover_detect_ = m.histogram("pbs.failover_detect_us");
-  m_preemptions_ = m.counter("pbs.sched.preemptions");
-  m_backfilled_ = m.counter("pbs.sched.backfilled");
-  m_array_expansions_ = m.counter("pbs.sched.array_expansions");
-  m_utilization_ = m.gauge("pbs.sched.utilization_pct");
-  m_policy_queue_wait_ = m.histogram("pbs.sched.queue_wait_us." +
-                                     scheduler_.config().policy);
+  m_.jobs_queued = m.counter("pbs.jobs_queued");
+  m_.jobs_launched = m.counter("pbs.jobs_launched");
+  m_.jobs_completed = m.counter("pbs.jobs_completed");
+  m_.sched_cycles = m.counter("pbs.sched_cycles");
+  m_.replicas_dispatched = m.counter("pbs.replicas_dispatched");
+  m_.replicas_reaped = m.counter("pbs.replicas_reaped");
+  m_.reports_suppressed = m.counter("pbs.reports_suppressed");
+  m_.jobs_requeued = m.counter("pbs.jobs_requeued");
+  m_.heartbeat_misses = m.counter("pbs.heartbeat_misses");
+  m_.node_failovers = m.counter("pbs.node_failovers");
+  m_.node_recoveries = m.counter("pbs.node_recoveries");
+  m_.queue_wait = m.histogram("pbs.queue_wait_us");
+  m_.failover_detect = m.histogram("pbs.failover_detect_us");
+  m_.preemptions = m.counter("pbs.sched.preemptions");
+  m_.backfilled = m.counter("pbs.sched.backfilled");
+  m_.array_expansions = m.counter("pbs.sched.array_expansions");
+  m_.utilization = m.gauge("pbs.sched.utilization_pct");
+  m_.policy_queue_wait = m.histogram("pbs.sched.queue_wait_us." +
+                                    scheduler_.config().policy);
   tc_preempt_ = hub.trace().intern("pbs.preempt");
   tc_sched_ = hub.trace().intern("pbs.sched_cycle");
   tc_job_start_ = hub.trace().intern("pbs.job_start");
@@ -194,8 +194,8 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
     state_.jobs.emplace(job.id, std::move(job));
     ++state_.submissions;
   }
-  m_jobs_queued_.add(count);
-  if (count > 1) m_array_expansions_.add(count);
+  m_.jobs_queued.add(count);
+  if (count > 1) m_.array_expansions.add(count);
   persist();
   JLOG(kDebug, "pbs") << name() << ": queued job " << base << " ("
                       << req.spec.name << (count > 1 ? ", array" : "") << ")";
@@ -344,8 +344,7 @@ void Server::apply_preempt(JobId id) {
   job.exec_host = sim::kInvalidHost;
   job.replica_hosts.clear();
   ++preempt_counts_[id];
-  ++preempts_applied_;
-  m_preemptions_.add(1);
+  m_.preemptions.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_preempt_,
                                     job.id, 0);
   JLOG(kInfo, "pbs") << name() << ": job " << id
@@ -371,12 +370,9 @@ void Server::handle_report(const JobReport& report, sim::Endpoint from,
     return;
   }
   Job& job = it->second;
-  if (job.terminal()) {
-    m_reports_suppressed_.add(1);  // duplicate report
-    return;
-  }
-  if (accept_report && !accept_report(report)) {
-    m_reports_suppressed_.add(1);
+  // A duplicate report, or one the interceptor turned down.
+  if (job.terminal() || (accept_report && !accept_report(report))) {
+    m_.reports_suppressed.add(1);
     return;
   }
   complete_job(job, report);
@@ -415,7 +411,7 @@ void Server::request_sched_cycle() {
 }
 
 void Server::run_sched_cycle() {
-  m_sched_cycles_.add(1);
+  m_.sched_cycles.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_sched_,
                                     state_.jobs.size(), nodes_.size());
   SchedDecisions decisions = scheduler_.cycle(state_.jobs, nodes_, sim().now());
@@ -428,7 +424,7 @@ void Server::run_sched_cycle() {
       launch(it->second, d.replica_sets);
     }
   }
-  if (decisions.backfilled > 0) m_backfilled_.add(decisions.backfilled);
+  if (decisions.backfilled > 0) m_.backfilled.add(decisions.backfilled);
   for (JobId victim : decisions.preemptions) {
     // Damping: the pure policy re-emits the victim every cycle until the
     // ordered requeue lands; multicast (or apply) it once.
@@ -462,10 +458,10 @@ void Server::launch(Job& job,
       if (NodeState* n = node_by_host(h)) n->assign(job.id);
     }
   }
-  m_jobs_launched_.add(1);
-  m_replicas_dispatched_.add(sets.size());
-  m_queue_wait_.record((job.start_time - job.submit_time).us);
-  m_policy_queue_wait_.record((job.start_time - job.submit_time).us);
+  m_.jobs_launched.add(1);
+  m_.replicas_dispatched.add(sets.size());
+  m_.queue_wait.record((job.start_time - job.submit_time).us);
+  m_.policy_queue_wait.record((job.start_time - job.submit_time).us);
   sim().telemetry().trace().instant(job.start_time.us, host_id(),
                                     tc_job_start_, job.id, job.exec_host);
   if (sets.size() > 1) {
@@ -524,7 +520,7 @@ void Server::replica_launch_failed(JobId id, sim::HostId mom_host) {
   free_nodes_of(id);
   job.state = JobState::kQueued;
   job.exec_host = sim::kInvalidHost;
-  m_jobs_requeued_.add(1);
+  m_.jobs_requeued.add(1);
   persist();
   request_sched_cycle();
 }
@@ -538,7 +534,7 @@ void Server::complete_job(Job& job, const JobReport& report) {
   reap_losers(job, report.mom_host);
   job.replica_hosts.clear();
   free_nodes_of(job.id);
-  m_jobs_completed_.add(1);
+  m_.jobs_completed.add(1);
   sim().telemetry().trace().instant(
       sim().now().us, host_id(), tc_job_complete_, job.id,
       static_cast<uint64_t>(static_cast<int64_t>(job.exit_code)));
@@ -554,7 +550,7 @@ void Server::complete_job(Job& job, const JobReport& report) {
 void Server::reap_losers(const Job& job, sim::HostId winner) {
   for (sim::HostId h : job.replica_hosts) {
     if (h == winner || h == sim::kInvalidHost) continue;
-    m_replicas_reaped_.add(1);
+    m_.replicas_reaped.add(1);
     sim().telemetry().trace().instant(sim().now().us, host_id(), tc_replica_,
                                       job.id, h);
     kill_on(h, job.id);
@@ -572,12 +568,12 @@ void Server::note_node_failed(sim::HostId host) {
   if (n == nullptr || !n->up) return;
   n->up = false;
   n->running.clear();
-  m_node_failovers_.add(1);
+  m_.node_failovers.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_node_fail_,
                                     host, 0);
   auto first_miss = hb_first_miss_.find(host);
   if (first_miss != hb_first_miss_.end()) {
-    m_failover_detect_.record((sim().now() - first_miss->second).us);
+    m_.failover_detect.record((sim().now() - first_miss->second).us);
     hb_first_miss_.erase(first_miss);
   }
   JLOG(kWarn, "pbs") << name() << ": compute node " << host
@@ -616,7 +612,7 @@ void Server::note_node_failed(sim::HostId host) {
     free_nodes_of(id);
     job.state = JobState::kQueued;
     job.exec_host = sim::kInvalidHost;
-    m_jobs_requeued_.add(1);
+    m_.jobs_requeued.add(1);
     requeued = true;
     JLOG(kInfo, "pbs") << name() << ": job " << id
                        << " lost its last replica; requeued";
@@ -632,7 +628,7 @@ void Server::note_node_recovered(sim::HostId host) {
   n->up = true;
   hb_misses_[host] = 0;
   hb_first_miss_.erase(host);
-  m_node_recoveries_.add(1);
+  m_.node_recoveries.add(1);
   JLOG(kInfo, "pbs") << name() << ": compute node " << host
                      << " back in service";
   request_sched_cycle();
@@ -650,8 +646,8 @@ void Server::update_utilization() {
     total += n.attrs.slots;
     busy += std::min<uint64_t>(n.used_slots(), n.attrs.slots);
   }
-  m_utilization_.set(total == 0 ? 0
-                                : static_cast<int64_t>(busy * 100 / total));
+  m_.utilization.set(total == 0 ? 0
+                               : static_cast<int64_t>(busy * 100 / total));
 }
 
 NodeState* Server::node_by_host(sim::HostId host) {
@@ -698,7 +694,7 @@ void Server::run_heartbeat_round() {
              note_node_recovered(h);
              return;
            }
-           m_heartbeat_misses_.add(1);
+           m_.heartbeat_misses.add(1);
            hb_first_miss_.try_emplace(h, sim().now());
            if (++hb_misses_[h] >= config_.heartbeat_miss_limit && n->up) {
              note_node_failed(h);
@@ -781,7 +777,7 @@ void Server::preload_queued(uint64_t count, const JobSpec& spec) {
     hint = state_.jobs.emplace_hint(hint, job.id, std::move(job));
     ++state_.submissions;
   }
-  m_jobs_queued_.add(count);
+  m_.jobs_queued.add(count);
 }
 
 void Server::reset_state() {

@@ -132,7 +132,30 @@ class Server : public net::RpcNode {
   /// Times `id` was preempted on this server (harness: each preemption
   /// legitimately re-runs the job, so exactly-r audits excuse r more runs).
   uint32_t preempt_count(JobId id) const;
-  uint64_t preempts_applied() const { return preempts_applied_; }
+
+  /// Registry handles ("pbs.*"); a counter's count() is this server's own.
+  struct Telemetry {
+    telemetry::Counter jobs_queued;
+    telemetry::Counter jobs_launched;
+    telemetry::Counter jobs_completed;
+    telemetry::Counter sched_cycles;
+    telemetry::Counter replicas_dispatched;
+    telemetry::Counter replicas_reaped;
+    telemetry::Counter reports_suppressed;
+    telemetry::Counter jobs_requeued;
+    telemetry::Counter heartbeat_misses;
+    telemetry::Counter node_failovers;
+    telemetry::Counter node_recoveries;
+    telemetry::Histogram queue_wait;
+    telemetry::Histogram failover_detect;
+    // "pbs.sched.*" policy-layer metrics.
+    telemetry::Counter preemptions;
+    telemetry::Counter backfilled;
+    telemetry::Counter array_expansions;
+    telemetry::Gauge utilization;
+    telemetry::Histogram policy_queue_wait;  ///< per-policy wait histogram
+  };
+  const Telemetry& stats() const { return m_; }
 
   /// Declare a compute node dead: mark it down, drop its replicas from
   /// running jobs, and requeue jobs left without a live replica. Idempotent.
@@ -250,28 +273,7 @@ class Server : public net::RpcNode {
   /// re-emits the same victim every cycle until the requeue applies).
   std::set<JobId> preempt_inflight_;
   std::map<JobId, uint32_t> preempt_counts_;
-  uint64_t preempts_applied_ = 0;
-
-  // Telemetry ("pbs.*" metrics; registered in the ctor body).
-  telemetry::Counter m_jobs_queued_;
-  telemetry::Counter m_jobs_launched_;
-  telemetry::Counter m_jobs_completed_;
-  telemetry::Counter m_sched_cycles_;
-  telemetry::Counter m_replicas_dispatched_;
-  telemetry::Counter m_replicas_reaped_;
-  telemetry::Counter m_reports_suppressed_;
-  telemetry::Counter m_jobs_requeued_;
-  telemetry::Counter m_heartbeat_misses_;
-  telemetry::Counter m_node_failovers_;
-  telemetry::Counter m_node_recoveries_;
-  telemetry::Histogram m_queue_wait_;
-  telemetry::Histogram m_failover_detect_;
-  // "pbs.sched.*" policy-layer metrics.
-  telemetry::Counter m_preemptions_;
-  telemetry::Counter m_backfilled_;
-  telemetry::Counter m_array_expansions_;
-  telemetry::Gauge m_utilization_;
-  telemetry::Histogram m_policy_queue_wait_;  ///< per-policy wait histogram
+  Telemetry m_;  ///< registered in the ctor body
   uint16_t tc_preempt_ = 0;       ///< trace category "pbs.preempt"
   uint16_t tc_sched_ = 0;         ///< trace category "pbs.sched_cycle"
   uint16_t tc_job_start_ = 0;     ///< trace category "pbs.job_start"

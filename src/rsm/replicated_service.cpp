@@ -50,7 +50,6 @@ void ReplicaNode::order(sim::Payload op) {
 
 void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
                              uint64_t rpc_id) {
-  ++stats_.requests;
   m_.requests.add(1);
   execute(config_.request_proc, [this, request = std::move(request),
                                  caller = Caller{from, rpc_id}]() mutable {
@@ -64,7 +63,6 @@ void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
       answer_locally(std::move(request), caller);
       return;
     }
-    ++stats_.ordered;
     m_.ordered.add(1);
     uint64_t seq = next_seq_++;
     sim::Payload frame = net::encode(Command{group_.id(), seq, request, 0});
@@ -74,7 +72,6 @@ void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
 }
 
 void ReplicaNode::answer_locally(sim::Payload request, const Caller& caller) {
-  ++stats_.local_reads;
   m_.local_reads.add(1);
   sim::Duration cost = service_->local_cost(request);
   stage(cost, [this, p = Pending{caller, sim().now().us,
@@ -115,7 +112,6 @@ void ReplicaNode::resume(Command cmd) {
 
 void ReplicaNode::finish(gcs::MemberId origin, uint64_t seq,
                          std::optional<sim::Payload> response) {
-  ++stats_.applied;
   m_.applied.add(1);
   if (origin != group_.id()) return;
   auto it = pending_.find(seq);
@@ -131,7 +127,6 @@ void ReplicaNode::relay(Pending p, std::optional<sim::Payload> response,
     reply(p.caller, service_->unavailable(p.request));
     return;
   }
-  ++stats_.replies;
   m_.replies.add(1);
   auto send = [this, p = std::move(p), response = std::move(*response),
                latency, seq]() mutable {

@@ -139,7 +139,7 @@ struct ReplicaConfig {
 };
 
 /// Registry handles and trace categories of the core's generic path. A
-/// default-constructed handle is a no-op sink.
+/// default-constructed counter still counts; other default handles no-op.
 struct Telemetry {
   telemetry::Counter requests;     ///< every client request
   telemetry::Counter ordered;      ///< requests multicast for ordering
@@ -181,14 +181,8 @@ class ReplicaNode : public net::RpcNode {
   /// Run the apply stage of a command the service held in on_ordered().
   void resume(Command cmd);
 
-  struct Stats {
-    uint64_t requests = 0;
-    uint64_t ordered = 0;
-    uint64_t applied = 0;
-    uint64_t local_reads = 0;
-    uint64_t replies = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  /// Per-replica numbers: each counter's count().
+  const Telemetry& stats() const { return m_; }
 
   // net::RpcNode:
   void on_request(sim::Payload request, sim::Endpoint from,
@@ -223,7 +217,6 @@ class ReplicaNode : public net::RpcNode {
   gcs::GroupMember group_;
   uint64_t next_seq_ = 1;
   std::map<uint64_t, Pending> pending_;  ///< ordered requests by local seq
-  Stats stats_;
   Telemetry m_;
 };
 

@@ -8,9 +8,9 @@
 // the event-core's zero-alloc discipline).
 //
 // The registry aggregates across every process in one simulation: a
-// counter named "gcs.data_sent" sums over all group members. Per-instance
-// breakdowns use per-instance names (e.g. "joshua.replay_divergence.head0");
-// per-host timelines live in the structured trace (telemetry/trace.h).
+// counter named "gcs.data_sent" sums over all group members, and each
+// member's handle keeps that member's share in count(). Per-host timelines
+// live in the structured trace (telemetry/trace.h).
 #pragma once
 
 #include <array>
@@ -55,20 +55,24 @@ struct HistogramData {
   double percentile(double p) const;
 };
 
-/// Monotonically increasing counter. A default-constructed handle is a
-/// safe no-op sink.
+/// Monotonically increasing counter: value() reads the shared registry
+/// cell, count() what this handle alone added. A default-constructed
+/// handle feeds no cell but still counts.
 class Counter {
  public:
   Counter() = default;
   void add(uint64_t d = 1) {
+    count_ += d;
     if (cell_ != nullptr) *cell_ += d;
   }
   uint64_t value() const { return cell_ == nullptr ? 0 : *cell_; }
+  uint64_t count() const { return count_; }
 
  private:
   friend class Registry;
   explicit Counter(uint64_t* cell) : cell_(cell) {}
   uint64_t* cell_ = nullptr;
+  uint64_t count_ = 0;
 };
 
 /// Last-value gauge (signed).

@@ -52,10 +52,6 @@ std::string metrics_json(const Registry& registry) {
   return out;
 }
 
-void write_metrics_json(std::ostream& out, const Registry& registry) {
-  out << metrics_json(registry);
-}
-
 std::string render_metrics_table(const Registry& registry) {
   size_t width = 24;
   for (const auto& c : registry.counters()) width = std::max(width, c.name.size());

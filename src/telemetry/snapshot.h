@@ -3,7 +3,6 @@
 // (count/mean/p50/p95/p99/min/max), not raw buckets.
 #pragma once
 
-#include <ostream>
 #include <string>
 
 #include "telemetry/metrics.h"
@@ -11,7 +10,6 @@
 namespace telemetry {
 
 std::string metrics_json(const Registry& registry);
-void write_metrics_json(std::ostream& out, const Registry& registry);
 
 /// Human-readable table for example/bench stdout.
 std::string render_metrics_table(const Registry& registry);

@@ -55,7 +55,7 @@ TEST(Federation, SingleShardMatchesMonolithicNumbering) {
   EXPECT_EQ(jsub_sync(f, router, queued_job("batch")), 1u);
   EXPECT_EQ(jsub_sync(f, router, queued_job("debug")), 2u);
   EXPECT_EQ(jsub_sync(f, router, queued_job("gpu")), 3u);
-  EXPECT_EQ(router.stats().rejects, 0u);
+  EXPECT_EQ(router.stats().rejects.count(), 0u);
 }
 
 TEST(Federation, GlobRoutedSubmitsLandInOwningShards) {
@@ -112,8 +112,8 @@ TEST(Federation, JstatAllMergesShardsSortedById) {
   // even though the debug job was submitted first.
   EXPECT_EQ(all->jobs[0].id, batch_id);
   EXPECT_EQ(all->jobs[1].id, debug_id);
-  EXPECT_EQ(router.stats().fanouts, 1u);
-  EXPECT_EQ(router.stats().fanout_reads, 2u);
+  EXPECT_EQ(router.stats().fanouts.count(), 1u);
+  EXPECT_EQ(router.stats().fanout_reads.count(), 2u);
 }
 
 TEST(Federation, MassDeleteSpansShards) {
@@ -139,7 +139,7 @@ TEST(Federation, MassDeleteSpansShards) {
   testutil::run_until(f.sim(), [&] { return done; }, sim::seconds(120));
   ASSERT_TRUE(deleted.has_value());
   EXPECT_EQ(*deleted, 3u);
-  EXPECT_EQ(router.stats().mass_deleted, 3u);
+  EXPECT_EQ(router.stats().mass_deleted.count(), 3u);
   for (pbs::JobId id : ids) {
     auto job = f.pbs_server(0).find_job(id);
     if (!job) job = f.pbs_server(2).find_job(id);
@@ -168,7 +168,7 @@ TEST(Federation, MisroutedIdsRejectedAtBothLayers) {
   EXPECT_TRUE(done) << "rejected locally, synchronously";
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, pbs::Status::kUnknownJob);
-  EXPECT_EQ(router.stats().rejects, 1u);
+  EXPECT_EQ(router.stats().rejects.count(), 1u);
 
   // Server layer: a direct client asking the wrong shard for a perfectly
   // valid id is turned away before the ordered path.
@@ -186,7 +186,7 @@ TEST(Federation, MisroutedIdsRejectedAtBothLayers) {
   EXPECT_EQ(stat->status, pbs::Status::kUnknownJob);
   uint64_t shard_rejects = 0;
   for (size_t h = 0; h < f.head_count(); ++h)
-    shard_rejects += f.joshua_server(h).stats().shard_rejects;
+    shard_rejects += f.joshua_server(h).stats().shard_rejects.count();
   EXPECT_EQ(shard_rejects, 1u);
 }
 
@@ -202,7 +202,7 @@ TEST(Federation, JstatLocalFastPathSkipsOrdering) {
 
   uint64_t ordered_before = 0;
   for (size_t h = 0; h < f.head_count(); ++h)
-    ordered_before += f.joshua_server(h).stats().commands_executed;
+    ordered_before += f.joshua_server(h).stats().commands_executed.count();
 
   std::optional<pbs::StatResponse> stat;
   bool done = false;
@@ -220,8 +220,8 @@ TEST(Federation, JstatLocalFastPathSkipsOrdering) {
 
   uint64_t served_local = 0, ordered_after = 0;
   for (size_t h = 0; h < f.head_count(); ++h) {
-    served_local += f.joshua_server(h).stats().jstat_local_served;
-    ordered_after += f.joshua_server(h).stats().commands_executed;
+    served_local += f.joshua_server(h).core_stats().local_reads.count();
+    ordered_after += f.joshua_server(h).stats().commands_executed.count();
   }
   EXPECT_EQ(served_local, 1u) << "answered off the local replica";
   EXPECT_EQ(ordered_after, ordered_before)

@@ -208,10 +208,10 @@ TEST(Delivery, StatsCountersAdvance) {
   ASSERT_TRUE(h.run_until_converged(2));
   h.members[0]->multicast(h.payload_of(1));
   testutil::run_until(h.sim, [&] { return h.logs[1].delivered.size() == 1; });
-  EXPECT_EQ(h.members[0]->stats().data_sent, 1u);
-  EXPECT_EQ(h.members[1]->stats().data_received, 1u);
-  EXPECT_GE(h.members[0]->stats().cuts_received, 1u);
-  EXPECT_EQ(h.members[1]->stats().delivered, 1u);
+  EXPECT_EQ(h.members[0]->stats().data_sent.count(), 1u);
+  EXPECT_EQ(h.members[1]->stats().data_received.count(), 1u);
+  EXPECT_GE(h.members[0]->stats().cuts_received.count(), 1u);
+  EXPECT_EQ(h.members[1]->stats().delivered.count(), 1u);
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ DriveResult run_drive(gcs::OrderingMode mode, uint32_t batch, uint32_t window,
   for (int m = 0; m < kMembers; ++m) {
     res.logs[static_cast<size_t>(m)] = h.logs[static_cast<size_t>(m)].delivered;
     res.window_stalls +=
-        h.members[static_cast<size_t>(m)]->stats().window_stalls;
+        h.members[static_cast<size_t>(m)]->stats().window_stalls.count();
   }
   return res;
 }

@@ -27,7 +27,7 @@ TEST(FlowControl, WindowOneIsLockstep) {
 
   // Back-to-back sends: one in flight, the rest stalled behind the window.
   EXPECT_EQ(h.members[0]->inflight(), 1u);
-  EXPECT_EQ(h.members[0]->stats().window_stalls,
+  EXPECT_EQ(h.members[0]->stats().window_stalls.count(),
             static_cast<uint64_t>(kSends - 1));
 
   ASSERT_TRUE(testutil::run_until(h.sim, [&] {
@@ -65,7 +65,7 @@ TEST(FlowControl, NeverAckingReceiverStallsSenderAtWindow) {
 
   // Member 2 goes silent (cable pull) but is never evicted.
   h.net.set_partition(h.hosts[2], 1);
-  uint64_t sent_before = h.members[0]->stats().data_sent;
+  uint64_t sent_before = h.members[0]->stats().data_sent.count();
 
   constexpr int kSends = 10;
   for (int i = 0; i < kSends; ++i)
@@ -79,10 +79,10 @@ TEST(FlowControl, NeverAckingReceiverStallsSenderAtWindow) {
   // network saw at most `window` new data multicasts (retransmits aside,
   // none happen here: member 1 received everything that was sent).
   EXPECT_EQ(h.members[0]->inflight(), kWindow);
-  EXPECT_EQ(h.members[0]->stats().window_stalls,
+  EXPECT_EQ(h.members[0]->stats().window_stalls.count(),
             static_cast<uint64_t>(kSends - kWindow));
-  EXPECT_EQ(h.members[0]->stats().data_sent - sent_before, kWindow);
-  EXPECT_LE(h.members[1]->stats().data_received, kWindow);
+  EXPECT_EQ(h.members[0]->stats().data_sent.count() - sent_before, kWindow);
+  EXPECT_LE(h.members[1]->stats().data_received.count(), kWindow);
 
   // Heal: acks resume, the window drains, every queued send delivers in
   // order at everyone.

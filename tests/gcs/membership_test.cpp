@@ -158,7 +158,7 @@ TEST(Membership, ViewsInstalledCountsTracked) {
   GcsHarness h(2);
   h.join_all();
   ASSERT_TRUE(h.run_until_converged(2));
-  EXPECT_GE(h.members[0]->stats().views_installed, 1u);
+  EXPECT_GE(h.members[0]->stats().views_installed.count(), 1u);
 }
 
 }  // namespace

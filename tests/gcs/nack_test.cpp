@@ -17,7 +17,7 @@ using gcstest::GcsHarness;
 
 uint64_t total_nacks_sent(const GcsHarness& h) {
   uint64_t total = 0;
-  for (const auto& m : h.members) total += m->stats().nacks_sent;
+  for (const auto& m : h.members) total += m->stats().nacks_sent.count();
   return total;
 }
 
@@ -61,8 +61,8 @@ TEST(Nack, HealedPartitionRecoversViaRetransmit) {
 
   EXPECT_EQ(deliveries_of(h.logs[1], h.hosts[0], 1), 1u)
       << "retransmit must deliver exactly once";
-  EXPECT_GE(h.members[1]->stats().nacks_sent, 1u);
-  EXPECT_GE(h.members[0]->stats().retransmits_served, 1u);
+  EXPECT_GE(h.members[1]->stats().nacks_sent.count(), 1u);
+  EXPECT_GE(h.members[0]->stats().retransmits_served.count(), 1u);
   EXPECT_TRUE(GcsHarness::fifo_clean(h.logs[1].delivered));
   EXPECT_TRUE(
       GcsHarness::prefix_consistent(h.logs[0].delivered, h.logs[1].delivered));
@@ -99,7 +99,7 @@ TEST(Nack, DuplicateNacksDedupedWithinWindowRearmedAfter) {
   // Let any still-pending NACK timers and duplicate retransmits land.
   h.sim.run_for(sim::seconds(1));
 
-  uint64_t nacks = h.members[1]->stats().nacks_sent;
+  uint64_t nacks = h.members[1]->stats().nacks_sent.count();
   EXPECT_GE(nacks, 2u) << "the dedup window must re-arm after expiring";
   EXPECT_LE(nacks, 6u) << "per-observation NACKs were not deduplicated";
   // Duplicate retransmits (one per NACK that got through) collapse in the

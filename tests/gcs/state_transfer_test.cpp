@@ -88,7 +88,7 @@ TEST(StateTransfer, NoTransferForFoundingGroup) {
   h.join_all();
   ASSERT_TRUE(h.run_until_converged(3));
   for (const auto& log : h.logs) EXPECT_TRUE(log.app_log.empty());
-  EXPECT_EQ(h.members[0]->stats().delivered, 0u);
+  EXPECT_EQ(h.members[0]->stats().delivered.count(), 0u);
 }
 
 }  // namespace

@@ -106,8 +106,8 @@ TEST(Interceptor, ExactlyOnceOutput) {
   EXPECT_EQ(replies, 4);
   uint64_t relayed = 0, executed = 0;
   for (size_t i = 0; i < 3; ++i) {
-    relayed += cluster.joshua_server(i).stats().replies_relayed;
-    executed += cluster.joshua_server(i).stats().commands_executed;
+    relayed += cluster.joshua_server(i).core_stats().replies.count();
+    executed += cluster.joshua_server(i).stats().commands_executed.count();
   }
   EXPECT_EQ(relayed, 4u) << "one reply per command";
   EXPECT_EQ(executed, 12u) << "every head executed every command";

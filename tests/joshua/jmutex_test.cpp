@@ -17,8 +17,8 @@ TEST(JMutex, ExactlyOneWinnerPerJob) {
 
   uint64_t grants = 0, denials = 0;
   for (size_t i = 0; i < 3; ++i) {
-    grants += cluster.joshua_server(i).stats().mutex_grants;
-    denials += cluster.joshua_server(i).stats().mutex_denials;
+    grants += cluster.joshua_server(i).stats().mutex_grants.count();
+    denials += cluster.joshua_server(i).stats().mutex_denials.count();
   }
   EXPECT_EQ(grants, 1u);
   EXPECT_EQ(denials, 2u);
@@ -98,7 +98,7 @@ TEST(JMutex, JdoneReleasesMutexGroupWide) {
   // mutex bookkeeping: both heads saw the MutexDone.
   cluster.sim().run_for(sim::seconds(1));
   for (size_t i = 0; i < 2; ++i) {
-    EXPECT_GE(cluster.joshua_server(i).stats().mutex_requests, 1u);
+    EXPECT_GE(cluster.joshua_server(i).stats().mutex_requests.count(), 1u);
   }
 }
 

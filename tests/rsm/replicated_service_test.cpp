@@ -163,7 +163,7 @@ TEST(ReplicatedMetadata, ReadLocalModeServesWithoutOrdering) {
   ASSERT_TRUE(h.run_until_converged(3));
   ASSERT_EQ(h.call(mkdir_req("d")).status, pvfs::MdStatus::kOk);
   uint64_t applied_before = 0;
-  for (auto& r : h.replicas) applied_before += r->stats().applied;
+  for (auto& r : h.replicas) applied_before += r->stats().applied.count();
   pvfs::MdRequest look;
   look.op = pvfs::MdOp::kLookup;
   look.dir = pvfs::kRootHandle;
@@ -171,8 +171,8 @@ TEST(ReplicatedMetadata, ReadLocalModeServesWithoutOrdering) {
   ASSERT_EQ(h.call(look).status, pvfs::MdStatus::kOk);
   uint64_t applied_after = 0, local_reads = 0;
   for (auto& r : h.replicas) {
-    applied_after += r->stats().applied;
-    local_reads += r->stats().local_reads;
+    applied_after += r->stats().applied.count();
+    local_reads += r->stats().local_reads.count();
   }
   EXPECT_EQ(applied_after, applied_before)
       << "the read bypassed the total order";
@@ -234,12 +234,13 @@ TEST(ReplicatedMetadata, ExcludedReplicaFailsPendingRequestsAtOnce) {
   rsm::ReplicaNode& md2 = *h.replicas[2];
   auto step = sim::usec(50);
   ASSERT_TRUE(testutil::run_until(
-      h.sim, [&] { return md2.stats().requests == 1; }, sim::seconds(1), step));
+      h.sim, [&] { return md2.stats().requests.count() == 1; },
+      sim::seconds(1), step));
   // Cut md2 off before it multicasts, so its request stays pending there.
   h.net.set_partition(h.hosts[2], 1);
-  uint64_t sent = md2.group().stats().data_sent;
+  uint64_t sent = md2.group().stats().data_sent.count();
   ASSERT_TRUE(testutil::run_until(
-      h.sim, [&] { return md2.group().stats().data_sent > sent; },
+      h.sim, [&] { return md2.group().stats().data_sent.count() > sent; },
       sim::seconds(1), step));
   // md2 learns that the others installed a view without it. The gcs sends a
   // view commit only to its members, so the test delivers this one itself

@@ -37,6 +37,21 @@ TEST(Registry, DefaultHandlesAreSafeNoOps) {
   EXPECT_EQ(h.data(), nullptr);
 }
 
+TEST(Registry, CounterCountsWhatItAdded) {
+  Registry reg;
+  Counter a = reg.counter("a");
+  Counter a2 = reg.counter("a");
+  Counter local;  // no registry name
+  a.add(3);
+  a2.add(4);
+  local.add(5);
+  EXPECT_EQ(a.count(), 3u);
+  EXPECT_EQ(a2.count(), 4u);
+  EXPECT_EQ(a.value(), 7u);
+  EXPECT_EQ(local.count(), 5u);
+  EXPECT_EQ(local.value(), 0u);
+}
+
 TEST(Registry, GaugeSetAndAdd) {
   Registry reg;
   Gauge g = reg.gauge("depth");
