@@ -4,10 +4,13 @@
 //   * Random valid instances round-trip: decode(encode(x)) == x. The
 //     instances come from each type's own field list, so a new field is
 //     covered without touching this file.
-//   * Every truncation and a sweep of byte flips of each sample encoding
-//     either decodes or throws net::WireError -- never anything else.
+//   * Every truncation, a sweep of byte flips, and seeded multi-byte
+//     mutations (2-8 byte overwrites, duplicated and deleted spans) of each
+//     sample encoding either decode or throw net::WireError -- never
+//     anything else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 #include <string>
@@ -232,6 +235,48 @@ TEST(WireRobustness, ByteFlipsDecodeOrThrowWireError) {
       auto mask = static_cast<uint8_t>(rng() | 1);
       expect_decodes_or_wire_error(c, flipped(c.sample, at, mask),
                                    "random flip at " + std::to_string(at));
+    }
+  }
+}
+
+/// A copy of `p` with bytes [at, at + n) replaced by `with`.
+sim::Payload spliced(const sim::Payload& p, size_t at, size_t n,
+                     const std::vector<uint8_t>& with) {
+  std::vector<uint8_t> bytes(p.begin(), p.end());
+  bytes.erase(bytes.begin() + static_cast<ptrdiff_t>(at),
+              bytes.begin() + static_cast<ptrdiff_t>(at + n));
+  bytes.insert(bytes.begin() + static_cast<ptrdiff_t>(at), with.begin(),
+               with.end());
+  return sim::Payload::adopt(std::move(bytes));
+}
+
+TEST(WireRobustness, MultiByteMutationsDecodeOrThrowWireError) {
+  std::mt19937_64 rng(1603);
+  for (const Case& c : all_cases()) {
+    const size_t size = c.sample.size();
+    if (size < 2) continue;
+    for (int i = 0; i < 100; ++i) {
+      // Overwrite 2-8 consecutive bytes with random ones.
+      size_t n = std::min<size_t>(2 + rng() % 7, size);
+      size_t at = rng() % (size - n + 1);
+      std::vector<uint8_t> junk(n);
+      for (uint8_t& b : junk) b = static_cast<uint8_t>(rng());
+      expect_decodes_or_wire_error(c, spliced(c.sample, at, n, junk),
+                                   "overwrite " + std::to_string(n) + "@" +
+                                       std::to_string(at));
+      // Duplicate, then delete, a random span.
+      n = 1 + rng() % std::min<size_t>(size, 16);
+      at = rng() % (size - n + 1);
+      std::vector<uint8_t> twice;
+      for (int copy = 0; copy < 2; ++copy)
+        twice.insert(twice.end(), c.sample.begin() + static_cast<ptrdiff_t>(at),
+                     c.sample.begin() + static_cast<ptrdiff_t>(at + n));
+      expect_decodes_or_wire_error(c, spliced(c.sample, at, n, twice),
+                                   "duplicate " + std::to_string(n) + "@" +
+                                       std::to_string(at));
+      expect_decodes_or_wire_error(c, spliced(c.sample, at, n, {}),
+                                   "delete " + std::to_string(n) + "@" +
+                                       std::to_string(at));
     }
   }
 }
