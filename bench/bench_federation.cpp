@@ -61,8 +61,8 @@ joshua::ClusterOptions bench_options(int shards, int heads_per_shard,
   fo.shards.count = shards;
   fo.cal = sim::fast_calibration();
   fo.ordering = ordering;
-  // Persistence re-encodes the whole queue on every mutation; real sites
-  // tune checkpointing, and neither leg measures the disk.
+  // Persistence would keep a second copy of the million-job backlog as
+  // per-job disk records, and neither leg measures the disk.
   fo.pbs_persist = false;
   // bench_ordering's cost model: modern heads (20 us heartbeat, 50 us
   // control packet) and a relaxed detector, so the sweep isolates ordering

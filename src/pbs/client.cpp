@@ -40,8 +40,9 @@ void Client::run_command(sim::Payload request,
              decoded = std::nullopt;
            }
            execute(config_.cmd_teardown,
-                   [done = std::move(done), decoded = std::move(decoded)] {
-                     done(decoded);
+                   [done = std::move(done),
+                    decoded = std::move(decoded)]() mutable {
+                     done(std::move(decoded));
                    });
          },
          options);

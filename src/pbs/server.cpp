@@ -1,11 +1,53 @@
 #include "pbs/server.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "sim/calibration.h"
 #include "util/logging.h"
 
 namespace pbs {
+
+namespace {
+
+// Storage keys: one record per job and one meta record for the counters.
+constexpr std::string_view kJobKeyPrefix = "pbs.j/";
+constexpr std::string_view kMetaKey = "pbs.meta";
+
+/// "pbs.j/<hex id>": at most 15 characters for ids below 2^36, so the key
+/// fits std::string's small buffer.
+std::string job_key(JobId id) {
+  char buf[kJobKeyPrefix.size() + 16];
+  kJobKeyPrefix.copy(buf, kJobKeyPrefix.size());
+  char* end =
+      std::to_chars(buf + kJobKeyPrefix.size(), std::end(buf), id, 16).ptr;
+  return std::string(buf, end);
+}
+
+bool is_job_key(const std::string& key) {
+  return key.compare(0, kJobKeyPrefix.size(), kJobKeyPrefix) == 0;
+}
+
+/// The id a job key names, or kInvalidJob when it names none.
+JobId job_key_id(const std::string& key) {
+  JobId id = kInvalidJob;
+  const char* first = key.data() + kJobKeyPrefix.size();
+  const char* last = key.data() + key.size();
+  auto [ptr, ec] = std::from_chars(first, last, id, 16);
+  return ec == std::errc() && ptr == last ? id : kInvalidJob;
+}
+
+/// Overwrite a stored value in place, reusing its buffer.
+void store(std::string& value, const sim::Payload& bytes) {
+  value.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+}
+
+/// A stored value's bytes, for the wire decoder.
+sim::Payload payload_of(const std::string& value) {
+  return sim::Payload(value.begin(), value.end());
+}
+
+}  // namespace
 
 ServerConfig server_config_from(const sim::Calibration& cal) {
   ServerConfig cfg;
@@ -191,12 +233,11 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
     job.state = JobState::kQueued;
     job.submit_time = sim().now();
     job.queue_rank = state_.next_rank++;
-    state_.jobs.emplace(job.id, std::move(job));
     ++state_.submissions;
+    persist(state_.jobs.emplace(job.id, std::move(job)).first->second);
   }
   m_.jobs_queued.add(count);
   if (count > 1) m_.array_expansions.add(count);
-  persist();
   JLOG(kDebug, "pbs") << name() << ": queued job " << base << " ("
                       << req.spec.name << (count > 1 ? ", array" : "") << ")";
   respond(from, rpc_id,
@@ -204,24 +245,31 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
   request_sched_cycle();
 }
 
+/// Encodes the StatResponse straight from the table: the status, the count
+/// of matching jobs, then each job -- the bytes net::encode(StatResponse)
+/// would give, without copying the jobs into one first.
 void Server::handle_stat(const StatRequest& req, sim::Endpoint from,
                          uint64_t rpc_id) {
-  StatResponse resp;
+  net::Writer w;
   if (req.job_id != kInvalidJob) {
     auto it = state_.jobs.find(req.job_id);
     if (it == state_.jobs.end()) {
-      resp.status = Status::kUnknownJob;
+      w(Status::kUnknownJob, uint32_t{0});
     } else {
-      resp.jobs.push_back(it->second);
+      w(Status::kOk, uint32_t{1}, it->second);
     }
   } else {
+    auto matches = [&](const Job& job) {
+      return req.include_complete || !job.terminal();
+    };
+    uint32_t count = 0;
+    for (const auto& [id, job] : state_.jobs) count += matches(job);
+    w(Status::kOk, count);
     for (const auto& [id, job] : state_.jobs) {
-      (void)id;
-      if (!req.include_complete && job.terminal()) continue;
-      resp.jobs.push_back(job);
+      if (matches(job)) w(job);
     }
   }
-  respond(from, rpc_id, net::encode(resp));
+  respond(from, rpc_id, w.take());
 }
 
 void Server::handle_delete(const DeleteRequest& req, sim::Endpoint from,
@@ -250,7 +298,7 @@ void Server::handle_delete(const DeleteRequest& req, sim::Endpoint from,
     job.cancelled = true;
     job.end_time = sim().now();
   }
-  persist();
+  persist(job);
   respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   request_sched_cycle();
 }
@@ -278,7 +326,7 @@ void Server::handle_signal(const SignalRequest& req, sim::Endpoint from,
     } else {
       for (sim::HostId h : job.replica_hosts) kill_on(h, job.id);
     }
-    persist();
+    persist(job);
   }
   respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
 }
@@ -297,7 +345,7 @@ void Server::handle_hold(const HoldRequest& req, sim::Endpoint from,
     return;
   }
   job.state = JobState::kHeld;
-  persist();
+  persist(job);
   respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
 }
 
@@ -315,7 +363,7 @@ void Server::handle_release(const ReleaseRequest& req, sim::Endpoint from,
     return;
   }
   job.state = JobState::kQueued;
-  persist();
+  persist(job);
   respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
   request_sched_cycle();
 }
@@ -350,7 +398,7 @@ void Server::apply_preempt(JobId id) {
   JLOG(kInfo, "pbs") << name() << ": job " << id
                      << " preempted and requeued (rank " << job.queue_rank
                      << ")";
-  persist();
+  persist(job);
   request_sched_cycle();
 }
 
@@ -388,8 +436,8 @@ void Server::handle_dump_state(sim::Endpoint from, uint64_t rpc_id) {
 void Server::handle_load_state(const LoadStateRequest& req, sim::Endpoint from,
                                uint64_t rpc_id) {
   try {
-    apply_state(req.state);
-    persist();
+    apply_state(net::decode<ServerState>(req.state));
+    persist_table();
     respond(from, rpc_id, net::encode(SimpleResponse{Status::kOk}));
     request_sched_cycle();
   } catch (const net::WireError&) {
@@ -468,7 +516,7 @@ void Server::launch(Job& job,
     sim().telemetry().trace().instant(job.start_time.us, host_id(),
                                       tc_replica_, job.id, sets.size());
   }
-  persist();
+  persist(job);
   if (on_job_start) on_job_start(job);
 
   // Each replica set's mother superior (first node) runs a copy of the job.
@@ -514,14 +562,14 @@ void Server::replica_launch_failed(JobId id, sim::HostId mom_host) {
   if (NodeState* n = node_by_host(mom_host)) n->release(id);
   if (!reps.empty()) {
     if (job.exec_host == mom_host) job.exec_host = reps.front();
-    persist();
+    persist(job);
     return;  // surviving replicas carry the job
   }
   free_nodes_of(id);
   job.state = JobState::kQueued;
   job.exec_host = sim::kInvalidHost;
   m_.jobs_requeued.add(1);
-  persist();
+  persist(job);
   request_sched_cycle();
 }
 
@@ -538,7 +586,7 @@ void Server::complete_job(Job& job, const JobReport& report) {
   sim().telemetry().trace().instant(
       sim().now().us, host_id(), tc_job_complete_, job.id,
       static_cast<uint64_t>(static_cast<int64_t>(job.exit_code)));
-  persist();
+  persist(job);
   JLOG(kDebug, "pbs") << name() << ": job " << job.id << " complete (exit "
                       << job.exit_code << ")";
   if (on_job_complete) on_job_complete(job);
@@ -597,6 +645,7 @@ void Server::note_node_failed(sim::HostId host) {
     reps.erase(std::remove(reps.begin(), reps.end(), host), reps.end());
     if (!reps.empty()) {
       if (job.exec_host == host) job.exec_host = reps.front();
+      persist(job);
       continue;  // surviving replicas carry the job
     }
     if (job.state == JobState::kExiting) {
@@ -614,10 +663,10 @@ void Server::note_node_failed(sim::HostId host) {
     job.exec_host = sim::kInvalidHost;
     m_.jobs_requeued.add(1);
     requeued = true;
+    persist(job);
     JLOG(kInfo, "pbs") << name() << ": job " << id
                        << " lost its last replica; requeued";
   }
-  persist();
   if (on_node_failed) on_node_failed(host);
   if (requeued) request_sched_cycle();
 }
@@ -708,10 +757,7 @@ void Server::run_heartbeat_round() {
 // Persistence
 // ---------------------------------------------------------------------------
 
-void Server::apply_state(const sim::Payload& blob) {
-  // Decode the whole blob before touching the table: a malformed one throws
-  // and leaves the server as it was.
-  auto state = net::decode<ServerState>(blob);
+void Server::apply_state(ServerState state) {
   for (auto& [id, job] : state.jobs) {
     // Jobs that were running when the state was captured lost their parent
     // server: they restart from the queue (Section 2: applications have to
@@ -732,32 +778,75 @@ std::map<std::string, std::string>& Server::storage() {
   return host().disk();
 }
 
-void Server::persist() {
+void Server::persist(const Job& job) {
   if (!config_.persist) return;
   if (config_.checkpoint_interval.us > 0) return;  // timer-driven instead
-  sim::Payload state = serialize_state();
-  storage()["pbs.state"] =
-      std::string(reinterpret_cast<const char*>(state.data()), state.size());
+  write_job(job);
+  write_meta();
+}
+
+void Server::persist_table() {
+  if (!config_.persist) return;
+  if (config_.checkpoint_interval.us > 0) return;  // timer-driven instead
+  write_table();
+}
+
+void Server::write_table() {
+  std::map<std::string, std::string>& disk = storage();
+  auto it = disk.lower_bound(std::string(kJobKeyPrefix));
+  while (it != disk.end() && is_job_key(it->first)) {
+    if (state_.jobs.count(job_key_id(it->first)) != 0) {
+      ++it;
+    } else {
+      it = disk.erase(it);
+    }
+  }
+  for (const auto& [id, job] : state_.jobs) write_job(job);
+  write_meta();
+}
+
+void Server::write_job(const Job& job) {
+  store(storage()[job_key(job.id)], net::encode(job));
+}
+
+void Server::write_meta() {
+  net::Writer w;
+  w(state_.next_job_id, state_.next_rank, state_.submissions);
+  store(storage()[std::string(kMetaKey)], w.take());
 }
 
 void Server::arm_checkpoint_timer() {
   if (!config_.persist || config_.checkpoint_interval.us <= 0) return;
   checkpoint_timer_ = set_timer(config_.checkpoint_interval, [this] {
-    sim::Payload state = serialize_state();
-    storage()["pbs.state"] =
-        std::string(reinterpret_cast<const char*>(state.data()), state.size());
+    write_table();
     arm_checkpoint_timer();
   });
 }
 
 void Server::recover() {
   if (!config_.persist) return;
-  auto it = storage().find("pbs.state");
-  if (it == storage().end()) return;
-  const std::string& blob = it->second;
-  sim::Payload state(blob.begin(), blob.end());
+  const std::map<std::string, std::string>& disk = storage();
+  auto meta = disk.find(std::string(kMetaKey));
+  auto first = disk.lower_bound(std::string(kJobKeyPrefix));
+  bool has_jobs = first != disk.end() && is_job_key(first->first);
+  if (meta == disk.end() && !has_jobs) return;  // nothing persisted yet
+  // Decode every record before touching the table: a malformed one throws
+  // and leaves the server as it was.
   try {
-    apply_state(state);
+    if (meta == disk.end()) throw net::WireError("job records without meta");
+    ServerState state;
+    sim::Payload counters = payload_of(meta->second);
+    net::Reader r(counters);
+    r(state.next_job_id, state.next_rank, state.submissions);
+    r.expect_done();
+    for (auto it = first; it != disk.end() && is_job_key(it->first); ++it) {
+      Job job;
+      net::decode(payload_of(it->second), job);
+      if (job.id == kInvalidJob || job.id != job_key_id(it->first))
+        throw net::WireError("job record under another job's key");
+      state.jobs.emplace(job.id, std::move(job));
+    }
+    apply_state(std::move(state));
     JLOG(kInfo, "pbs") << name() << ": recovered " << state_.jobs.size()
                        << " jobs from storage";
   } catch (const net::WireError& e) {
@@ -776,6 +865,7 @@ void Server::preload_queued(uint64_t count, const JobSpec& spec) {
     job.queue_rank = state_.next_rank++;
     hint = state_.jobs.emplace_hint(hint, job.id, std::move(job));
     ++state_.submissions;
+    persist(hint->second);
   }
   m_.jobs_queued.add(count);
 }
@@ -788,7 +878,7 @@ void Server::reset_state() {
   preempt_inflight_.clear();
   preempt_counts_.clear();
   for (NodeState& n : nodes_) n.running.clear();
-  persist();
+  persist_table();
 }
 
 void Server::on_crash() {

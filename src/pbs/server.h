@@ -47,9 +47,12 @@ struct ServerConfig {
   sim::Duration sched_cycle_proc = sim::msec(12);
 
   /// Persist state so a restart recovers the queue (running jobs requeue,
-  /// as after a TORQUE failover). Set checkpoint_interval > 0 to persist
-  /// periodically instead of on every mutation (warm standby with possible
-  /// rollback, the active/standby baseline of Section 2).
+  /// as after a TORQUE failover). Storage holds one record per job, as
+  /// TORQUE's server_priv/jobs does, plus one meta record with the
+  /// counters; a mutation rewrites only the records of the jobs it changed.
+  /// Set checkpoint_interval > 0 to rewrite every record periodically
+  /// instead of on every mutation (warm standby with possible rollback, the
+  /// active/standby baseline of Section 2).
   bool persist = true;
   sim::Duration checkpoint_interval = sim::kDurationZero;
   /// Where to persist; when null the host's local disk is used. The
@@ -78,9 +81,11 @@ struct ServerConfig {
 /// Fill the cost fields from the testbed calibration.
 ServerConfig server_config_from(const sim::Calibration& cal);
 
-/// The job table a server persists and ships in state transfers: its
-/// counters and every job. On the wire (the state blob) each job carries its
-/// own id, so the table's keys are not repeated.
+/// The job table a server ships in state transfers: its counters and every
+/// job. On the wire (the state blob) each job carries its own id, so the
+/// table's keys are not repeated. Storage holds the same table split up: the
+/// counters in a meta record and each job in its own record, in the job's
+/// wire form.
 struct ServerState {
   JobId next_job_id = 1;
   uint64_t next_rank = 1;
@@ -181,8 +186,8 @@ class Server : public net::RpcNode {
   /// description" (SSS-style); used by JOSHUA's snapshot transfer mode.
   sim::Payload dump_state_blob() const { return serialize_state(); }
   void load_state_blob(const sim::Payload& state) {
-    apply_state(state);
-    persist();
+    apply_state(net::decode<ServerState>(state));
+    persist_table();
     request_sched_cycle();
   }
 
@@ -194,8 +199,10 @@ class Server : public net::RpcNode {
   /// table, bypassing the RPC path (ids and FIFO ranks assigned as normal
   /// submits would). Benches use this to model an established backlog of
   /// millions of queued jobs; every replica of a group must be preloaded
-  /// identically before service starts. Not persisted and no scheduling
-  /// cycle is triggered -- the next real mutation does both.
+  /// identically before service starts. Each job's record is written when
+  /// the server persists on every mutation (a periodic checkpoint picks them
+  /// up otherwise); no scheduling cycle is triggered -- the next real
+  /// mutation does that.
   void preload_queued(uint64_t count, const JobSpec& spec);
 
   /// Raise the id counter to at least `floor`. A replay-mode state transfer
@@ -252,8 +259,20 @@ class Server : public net::RpcNode {
 
   // Persistence.
   sim::Payload serialize_state() const { return net::encode(state_); }
-  void apply_state(const sim::Payload& blob);
-  void persist();
+  /// Install a table; its running jobs requeue. Callers decode the whole
+  /// blob or every record first, so a malformed one throws before the
+  /// table changes.
+  void apply_state(ServerState state);
+  /// Write `job`'s record and the meta record, when persisting on every
+  /// mutation.
+  void persist(const Job& job);
+  /// Rewrite every record, when persisting on every mutation.
+  void persist_table();
+  /// Erase the records of jobs no longer in the table, then write every
+  /// record and the meta record.
+  void write_table();
+  void write_job(const Job& job);
+  void write_meta();
   std::map<std::string, std::string>& storage();
   void arm_checkpoint_timer();
 

@@ -2,12 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+
 #include "pbs/pbs_harness.h"
 
 namespace {
 
 using pbstest::PbsHarness;
 using namespace pbs;
+
+/// Everything a server persists and transfers: counters and every job.
+ServerState table_of(const Server& server) {
+  return net::decode<ServerState>(server.dump_state_blob());
+}
+
+/// The table a restarted server recovers from `state`: jobs that were
+/// running requeue (restart semantics after failover).
+ServerState requeued(ServerState state) {
+  for (auto& [id, job] : state.jobs) {
+    if (!job.active()) continue;
+    job.state = JobState::kQueued;
+    job.exec_host = sim::kInvalidHost;
+    job.replica_hosts.clear();
+  }
+  return state;
+}
+
+void restart_head(PbsHarness& h) {
+  h.net.crash_host(h.head);
+  h.sim.run_for(sim::seconds(1));
+  h.net.restart_host(h.head);
+}
+
+/// Issue one qdel/qhold/qrls-style command and wait for its status.
+template <class Issue>
+Status await_status(PbsHarness& h, Issue issue) {
+  std::optional<SimpleResponse> resp;
+  bool done = false;
+  issue([&](std::optional<SimpleResponse> r) {
+    resp = r;
+    done = true;
+  });
+  testutil::run_until(h.sim, [&] { return done; });
+  return resp ? resp->status : Status::kInternal;
+}
 
 TEST(PbsServer, SubmitRunsToCompletion) {
   PbsHarness h;
@@ -371,6 +411,195 @@ TEST(PbsServer, TruncatedLoadStateLeavesTableUntouched) {
   EXPECT_EQ(h.server->count_in_state(JobState::kRunning), 1u);
   EXPECT_EQ(h.submit(client, h.quick_job(sim::seconds(60))), 4u)
       << "a failed load moved the job id counter";
+}
+
+// A crash after a mixed history recovers exactly the pre-crash table from
+// the per-job records: every job, every counter, running jobs requeued.
+TEST(PbsServer, RestartRecoversExactPreCrashTable) {
+  auto tweak = [](ServerConfig& cfg) {
+    cfg.sched.policy = "preempt";
+    cfg.sched.exclusive_cluster = false;
+  };
+  PbsHarness h(2, 1, tweak);
+  Client& client = h.make_client();
+
+  JobId done = h.submit(client, h.quick_job(sim::msec(200)));
+  ASSERT_TRUE(h.wait_state(done, JobState::kComplete));
+  JobSpec wide = h.quick_job(sim::seconds(60));
+  wide.nodes = 2;
+  JobId victim = h.submit(client, wide);
+  ASSERT_TRUE(h.wait_state(victim, JobState::kRunning));
+
+  JobSpec array = h.quick_job(sim::seconds(60));
+  array.array_count = 3;
+  JobId base = h.submit(client, array);
+  ASSERT_NE(base, kInvalidJob);
+  EXPECT_EQ(await_status(h, [&](auto cb) { client.qhold(base, cb); }),
+            Status::kOk);
+  EXPECT_EQ(await_status(h, [&](auto cb) { client.qrls(base, cb); }),
+            Status::kOk);
+  EXPECT_EQ(await_status(h, [&](auto cb) { client.qdel(base + 1, cb); }),
+            Status::kOk);
+
+  // An urgent job preempts the victim (applied directly: no interceptor),
+  // then is deleted while running.
+  JobSpec urgent = wide;
+  urgent.priority = 5;
+  JobId high = h.submit(client, urgent);
+  ASSERT_TRUE(h.wait_state(high, JobState::kRunning, sim::seconds(30)));
+  EXPECT_EQ(h.server->preempt_count(victim), 1u);
+  EXPECT_EQ(await_status(h, [&](auto cb) { client.qdel(high, cb); }),
+            Status::kOk);
+  ASSERT_TRUE(h.wait_state(high, JobState::kComplete, sim::seconds(30)));
+  ASSERT_TRUE(h.wait_state(victim, JobState::kRunning, sim::seconds(30)));
+
+  ServerState before = table_of(*h.server);
+  ASSERT_EQ(before.jobs.size(), 6u);
+  restart_head(h);
+  EXPECT_TRUE(table_of(*h.server) == requeued(before))
+      << "the recovered table differs from the pre-crash one";
+  EXPECT_EQ(h.server->submissions(), before.submissions);
+  EXPECT_EQ(h.submit(client, h.quick_job()), before.next_job_id);
+}
+
+TEST(PbsServer, RestartAfterResetRecoversEmptyTable) {
+  PbsHarness h;
+  Client& client = h.make_client();
+  for (int i = 0; i < 3; ++i) h.submit(client, h.quick_job(sim::seconds(60)));
+  h.server->reset_state();
+  restart_head(h);
+  EXPECT_TRUE(h.server->jobs().empty()) << "records of reset jobs survived";
+  EXPECT_TRUE(table_of(*h.server) == ServerState{});
+}
+
+TEST(PbsServer, RestartAfterSmallerLoadRecoversThatTable) {
+  PbsHarness small;
+  Client& small_client = small.make_client();
+  for (int i = 0; i < 2; ++i)
+    small.submit(small_client, small.quick_job(sim::seconds(60)));
+  sim::Payload blob = small.server->dump_state_blob();
+
+  PbsHarness h;
+  Client& client = h.make_client();
+  for (int i = 0; i < 5; ++i) h.submit(client, h.quick_job(sim::seconds(60)));
+  h.server->load_state_blob(blob);
+  restart_head(h);
+  EXPECT_TRUE(table_of(*h.server) ==
+              requeued(net::decode<ServerState>(blob)))
+      << "records of jobs missing from the loaded table survived";
+}
+
+TEST(PbsServer, RestartRecoversPreloadedJobs) {
+  PbsHarness h;
+  h.server->preload_queued(3, h.quick_job(sim::seconds(60)));
+  ServerState before = table_of(*h.server);
+  restart_head(h);
+  EXPECT_EQ(h.server->jobs().size(), 3u);
+  EXPECT_TRUE(table_of(*h.server) == before);
+}
+
+// The stat reply is encoded straight from the table; its bytes must be the
+// ones the message codec gives for the same answer.
+TEST(PbsServer, StatReplyBytesMatchMessageCodec) {
+  PbsHarness h;
+  Client& client = h.make_client();
+  JobId first = h.submit(client, h.quick_job(sim::msec(100)));
+  JobId second = h.submit(client, h.quick_job(sim::msec(100)));
+  ASSERT_TRUE(h.wait_state(second, JobState::kComplete));
+  JobId running = h.submit(client, h.quick_job(sim::seconds(600)));
+  h.submit(client, h.quick_job(sim::seconds(600)));
+  ASSERT_TRUE(h.wait_state(running, JobState::kRunning));
+
+  struct Raw : net::RpcNode {
+    using net::RpcNode::RpcNode;
+    void on_request(sim::Payload, sim::Endpoint, uint64_t) override {}
+  } raw(h.net, h.login, 23500, "raw");
+  auto stat_bytes = [&](StatRequest req) {
+    std::optional<sim::Payload> reply;
+    bool done = false;
+    raw.call(sim::Endpoint{h.head, 15001}, net::encode(req),
+             [&](std::optional<sim::Payload> r) {
+               reply = r;
+               done = true;
+             });
+    testutil::run_until(h.sim, [&] { return done; });
+    return reply;
+  };
+  auto codec_bytes = [&](Status status, bool include_complete) {
+    StatResponse resp{status, {}};
+    for (const auto& [id, job] : h.server->jobs()) {
+      if (include_complete || !job.terminal()) resp.jobs.push_back(job);
+    }
+    return net::encode(resp);
+  };
+
+  auto all = stat_bytes(StatRequest{});
+  ASSERT_TRUE(all.has_value());
+  EXPECT_TRUE(*all == codec_bytes(Status::kOk, true));
+  auto active = stat_bytes(StatRequest{kInvalidJob, false});
+  ASSERT_TRUE(active.has_value());
+  EXPECT_TRUE(*active == codec_bytes(Status::kOk, false));
+  EXPECT_EQ(net::decode<StatResponse>(*active).jobs.size(), 2u);
+  auto one = stat_bytes(StatRequest{first, true});
+  ASSERT_TRUE(one.has_value());
+  EXPECT_TRUE(*one == net::encode(StatResponse{
+                          Status::kOk, {*h.server->find_job(first)}}));
+  auto unknown = stat_bytes(StatRequest{999, true});
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_TRUE(*unknown == net::encode(StatResponse{Status::kUnknownJob, {}}));
+}
+
+// A damaged record on disk must not half-install a table: recovery decodes
+// every record first, and on any error the restarted server starts empty.
+TEST(PbsServer, CorruptJobRecordLeavesTableEmpty) {
+  using Disk = std::map<std::string, std::string>;
+  const std::vector<std::pair<std::string, std::function<void(Disk&)>>>
+      corruptions = {
+          {"truncated record", [](Disk& d) { d.at("pbs.j/2").pop_back(); }},
+          // Byte 11 is the top byte of the job name's length prefix.
+          {"flipped byte", [](Disk& d) { d.at("pbs.j/2")[11] ^= 0x40; }},
+          {"missing meta", [](Disk& d) { d.erase("pbs.meta"); }},
+      };
+  for (const auto& [what, corrupt] : corruptions) {
+    SCOPED_TRACE(what);
+    PbsHarness h;
+    Client& client = h.make_client();
+    for (int i = 0; i < 3; ++i)
+      h.submit(client, h.quick_job(sim::seconds(60)));
+    h.net.crash_host(h.head);
+    corrupt(h.net.host(h.head).disk());
+    EXPECT_NO_THROW(h.net.restart_host(h.head));
+    EXPECT_TRUE(h.server->jobs().empty());
+    EXPECT_EQ(h.server->submissions(), 0u);
+    EXPECT_EQ(h.submit(client, h.quick_job()), 1u)
+        << "a rejected recovery moved the job id counter";
+  }
+}
+
+// Mirrors TruncatedLoadStateLeavesTableUntouched for storage: a recovery
+// that fails to decode leaves the live table as it was, and no single
+// flipped byte in a record crashes it or swaps one job for another.
+TEST(PbsServer, CorruptRecordOnRecoverLeavesTableUntouched) {
+  PbsHarness h;
+  Client& client = h.make_client();
+  for (int i = 0; i < 3; ++i) h.submit(client, h.quick_job(sim::seconds(60)));
+  ServerState before = table_of(*h.server);
+  std::string& record = h.net.host(h.head).disk().at("pbs.j/2");
+  const std::string intact = record;
+
+  record.resize(record.size() - 5);
+  EXPECT_NO_THROW(h.server->recover());
+  EXPECT_TRUE(table_of(*h.server) == before)
+      << "a failed recovery changed the table";
+
+  for (size_t i = 0; i < intact.size(); ++i) {
+    record = intact;
+    record[i] ^= 0x40;
+    EXPECT_NO_THROW(h.server->recover()) << "byte " << i;
+    std::set<JobId> ids;
+    for (const auto& [id, job] : h.server->jobs()) ids.insert(job.id);
+    EXPECT_EQ(ids, (std::set<JobId>{1, 2, 3})) << "byte " << i;
+  }
 }
 
 TEST(PbsServer, CountInStateAndSubmissions) {
