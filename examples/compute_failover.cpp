@@ -32,9 +32,8 @@ scenariotest::ScenarioOptions leg_options() {
   scenariotest::ScenarioOptions options;
   options.name = "compute_failover";
   options.heads = 3;
-  options.computes = scenariotest::env_int("JOSHUA_COMPUTES", 4, 2, 16);
-  options.replication = static_cast<uint32_t>(std::min(
-      scenariotest::env_int("JOSHUA_REPLICATION", 2, 1, 3), options.computes));
+  options.computes = scenariotest::env_computes();
+  options.replication = scenariotest::env_replication(options.computes);
   options.seed = 20260807;
   options.duration = sim::hours(12);
   options.random_head_faults = false;

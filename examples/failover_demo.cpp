@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "joshua/cluster.h"
+#include "joshua/config_file.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/scenario_report.h"
 #include "util/logging.h"
@@ -41,6 +42,7 @@ int main(int argc, char** argv) {
   std::string prefix = argc > 2 ? argv[2] : "failover_demo";
 
   joshua::ClusterOptions options;
+  joshua::apply_env(options, std::getenv);
   options.head_count = heads;
   options.compute_count = 2;
   joshua::Cluster cluster(options);

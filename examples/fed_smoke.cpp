@@ -10,9 +10,11 @@
 //
 //   $ ./examples/fed_smoke [out_prefix]     # JOSHUA_ORDERING=allack|token
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "fed/router.h"
+#include "joshua/config_file.h"
 #include "telemetry/scenario_report.h"
 #include "util/logging.h"
 
@@ -29,6 +31,7 @@ int main(int argc, char** argv) {
   std::string prefix = argc > 1 ? argv[1] : "fed_smoke";
 
   joshua::ClusterOptions options;
+  joshua::apply_env(options, std::getenv);
   options.head_count = 4;
   options.compute_count = 2;
   options.shards.count = 2;

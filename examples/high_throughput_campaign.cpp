@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "joshua/cluster.h"
+#include "joshua/config_file.h"
 #include "telemetry/scenario_report.h"
 #include "telemetry/snapshot.h"
 #include "util/stats.h"
@@ -24,6 +25,7 @@ int main(int argc, char** argv) {
   }
 
   joshua::ClusterOptions options;
+  joshua::apply_env(options, std::getenv);
   options.head_count = heads;
   options.compute_count = 2;
   // Short jobs, non-exclusive so both compute nodes chew the queue.

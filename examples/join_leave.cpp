@@ -4,9 +4,11 @@
 //
 //   $ ./examples/join_leave [replay|snapshot]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "joshua/cluster.h"
+#include "joshua/config_file.h"
 
 namespace {
 
@@ -30,6 +32,7 @@ void show_heads(joshua::Cluster& cluster) {
 
 int main(int argc, char** argv) {
   joshua::ClusterOptions options;
+  joshua::apply_env(options, std::getenv);
   options.head_count = 4;
   options.compute_count = 2;
   options.transfer = (argc > 1 && std::strcmp(argv[1], "snapshot") == 0)

@@ -8,9 +8,11 @@
 // metrics; CI gates it with tools/report_diff against
 // baselines/pvfs_metadata.report.json).
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "joshua/config_file.h"
 #include "pvfs/metadata.h"
 #include "rsm/replicated_service.h"
 #include "sim/calibration.h"
@@ -34,6 +36,7 @@ int main(int argc, char** argv) {
     services.back()->instrument(simulation.telemetry().metrics());
     rsm::ReplicaConfig cfg;
     cfg.group = gcs::group_config_from(sim::paper_testbed());
+    joshua::apply_env(cfg.group, std::getenv);
     cfg.group.port = 7100;
     cfg.group.peers = hosts;
     replicas.push_back(std::make_unique<rsm::ReplicaNode>(

@@ -6,14 +6,17 @@
 // Everything runs inside the deterministic cluster simulator; the printed
 // times are simulated seconds on the paper's calibrated testbed.
 #include <cstdio>
+#include <cstdlib>
 
 #include "joshua/cluster.h"
+#include "joshua/config_file.h"
 #include "util/logging.h"
 
 int main() {
   jutil::Logger::instance().set_level(jutil::LogLevel::kWarn);
 
   joshua::ClusterOptions options;
+  joshua::apply_env(options, std::getenv);
   options.head_count = 2;
   options.compute_count = 2;
   joshua::Cluster cluster(options);

@@ -69,10 +69,8 @@ struct GroupConfig {
   /// single hub where partitions do not occur.
   bool require_majority = false;
 
-  /// Total-order engine (see ordering_engine.h). Defaults to the
-  /// JOSHUA_ORDERING environment variable so CI can run the same binaries
-  /// under both engines.
-  OrderingMode ordering = ordering_mode_from_env();
+  /// Total-order engine (see ordering_engine.h).
+  OrderingMode ordering = OrderingMode::kAllAck;
   /// Token-ring knobs; zero durations resolve against heartbeat_interval
   /// (idle cap = heartbeat, loss timeout = 4x heartbeat).
   sim::Duration token_idle = sim::msec(2);
@@ -84,14 +82,13 @@ struct GroupConfig {
   /// hold). All-ack mode: data messages coalesced under one cumulative ack
   /// cut before it is forced out (a nack_delay timer bounds ack latency for
   /// partial batches). 0 or 1: the legacy per-message behavior the
-  /// checked-in baselines gate. Defaults to JOSHUA_ORDER_BATCH.
-  uint32_t order_batch = order_batch_from_env();
+  /// checked-in baselines gate.
+  uint32_t order_batch = 0;
   /// Sender-side flow-control window: own AGREED/SAFE multicasts in flight
   /// (sent, not yet ordered back to us). At the limit new sends queue
   /// locally (gcs.window_stalls counts them) instead of growing every
   /// receiver's unordered backlog. 0: unbounded, the legacy behavior.
-  /// Defaults to JOSHUA_ORDER_WINDOW.
-  uint32_t inflight_window = order_window_from_env();
+  uint32_t inflight_window = 0;
 
   // CPU cost model (see sim::Calibration).
   sim::Duration send_proc = sim::msec(5);

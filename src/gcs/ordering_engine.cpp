@@ -1,7 +1,5 @@
 #include "gcs/ordering_engine.h"
 
-#include <cstdlib>
-
 #include "gcs/engine_allack.h"
 #include "gcs/engine_token.h"
 
@@ -23,30 +21,6 @@ std::optional<OrderingMode> parse_ordering_mode(std::string_view name) {
     return OrderingMode::kTokenRing;
   return std::nullopt;
 }
-
-OrderingMode ordering_mode_from_env() {
-  const char* raw = std::getenv("JOSHUA_ORDERING");
-  if (raw == nullptr) return OrderingMode::kAllAck;
-  return parse_ordering_mode(raw).value_or(OrderingMode::kAllAck);
-}
-
-namespace {
-
-uint32_t env_u32(const char* name, uint32_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long v = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;  // unparseable: legacy
-  constexpr unsigned long kCap = 1u << 20;
-  return static_cast<uint32_t>(v > kCap ? kCap : v);
-}
-
-}  // namespace
-
-uint32_t order_batch_from_env() { return env_u32("JOSHUA_ORDER_BATCH", 0); }
-
-uint32_t order_window_from_env() { return env_u32("JOSHUA_ORDER_WINDOW", 0); }
 
 std::unique_ptr<OrderingEngine> make_engine(OrderingMode mode,
                                             const EngineTuning& tuning) {

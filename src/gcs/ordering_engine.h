@@ -48,21 +48,6 @@ enum class OrderingMode : uint8_t {
 std::string_view to_string(OrderingMode mode);
 std::optional<OrderingMode> parse_ordering_mode(std::string_view name);
 
-/// Runtime engine selection: the JOSHUA_ORDERING environment variable
-/// ("allack" | "token"); kAllAck when unset or unparseable. This is how CI
-/// runs the same test binaries under both engines.
-OrderingMode ordering_mode_from_env();
-
-/// Ordering hot-path batch knob: JOSHUA_ORDER_BATCH (messages per stamp
-/// announcement / per cumulative ack). 0 when unset: the legacy per-message
-/// behavior, which is what the checked-in baselines gate.
-uint32_t order_batch_from_env();
-
-/// Sender flow-control window: JOSHUA_ORDER_WINDOW (own AGREED/SAFE
-/// multicasts in flight before the sender queues locally). 0 when unset:
-/// unbounded, the legacy behavior.
-uint32_t order_window_from_env();
-
 /// Engine knobs resolved by the host GroupMember from its GroupConfig.
 struct EngineTuning {
   /// Token mode: forward delay when holding the token with nothing to

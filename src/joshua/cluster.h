@@ -55,17 +55,15 @@ struct ClusterOptions {
   sim::Duration gcs_heartbeat = sim::kDurationZero;
   sim::Duration gcs_suspect = sim::kDurationZero;
   sim::Duration gcs_flush = sim::kDurationZero;
-  /// Total-order engine for the replication group (defaults to the
-  /// JOSHUA_ORDERING environment variable, then all-ack).
-  gcs::OrderingMode ordering = gcs::ordering_mode_from_env();
+  /// Total-order engine for the replication group.
+  gcs::OrderingMode ordering = gcs::OrderingMode::kAllAck;
   /// Ordering hot-path batching: max stamps per token announcement / data
-  /// messages coalesced per ack cut (0 = legacy unbatched). Defaults to the
-  /// JOSHUA_ORDER_BATCH environment variable, then 0.
-  uint32_t order_batch = gcs::order_batch_from_env();
+  /// messages coalesced per ack cut (0 = legacy unbatched).
+  uint32_t order_batch = 0;
   /// Sender flow-control window: own undelivered AGREED/SAFE multicasts a
   /// member may pipeline before further sends queue (0 = unbounded, the
-  /// legacy behaviour). Defaults to JOSHUA_ORDER_WINDOW, then 0.
-  uint32_t order_window = gcs::order_window_from_env();
+  /// legacy behaviour).
+  uint32_t order_window = 0;
   /// Federation layout: count > 1 wires one replication group per shard
   /// (see ShardLayout). Validated by the Cluster constructor.
   ShardLayout shards{};

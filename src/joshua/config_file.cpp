@@ -47,16 +47,87 @@ ShardLayout shard_layout_from(const jutil::Config& shards) {
   return layout;
 }
 
+/// The `ordering` keys. Only the keys present change `options`.
+void read_ordering(const jutil::Config& section, ClusterOptions& options) {
+  std::string engine = jutil::to_lower(section.get_string("engine", ""));
+  if (!engine.empty()) {
+    std::optional<gcs::OrderingMode> mode = gcs::parse_ordering_mode(engine);
+    if (!mode)
+      throw jutil::ConfigError(
+          "ordering engine must be 'allack' or 'token', got '" + engine + "'");
+    options.ordering = *mode;
+  }
+  auto read_count = [&](const std::string& key, uint32_t& field) {
+    int64_t v = section.get_int(key, field);
+    if (v < 0 || v > UINT32_MAX)
+      throw jutil::ConfigError("ordering " + key +
+                               " must be in [0, 2^32), got " +
+                               std::to_string(v));
+    field = static_cast<uint32_t>(v);
+  };
+  read_count("batch", options.order_batch);
+  read_count("window", options.order_window);
+}
+
+/// The `scheduling` keys: any registered policy/selector pair, plus aging.
+/// Only the keys present change `options`. Unknown names are a deployment
+/// mistake -- fail the parse, never fall back silently (heads running
+/// different policies would diverge).
+void read_scheduling(const jutil::Config& section, ClusterOptions& options) {
+  pbs::SchedulerConfig& sched = options.sched;
+  auto read_plugin = [&](const std::string& key, std::string& field,
+                         auto find, auto names) {
+    std::string name = jutil::to_lower(section.get_string(key, field));
+    if (find(name) == nullptr)
+      throw jutil::ConfigError("scheduling " + key + " '" + name +
+                               "' is not registered (have: " +
+                               jutil::join(names(), ", ") + ")");
+    field = name;
+  };
+  read_plugin("policy", sched.policy, pbs::find_sched_policy,
+              pbs::sched_policy_names);
+  read_plugin("selector", sched.selector, pbs::find_node_selector,
+              pbs::node_selector_names);
+  sched.exclusive_cluster =
+      section.get_bool("exclusive", sched.exclusive_cluster);
+  if (section.has("aging_s")) {
+    int64_t aging_s = section.get_int("aging_s");
+    if (aging_s < 0)
+      throw jutil::ConfigError("scheduling aging_s must be >= 0, got " +
+                               std::to_string(aging_s));
+    sched.priority_aging = sim::seconds(aging_s);
+  }
+}
+
+/// The environment knobs, each as one key of one section.
+struct EnvKnob {
+  const char* variable;
+  const char* key;
+  void (*read)(const jutil::Config& section, ClusterOptions& options);
+};
+
+constexpr EnvKnob kEnvKnobs[] = {
+    {"JOSHUA_ORDERING", "engine", read_ordering},
+    {"JOSHUA_ORDER_BATCH", "batch", read_ordering},
+    {"JOSHUA_ORDER_WINDOW", "window", read_ordering},
+    {"JOSHUA_SCHED", "policy", read_scheduling},
+    {"JOSHUA_SELECT", "selector", read_scheduling},
+};
+
 }  // namespace
 
-ClusterOptions cluster_options_from_config(std::string_view text) {
+ClusterOptions cluster_options_from_config(std::string_view text,
+                                           ClusterOptions base) {
   jutil::Config cfg = jutil::Config::parse(text);
-  ClusterOptions options;
-  options.head_count = static_cast<int>(cfg.get_int("heads", 2));
-  options.compute_count = static_cast<int>(cfg.get_int("computes", 2));
+  ClusterOptions options = std::move(base);
+  options.head_count =
+      static_cast<int>(cfg.get_int("heads", options.head_count));
+  options.compute_count =
+      static_cast<int>(cfg.get_int("computes", options.compute_count));
 
-  std::string transfer =
-      jutil::to_lower(cfg.get_string("transfer", "replay"));
+  std::string transfer = jutil::to_lower(cfg.get_string(
+      "transfer",
+      options.transfer == TransferMode::kReplay ? "replay" : "snapshot"));
   if (transfer == "replay") {
     options.transfer = TransferMode::kReplay;
   } else if (transfer == "snapshot") {
@@ -65,88 +136,64 @@ ClusterOptions cluster_options_from_config(std::string_view text) {
     throw jutil::ConfigError("transfer must be 'replay' or 'snapshot', got '" +
                              transfer + "'");
   }
-  options.auto_rejoin = cfg.get_bool("auto_rejoin", false);
-  options.quirk_mom = cfg.get_bool("quirk_mom", false);
-  options.require_majority = cfg.get_bool("require_majority", false);
-  options.seed = static_cast<uint64_t>(cfg.get_int("seed", 1));
+  options.auto_rejoin = cfg.get_bool("auto_rejoin", options.auto_rejoin);
+  options.quirk_mom = cfg.get_bool("quirk_mom", options.quirk_mom);
+  options.require_majority =
+      cfg.get_bool("require_majority", options.require_majority);
+  options.seed = static_cast<uint64_t>(
+      cfg.get_int("seed", static_cast<int64_t>(options.seed)));
 
-  // Legacy section: the pre-plugin scheduler only knew fifo/backfill.
-  // Accepted unchanged so existing deployment files keep working.
-  if (const jutil::Config* sched = cfg.section("scheduler", "")) {
-    std::string policy =
-        jutil::to_lower(sched->get_string("policy", "fifo"));
-    if (policy != "fifo" && policy != "backfill")
-      throw jutil::ConfigError("scheduler policy must be 'fifo' or "
-                               "'backfill', got '" + policy + "'");
-    options.sched.policy = policy;
-    options.sched.exclusive_cluster = sched->get_bool("exclusive", true);
+  // The pre-plugin section would otherwise pass as an unknown key, and the
+  // heads would quietly run FIFO.
+  if (!cfg.section_titles("scheduler").empty())
+    throw jutil::ConfigError(
+        "the 'scheduler' section is retired: use 'scheduling { policy, "
+        "selector, exclusive, aging_s }'");
+  if (const jutil::Config* sched = cfg.section("scheduling", ""))
+    read_scheduling(*sched, options);
+
+  if (const jutil::Config* timing = cfg.section("gcs", "")) {
+    auto read_ms = [timing](const std::string& key, sim::Duration& field) {
+      if (timing->has(key)) field = sim::msec(timing->get_int(key));
+    };
+    read_ms("heartbeat_ms", options.gcs_heartbeat);
+    read_ms("suspect_ms", options.gcs_suspect);
+    read_ms("flush_ms", options.gcs_flush);
   }
 
-  // Plugin-era section: any registered policy/selector pair, plus aging.
-  // Unknown names are a deployment mistake -- fail the parse, never fall
-  // back silently (heads running different policies would diverge).
-  if (const jutil::Config* sched = cfg.section("scheduling", "")) {
-    std::string policy = jutil::to_lower(
-        sched->get_string("policy", options.sched.policy));
-    if (pbs::find_sched_policy(policy) == nullptr)
-      throw jutil::ConfigError(
-          "scheduling policy '" + policy + "' is not registered (have: " +
-          jutil::join(pbs::sched_policy_names(), ", ") + ")");
-    options.sched.policy = policy;
-    std::string selector = jutil::to_lower(
-        sched->get_string("selector", options.sched.selector));
-    if (pbs::find_node_selector(selector) == nullptr)
-      throw jutil::ConfigError(
-          "scheduling selector '" + selector + "' is not registered (have: " +
-          jutil::join(pbs::node_selector_names(), ", ") + ")");
-    options.sched.selector = selector;
-    options.sched.exclusive_cluster =
-        sched->get_bool("exclusive", options.sched.exclusive_cluster);
-    int64_t aging_s = sched->get_int("aging_s", 0);
-    if (aging_s < 0)
-      throw jutil::ConfigError("scheduling aging_s must be >= 0, got " +
-                               std::to_string(aging_s));
-    options.sched.priority_aging = sim::seconds(aging_s);
-  }
-
-  if (const jutil::Config* gcs = cfg.section("gcs", "")) {
-    options.gcs_heartbeat = sim::msec(gcs->get_int("heartbeat_ms", 0));
-    options.gcs_suspect = sim::msec(gcs->get_int("suspect_ms", 0));
-    options.gcs_flush = sim::msec(gcs->get_int("flush_ms", 0));
-  }
-
-  if (const jutil::Config* ordering = cfg.section("ordering", "")) {
-    std::string engine =
-        jutil::to_lower(ordering->get_string("engine", ""));
-    if (!engine.empty()) {
-      std::optional<gcs::OrderingMode> mode = gcs::parse_ordering_mode(engine);
-      if (!mode)
-        throw jutil::ConfigError(
-            "ordering engine must be 'allack' or 'token', got '" + engine +
-            "'");
-      options.ordering = *mode;
-    }
-    // Defaults keep whatever the environment knobs seeded so a file that
-    // only picks an engine does not silently reset a benchmark's env sweep.
-    int64_t batch = ordering->get_int(
-        "batch", static_cast<int64_t>(options.order_batch));
-    int64_t window = ordering->get_int(
-        "window", static_cast<int64_t>(options.order_window));
-    if (batch < 0)
-      throw jutil::ConfigError("ordering batch must be >= 0, got " +
-                               std::to_string(batch));
-    if (window < 0)
-      throw jutil::ConfigError("ordering window must be >= 0, got " +
-                               std::to_string(window));
-    options.order_batch = static_cast<uint32_t>(batch);
-    options.order_window = static_cast<uint32_t>(window);
-  }
+  if (const jutil::Config* ordering = cfg.section("ordering", ""))
+    read_ordering(*ordering, options);
 
   if (const jutil::Config* shards = cfg.section("shards", ""))
     options.shards = shard_layout_from(*shards);
   options.shards.validate(options.head_count, options.compute_count,
                           options.with_joshua);
   return options;
+}
+
+void apply_env(ClusterOptions& options, const EnvLookup& lookup) {
+  for (const EnvKnob& knob : kEnvKnobs) {
+    const char* value = lookup(knob.variable);
+    if (value == nullptr || *value == '\0') continue;
+    jutil::Config section;
+    section.set(knob.key, value);
+    try {
+      knob.read(section, options);
+    } catch (const jutil::ConfigError& e) {
+      throw jutil::ConfigError(std::string(knob.variable) + ": " + e.what());
+    }
+  }
+}
+
+void apply_env(gcs::GroupConfig& group, const EnvLookup& lookup) {
+  ClusterOptions options;
+  options.ordering = group.ordering;
+  options.order_batch = group.order_batch;
+  options.order_window = group.inflight_window;
+  apply_env(options, lookup);
+  group.ordering = options.ordering;
+  group.order_batch = options.order_batch;
+  group.inflight_window = options.order_window;
 }
 
 std::string cluster_options_to_config(const ClusterOptions& options) {
@@ -165,15 +212,12 @@ std::string cluster_options_to_config(const ClusterOptions& options) {
   sched.set("exclusive", options.sched.exclusive_cluster ? "true" : "false");
   sched.set("aging_s",
             std::to_string(options.sched.priority_aging.us / 1'000'000));
-  // Resolve the engine name before the local `gcs` below shadows the
-  // namespace.
-  std::string engine_name{gcs::to_string(options.ordering)};
-  jutil::Config& gcs = cfg.add_section("gcs", "");
-  gcs.set("heartbeat_ms", std::to_string(options.gcs_heartbeat.us / 1000));
-  gcs.set("suspect_ms", std::to_string(options.gcs_suspect.us / 1000));
-  gcs.set("flush_ms", std::to_string(options.gcs_flush.us / 1000));
+  jutil::Config& timing = cfg.add_section("gcs", "");
+  timing.set("heartbeat_ms", std::to_string(options.gcs_heartbeat.us / 1000));
+  timing.set("suspect_ms", std::to_string(options.gcs_suspect.us / 1000));
+  timing.set("flush_ms", std::to_string(options.gcs_flush.us / 1000));
   jutil::Config& ordering = cfg.add_section("ordering", "");
-  ordering.set("engine", engine_name);
+  ordering.set("engine", std::string(gcs::to_string(options.ordering)));
   ordering.set("batch", std::to_string(options.order_batch));
   ordering.set("window", std::to_string(options.order_window));
   const ShardLayout& layout = options.shards;

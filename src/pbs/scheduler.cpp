@@ -1,9 +1,7 @@
 #include "pbs/scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "util/logging.h"
+#include <stdexcept>
 
 namespace pbs {
 
@@ -44,36 +42,15 @@ size_t eligible_hosts(const FreePool& pool, const JobSpec& spec) {
   return count;
 }
 
-namespace {
-std::string env_or(const char* var, const char* fallback) {
-  const char* v = std::getenv(var);
-  return (v != nullptr && *v != '\0') ? std::string(v) : std::string(fallback);
-}
-}  // namespace
-
-std::string SchedulerConfig::sched_policy_from_env() {
-  return env_or("JOSHUA_SCHED", "fifo");
-}
-
-std::string SchedulerConfig::node_selector_from_env() {
-  return env_or("JOSHUA_SELECT", "firstfit");
-}
-
 Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config)) {
   policy_ = find_sched_policy(config_.policy);
-  if (policy_ == nullptr) {
-    JLOG(kWarn, "pbs") << "unknown scheduling policy '" << config_.policy
-                       << "', falling back to fifo";
-    config_.policy = "fifo";
-    policy_ = find_sched_policy("fifo");
-  }
+  if (policy_ == nullptr)
+    throw std::invalid_argument("pbs::Scheduler: unknown scheduling policy '" +
+                                config_.policy + "'");
   selector_ = find_node_selector(config_.selector);
-  if (selector_ == nullptr) {
-    JLOG(kWarn, "pbs") << "unknown node selector '" << config_.selector
-                       << "', falling back to firstfit";
-    config_.selector = "firstfit";
-    selector_ = find_node_selector("firstfit");
-  }
+  if (selector_ == nullptr)
+    throw std::invalid_argument("pbs::Scheduler: unknown node selector '" +
+                                config_.selector + "'");
 }
 
 SchedDecisions Scheduler::cycle(const std::map<JobId, Job>& jobs,

@@ -66,19 +66,15 @@ struct NodeState {
 };
 
 struct SchedulerConfig {
-  /// Registry names; unknown names fall back to the defaults with a warning
-  /// (the config-file parser rejects them earlier with a hard error).
-  std::string policy = sched_policy_from_env();
-  std::string selector = node_selector_from_env();
+  /// Registry names; the Scheduler refuses a name nobody registered.
+  std::string policy = "fifo";
+  std::string selector = "firstfit";
   /// Paper configuration: each job gets the whole cluster (one job runs at
   /// a time, on all nodes).
   bool exclusive_cluster = true;
   /// Priority aging: queued jobs gain +1 effective priority per interval
   /// waited (priority/preempt policies only). Zero disables aging.
   sim::Duration priority_aging = sim::kDurationZero;
-
-  static std::string sched_policy_from_env();    ///< $JOSHUA_SCHED, "fifo"
-  static std::string node_selector_from_env();   ///< $JOSHUA_SELECT, "firstfit"
 };
 
 struct LaunchDecision {
@@ -162,6 +158,8 @@ std::vector<std::string> node_selector_names();
 /// and runs scheduling iterations through them.
 class Scheduler {
  public:
+  /// Throws std::invalid_argument for a policy or selector name nobody
+  /// registered: a head never runs anything but its configured pair.
   explicit Scheduler(SchedulerConfig config);
 
   const SchedulerConfig& config() const { return config_; }

@@ -14,7 +14,7 @@ namespace {
 
 joshua::ClusterOptions fast_fed(int shards, int heads_per_shard,
                                 int computes_per_shard) {
-  joshua::ClusterOptions options;
+  joshua::ClusterOptions options = testutil::env_options();
   options.head_count = shards * heads_per_shard;
   options.compute_count = shards * computes_per_shard;
   options.shards.count = shards;
@@ -290,9 +290,9 @@ constexpr const char* kExampleDeployment = R"(
   quirk_mom = false
   require_majority = false
   seed = 1
-  scheduler {
-    policy = fifo
-    exclusive = true
+  scheduling {
+    policy = fifo          # fifo | backfill | priority | preempt
+    exclusive = true       # also: selector (firstfit | replica), aging_s
   }
   gcs {
     heartbeat_ms = 100
@@ -330,7 +330,8 @@ void expect_owned_by(joshua::Cluster& f, fed::Router& router,
 
 TEST(Federation, DeploymentFileBuildsShardedPlane) {
   joshua::ClusterOptions options =
-      joshua::cluster_options_from_config(kExampleDeployment);
+      joshua::cluster_options_from_config(kExampleDeployment,
+                                          testutil::env_options());
   options.cal = sim::fast_calibration();
   joshua::Cluster f(std::move(options));
   ASSERT_EQ(f.shard_count(), 2u);
@@ -345,7 +346,8 @@ TEST(Federation, NonContiguousHeadListsAreHonoured) {
   std::string text = kExampleDeployment;
   text.replace(text.find("heads = {0, 1}"), 14, "heads = {0, 2}");
   text.replace(text.find("heads = {2, 3}"), 14, "heads = {1, 3}");
-  joshua::ClusterOptions options = joshua::cluster_options_from_config(text);
+  joshua::ClusterOptions options =
+      joshua::cluster_options_from_config(text, testutil::env_options());
   options.cal = sim::fast_calibration();
   joshua::Cluster f(std::move(options));
   EXPECT_EQ(f.shard_of_head(0), 0u);

@@ -3,11 +3,13 @@
 // application (an append log) for state-transfer coverage.
 #pragma once
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gcs/group_member.h"
+#include "joshua/config_file.h"
 #include "net/wire.h"
 #include "sim/calibration.h"
 #include "sim/failure.h"
@@ -32,6 +34,7 @@ class GcsHarness {
     logs.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       gcs::GroupConfig cfg = gcs::group_config_from(sim::fast_calibration());
+      joshua::apply_env(cfg, std::getenv);
       cfg.port = 7000;
       cfg.peers = hosts;
       cfg.heartbeat_interval = sim::msec(50);

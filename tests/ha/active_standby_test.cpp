@@ -15,6 +15,7 @@ ActiveStandbyOptions fast_as_options() {
   options.heartbeat_interval = sim::msec(100);
   options.detect_timeout = sim::msec(400);
   options.restart_delay = sim::seconds(3);
+  options.sched = testutil::env_options().sched;
   return options;
 }
 

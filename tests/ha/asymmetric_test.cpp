@@ -14,6 +14,7 @@ AsymmetricOptions fast_options(int heads = 2, int computes = 2) {
   options.head_count = heads;
   options.compute_count = computes;
   options.cal = sim::fast_calibration();
+  options.sched = testutil::env_options().sched;
   return options;
 }
 

@@ -40,22 +40,42 @@
 #include "fed/router.h"
 #include "ha/availability.h"
 #include "joshua/cluster.h"
+#include "joshua/config_file.h"
 #include "pbs/workload.h"
 #include "telemetry/scenario_report.h"
 #include "testutil.h"
+#include "util/strings.h"
 
 namespace scenariotest {
 
-/// Environment sweep knob: campaigns read e.g. JOSHUA_REPLICATION=3 or
-/// JOSHUA_COMPUTES=4 so CI sweeps r and the compute pool without
-/// recompiling. Unset/garbage falls back; values are clamped to [lo, hi].
-inline int env_int(const char* name, int fallback, int lo, int hi) {
-  const char* v = std::getenv(name);
+/// Harness-only sweep knob, read like joshua::apply_env's: unset or empty
+/// means `fallback`; anything but an integer in [lo, hi] throws
+/// jutil::ConfigError naming the variable.
+inline int env_int(const char* name, int fallback, int lo, int hi,
+                   const joshua::EnvLookup& lookup) {
+  const char* v = lookup(name);
   if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp<long>(parsed, lo, hi));
+  std::optional<int> parsed = jutil::parse_num<int>(v);
+  if (!parsed || *parsed < lo || *parsed > hi)
+    throw jutil::ConfigError(std::string(name) + ": expected an integer in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "], got '" + v + "'");
+  return *parsed;
+}
+
+/// The campaign sweeps: CI varies the shard count (JOSHUA_SHARDS), the
+/// compute pool (JOSHUA_COMPUTES) and the replication factor
+/// (JOSHUA_REPLICATION, capped at the pool) without recompiling.
+inline int env_shards(const joshua::EnvLookup& lookup = std::getenv) {
+  return env_int("JOSHUA_SHARDS", 1, 1, 8, lookup);
+}
+inline int env_computes(const joshua::EnvLookup& lookup = std::getenv) {
+  return env_int("JOSHUA_COMPUTES", 4, 2, 16, lookup);
+}
+inline uint32_t env_replication(int computes,
+                                const joshua::EnvLookup& lookup = std::getenv) {
+  return static_cast<uint32_t>(
+      std::min(env_int("JOSHUA_REPLICATION", 2, 1, 3, lookup), computes));
 }
 
 struct ScenarioOptions {
@@ -71,7 +91,7 @@ struct ScenarioOptions {
   uint64_t seed = 1;
   joshua::TransferMode transfer = joshua::TransferMode::kReplay;
   /// Total-order engine for the replication group.
-  gcs::OrderingMode ordering = gcs::ordering_mode_from_env();
+  gcs::OrderingMode ordering = testutil::env_options().ordering;
 
   /// Simulated campaign length (workload + fault injection window).
   sim::Duration duration = sim::hours(6);
@@ -92,10 +112,10 @@ struct ScenarioOptions {
 
   // -- scheduling ------------------------------------------------------------
   /// Policy/selector plugin pair, driven identically through every head (the
-  /// determinism contract). The SchedulerConfig defaults honour
-  /// JOSHUA_SCHED / JOSHUA_SELECT, so campaigns sweep policies from the
-  /// environment without recompiling (like JOSHUA_REPLICATION).
-  pbs::SchedulerConfig sched{};
+  /// determinism contract). The default honours JOSHUA_SCHED /
+  /// JOSHUA_SELECT, so campaigns sweep policies from the environment without
+  /// recompiling (like JOSHUA_REPLICATION).
+  pbs::SchedulerConfig sched = testutil::env_options().sched;
   /// Mixed-priority workload: jsub draws a priority uniformly from
   /// [0, priority_levels). <= 1 submits everything at the default priority.
   uint32_t priority_levels = 1;
@@ -238,7 +258,8 @@ class ScenarioRunner {
  public:
   explicit ScenarioRunner(ScenarioOptions options)
       : options_(std::move(options)) {
-    joshua::ClusterOptions copt;
+    // The environment's batch/window; ordering and sched come from options_.
+    joshua::ClusterOptions copt = testutil::env_options();
     copt.head_count = options_.heads;
     copt.compute_count = options_.computes;
     copt.cal = sim::fast_calibration();

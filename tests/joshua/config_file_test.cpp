@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+
+#include "harness/scenario.h"
 #include "joshua/shard_layout_cases.h"
+#include "testutil.h"
 
 namespace {
 
@@ -29,7 +35,7 @@ TEST(ClusterConfig, FullFileParses) {
     quirk_mom = true
     require_majority = true
     seed = 99
-    scheduler {
+    scheduling {
       policy = backfill
       exclusive = false
     }
@@ -59,8 +65,19 @@ TEST(ClusterConfig, BadValuesThrow) {
   EXPECT_THROW(cluster_options_from_config("heads = few"),
                jutil::ConfigError);
   EXPECT_THROW(
-      cluster_options_from_config("scheduler {\n policy = random\n}"),
+      cluster_options_from_config("scheduling {\n policy = random\n}"),
       jutil::ConfigError);
+}
+
+TEST(ClusterConfig, RetiredSchedulerSectionRefused) {
+  // Ignored as an unknown key, the old section would quietly run FIFO.
+  try {
+    cluster_options_from_config("scheduler {\n policy = backfill\n}");
+    ADD_FAILURE() << "the scheduler section parsed";
+  } catch (const jutil::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'scheduling"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ClusterConfig, UnknownKeysIgnored) {
@@ -163,7 +180,7 @@ TEST(ClusterConfig, OrderingKnobsReachTheGroup) {
       batch = 8
       window = 4
     }
-  )");
+  )", testutil::env_options());
   options.cal = sim::fast_calibration();
   joshua::Cluster cluster(options);
   cluster.start();
@@ -278,13 +295,118 @@ TEST(ClusterConfig, ConfiguredClusterActuallyRuns) {
       suspect_ms = 250
       flush_ms = 500
     }
-  )");
+  )", testutil::env_options());
   options.cal = sim::fast_calibration();
   joshua::Cluster cluster(options);
   cluster.start();
   EXPECT_TRUE(cluster.run_until_converged());
   EXPECT_EQ(cluster.joshua_server(0).group().config().suspect_timeout,
             sim::msec(250));
+}
+
+// -- environment knobs, through an injected lookup ---------------------------
+
+/// A lookup over a fixed map: these tests never touch the process
+/// environment.
+joshua::EnvLookup lookup(std::map<std::string, std::string> vars) {
+  return [vars = std::move(vars)](const char* name) -> const char* {
+    auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second.c_str();
+  };
+}
+
+struct KnobCase {
+  const char* variable;
+  const char* good;
+  const char* bad;
+};
+
+/// Expect `read` to throw a ConfigError whose message names `variable`.
+template <class Read>
+void expect_refused(const char* variable, Read read) {
+  try {
+    read();
+    ADD_FAILURE() << variable << ": bad value accepted";
+  } catch (const jutil::ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(variable, 0), 0u) << e.what();
+  }
+}
+
+TEST(EnvKnobs, EachVariableSetsItsKeyOrIsRefused) {
+  const KnobCase cases[] = {
+      {"JOSHUA_ORDERING", "token", "tokn"},
+      {"JOSHUA_ORDER_BATCH", "64", "6x4"},
+      {"JOSHUA_ORDER_WINDOW", "16", "-1"},
+      {"JOSHUA_SCHED", "backfill", "bakfill"},
+      {"JOSHUA_SELECT", "replica", "wormhole"},
+  };
+  std::map<std::string, std::string> good;
+  for (const KnobCase& c : cases) {
+    good[c.variable] = c.good;
+    expect_refused(c.variable, [&] {
+      joshua::ClusterOptions options;
+      joshua::apply_env(options, lookup({{c.variable, c.bad}}));
+    });
+  }
+  joshua::ClusterOptions options;
+  joshua::apply_env(options, lookup(good));
+  EXPECT_EQ(options.ordering, gcs::OrderingMode::kTokenRing);
+  EXPECT_EQ(options.order_batch, 64u);
+  EXPECT_EQ(options.order_window, 16u);
+  EXPECT_EQ(options.sched.policy, "backfill");
+  EXPECT_EQ(options.sched.selector, "replica");
+
+  // The ordering three reach a bare GroupConfig the same way.
+  gcs::GroupConfig group;
+  joshua::apply_env(group, lookup(good));
+  EXPECT_EQ(group.ordering, gcs::OrderingMode::kTokenRing);
+  EXPECT_EQ(group.order_batch, 64u);
+  EXPECT_EQ(group.inflight_window, 16u);
+}
+
+TEST(EnvKnobs, UnsetOrEmptyKeepsTheDefaults) {
+  std::map<std::string, std::string> empty;
+  for (const char* v : {"JOSHUA_ORDERING", "JOSHUA_ORDER_BATCH",
+                        "JOSHUA_ORDER_WINDOW", "JOSHUA_SCHED", "JOSHUA_SELECT"})
+    empty[v] = "";
+  const joshua::ClusterOptions defaults;
+  for (const auto& vars : {std::map<std::string, std::string>{}, empty}) {
+    joshua::ClusterOptions options;
+    joshua::apply_env(options, lookup(vars));
+    EXPECT_EQ(cluster_options_to_config(options),
+              cluster_options_to_config(defaults));
+  }
+  EXPECT_EQ(scenariotest::env_shards(lookup({})), 1);
+  EXPECT_EQ(scenariotest::env_computes(lookup({{"JOSHUA_COMPUTES", ""}})), 4);
+}
+
+TEST(EnvKnobs, SweepVariablesParseStrictly) {
+  using Read = std::function<int(const joshua::EnvLookup&)>;
+  const struct {
+    const char* variable;
+    const char* good;
+    int want;
+    const char* bad;
+    Read read;
+  } cases[] = {
+      {"JOSHUA_SHARDS", "2", 2, "two",
+       [](const joshua::EnvLookup& env) {
+         return scenariotest::env_shards(env);
+       }},
+      {"JOSHUA_COMPUTES", "6", 6, "6x",
+       [](const joshua::EnvLookup& env) {
+         return scenariotest::env_computes(env);
+       }},
+      // Out of [1, 3]: refused, not clamped.
+      {"JOSHUA_REPLICATION", "3", 3, "4",
+       [](const joshua::EnvLookup& env) {
+         return static_cast<int>(scenariotest::env_replication(6, env));
+       }},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.read(lookup({{c.variable, c.good}})), c.want) << c.variable;
+    expect_refused(c.variable, [&] { c.read(lookup({{c.variable, c.bad}})); });
+  }
 }
 
 }  // namespace

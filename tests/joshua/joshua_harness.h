@@ -10,7 +10,7 @@ namespace joshuatest {
 
 inline joshua::ClusterOptions fast_options(int heads, int computes,
                                            uint64_t seed = 1) {
-  joshua::ClusterOptions options;
+  joshua::ClusterOptions options = testutil::env_options();
   options.head_count = heads;
   options.compute_count = computes;
   options.cal = sim::fast_calibration();

@@ -17,8 +17,8 @@ using scenariotest::ScenarioOptions;
 using scenariotest::ScenarioResult;
 using scenariotest::ScenarioRunner;
 
-/// JOSHUA_SCHED / JOSHUA_SELECT already flow in through the SchedulerConfig
-/// defaults (scenario.h); what a non-FIFO leg additionally needs is the
+/// JOSHUA_SCHED / JOSHUA_SELECT already flow in through ScenarioOptions'
+/// sched default (scenario.h); what a non-FIFO leg additionally needs is the
 /// paper's exclusive-cluster restriction lifted (sharing nodes is the whole
 /// point of the other policies) and a workload with priorities and job
 /// arrays worth scheduling. Aging keeps preemption victims from starving.
@@ -39,7 +39,7 @@ ScenarioOptions campaign_options(sim::Duration duration, uint64_t seed) {
   // plane (scenario.h builds a sharded joshua::Cluster behind a
   // fed::Router). Each shard keeps a pair of heads so single-head losses
   // never open a per-shard service gap.
-  options.shards = scenariotest::env_int("JOSHUA_SHARDS", 1, 1, 8);
+  options.shards = scenariotest::env_shards();
   if (options.shards > 1) {
     options.heads = 2 * options.shards;
     options.computes = 2 * options.shards;
@@ -161,9 +161,8 @@ ScenarioOptions compute_campaign_options(sim::Duration duration,
   ScenarioOptions options;
   options.name = "compute_failover";
   options.heads = 3;
-  options.computes = scenariotest::env_int("JOSHUA_COMPUTES", 4, 2, 16);
-  options.replication = static_cast<uint32_t>(std::min(
-      scenariotest::env_int("JOSHUA_REPLICATION", 2, 1, 3), options.computes));
+  options.computes = scenariotest::env_computes();
+  options.replication = scenariotest::env_replication(options.computes);
   options.seed = seed;
   options.duration = duration;
   options.random_head_faults = false;

@@ -41,7 +41,7 @@ TEST(PbsClient, CommandCostsShowUpInLatency) {
 TEST(PbsClient, SetServerRetargets) {
   PbsHarness h;
   sim::HostId head2 = h.net.add_host("head2").id();
-  ServerConfig cfg2 = server_config_from(sim::fast_calibration());
+  ServerConfig cfg2 = pbstest::server_config();
   cfg2.port = 15001;
   cfg2.moms = {{h.compute[0], 15002}};
   Server server2(h.net, head2, cfg2);

@@ -126,7 +126,7 @@ TEST(Mom, SecondLaunchAttachesAndBothServersReported) {
   // feature): both launch the same job id; the second attaches.
   PbsHarness h(1);
   sim::HostId head2 = h.net.add_host("head2").id();
-  pbs::ServerConfig cfg2 = pbs::server_config_from(sim::fast_calibration());
+  pbs::ServerConfig cfg2 = pbstest::server_config();
   cfg2.port = 15001;
   cfg2.moms = {{h.compute[0], 15002}};
   cfg2.sched_interval = sim::msec(100);

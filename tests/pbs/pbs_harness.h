@@ -12,6 +12,14 @@
 
 namespace pbstest {
 
+/// A fast-calibration server config with the JOSHUA_SCHED / JOSHUA_SELECT
+/// sweep applied (testutil::env_options).
+inline pbs::ServerConfig server_config() {
+  pbs::ServerConfig cfg = pbs::server_config_from(sim::fast_calibration());
+  cfg.sched = testutil::env_options().sched;
+  return cfg;
+}
+
 class PbsHarness {
  public:
   explicit PbsHarness(int computes = 2, uint64_t seed = 1,
@@ -23,7 +31,7 @@ class PbsHarness {
       compute.push_back(net.add_host("node" + std::to_string(i)).id());
     login = net.add_host("login").id();
 
-    pbs::ServerConfig cfg = pbs::server_config_from(sim::fast_calibration());
+    pbs::ServerConfig cfg = server_config();
     cfg.port = 15001;
     cfg.sched_interval = sim::msec(100);
     for (sim::HostId h : compute) cfg.moms.push_back({h, 15002});

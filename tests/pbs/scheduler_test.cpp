@@ -4,6 +4,9 @@
 
 #include <random>
 #include <set>
+#include <stdexcept>
+
+#include "testutil.h"
 
 namespace {
 
@@ -526,14 +529,15 @@ TEST(SchedulerRegistry, CustomPolicyPluggable) {
   EXPECT_TRUE(sched.cycle(jobs, make_nodes(2), sim::Time{0}).launches.empty());
 }
 
-TEST(SchedulerRegistry, UnknownNamesFallBackToDefaults) {
-  Scheduler sched(cfg("no-such-policy", true, "no-such-selector"));
-  EXPECT_EQ(sched.policy().name(), "fifo");
-  EXPECT_EQ(sched.selector().name(), "firstfit");
+TEST(SchedulerRegistry, UnknownNamesThrow) {
+  // No silent fifo/firstfit: a head runs its configured pair or nothing.
+  EXPECT_THROW(Scheduler(cfg("no-such-policy", true)), std::invalid_argument);
+  EXPECT_THROW(Scheduler(cfg("fifo", true, "no-such-selector")),
+               std::invalid_argument);
 }
 
 TEST(SchedulerEdge, NoJobsNoDecisions) {
-  Scheduler sched(SchedulerConfig{});
+  Scheduler sched(testutil::env_options().sched);
   EXPECT_TRUE(
       sched.cycle({}, make_nodes(2), sim::Time{0}).launches.empty());
 }

@@ -368,7 +368,7 @@ TEST(PbsServer, DumpAndLoadStateRoundTrip) {
 
   // Load into a second, fresh server.
   sim::HostId head2 = h.net.add_host("head2").id();
-  pbs::ServerConfig cfg = pbs::server_config_from(sim::fast_calibration());
+  pbs::ServerConfig cfg = pbstest::server_config();
   cfg.port = 15001;
   cfg.persist = false;
   pbs::Server server2(h.net, head2, cfg);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "gcs/messages.h"
+#include "joshua/config_file.h"
 #include "pvfs/metadata.h"
 #include "sim/calibration.h"
 #include "testutil.h"
@@ -23,6 +24,7 @@ struct RsmHarness {
       rsm::ReplicaConfig cfg;
       cfg.client_port = 19000;
       cfg.group = gcs::group_config_from(sim::fast_calibration());
+      joshua::apply_env(cfg.group, std::getenv);
       cfg.group.port = 7100;
       cfg.group.peers = hosts;
       cfg.group.heartbeat_interval = sim::msec(50);

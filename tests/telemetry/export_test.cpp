@@ -21,6 +21,7 @@
 #include "telemetry/json_mini.h"
 #include "telemetry/scenario_report.h"
 #include "telemetry/snapshot.h"
+#include "testutil.h"
 
 namespace {
 
@@ -30,7 +31,7 @@ class TelemetryExportTest : public ::testing::Test {
   static joshua::Cluster* cluster_;
 
   static void SetUpTestSuite() {
-    joshua::ClusterOptions options;
+    joshua::ClusterOptions options = testutil::env_options();
     options.head_count = 3;
     options.compute_count = 2;
     cluster_ = new joshua::Cluster(options);
@@ -218,7 +219,7 @@ TEST_F(TelemetryExportTest, InstrumentationDoesNotPerturbTheRun) {
   // must produce the identical event count -- telemetry is observation
   // only. (Counters still update; only the trace ring is switched off.)
   auto run_events = [](bool traced) {
-    joshua::ClusterOptions options;
+    joshua::ClusterOptions options = testutil::env_options();
     options.head_count = 3;
     options.compute_count = 2;
     joshua::Cluster cluster(options);
