@@ -228,9 +228,8 @@ void GroupMember::on_packet(sim::Packet packet) {
           break;
         case MsgType::kCut:
           // The commonest packet (one per member per data message under
-          // all-ack): decoded into reused storage.
-          net::decode(data, rx_cut_);
-          handle_cut(rx_cut_);
+          // all-ack): validated whole, then merged from the packet bytes.
+          handle_cut(net::decode<CutWireView>(data));
           break;
         case MsgType::kNack:
           handle_nack(net::decode<NackWire>(data));
@@ -303,13 +302,13 @@ void GroupMember::handle_data(DataWire m) {
   check_gaps();
 }
 
-void GroupMember::handle_cut(const CutWire& m) {
+void GroupMember::handle_cut(const CutWireView& m) {
   if (!is_member() || !view_.contains(m.header.from)) return;
   m_.cuts_received.add(1);
   note_alive(m.header.from);
   tick_lamport(m.header.lamport);
-  buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
-                  m.header.received);
+  buffer_.observe_in_place(m.header.from, m.header.lamport,
+                           m.header.sent_upto, m.header.received);
   deliver_ready();
   prune_retained();
   check_gaps();
@@ -485,17 +484,22 @@ void GroupMember::prune_retained() {
 
 void GroupMember::check_gaps() {
   if (!is_member()) return;
-  std::map<MemberId, std::vector<MsgId>> by_sender;
+  const std::vector<MsgId> gaps = buffer_.gaps();
+  if (gaps.empty()) return;
+  // gaps() lists each sender's run together, senders ascending: one NACK
+  // timer per sender with gaps not NACKed recently.
   sim::Time now = sim().now();
-  for (const MsgId& gap : buffer_.gaps()) {
-    auto it = nacked_.find(gap);
-    if (it != nacked_.end() && now - it->second < config_.nack_delay * 4)
-      continue;
-    by_sender[gap.sender].push_back(gap);
-  }
-  for (auto& [sender, ids] : by_sender) {
+  for (auto run = gaps.begin(); run != gaps.end();) {
+    const MemberId sender = run->sender;
+    std::vector<MsgId> ids;
+    for (; run != gaps.end() && run->sender == sender; ++run) {
+      auto it = nacked_.find(*run);
+      if (it == nacked_.end() || now - it->second >= config_.nack_delay * 4)
+        ids.push_back(*run);
+    }
+    if (ids.empty()) continue;
     for (const MsgId& gap : ids) nacked_[gap] = now;
-    set_timer(config_.nack_delay, [this, sender = sender, ids = ids] {
+    set_timer(config_.nack_delay, [this, sender, ids = std::move(ids)] {
       if (!is_member()) return;
       NackWire m;
       for (const MsgId& gap : ids)

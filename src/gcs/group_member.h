@@ -143,6 +143,8 @@ class GroupMember : public sim::Process {
   MemberId id() const { return host_id(); }
   const GroupConfig& config() const { return config_; }
   const OrderingEngine& engine() const { return *engine_; }
+  /// The reliability and ordering state (watermarks, peer cuts, gaps).
+  const OrderingBuffer& ordering() const { return buffer_; }
 
   // -- statistics ------------------------------------------------------------
   /// Registry handles ("gcs.*", cells shared by every member in one
@@ -186,7 +188,7 @@ class GroupMember : public sim::Process {
 
   // -- receive handlers (already CPU-charged) ---------------------------------
   void handle_data(DataWire m);
-  void handle_cut(const CutWire& m);
+  void handle_cut(const CutWireView& m);
   void handle_nack(NackWire m);
   void handle_retransmit(RetransmitWire m);
   void handle_join_req(JoinReqWire m);
@@ -282,7 +284,6 @@ class GroupMember : public sim::Process {
   int merge_tick_ = 0;
 
   bool cut_scheduled_ = false;
-  CutWire rx_cut_;  ///< decode storage reused by every inbound cut
   Telemetry m_;  ///< registered in the ctor body
   uint16_t tc_view_ = 0;   ///< trace category "gcs.view"
   uint16_t tc_flush_ = 0;  ///< trace category "gcs.flush"

@@ -30,13 +30,17 @@ enum class MsgType : uint8_t {
   kEngine = 12,  ///< ordering-engine control traffic (token, stamps, ...)
 };
 
-struct Header {
+/// `Cut` is how the cut vector is held: a CutVector, or a CutView into the
+/// packet it was read from (BasicCutWire<CutView> below).
+template <class Cut>
+struct BasicHeader {
   MemberId from = sim::kInvalidHost;
   uint64_t lamport = 0;
   uint64_t sent_upto = 0;
-  CutVector received;  ///< cut vector (sorted member/seq pairs)
-  bool operator==(const Header&) const = default;
+  Cut received;  ///< cut vector (sorted member/seq pairs)
+  bool operator==(const BasicHeader&) const = default;
 };
+using Header = BasicHeader<CutVector>;
 
 struct DataWire {
   Header header;
@@ -44,11 +48,17 @@ struct DataWire {
   bool operator==(const DataWire&) const = default;
 };
 
-struct CutWire {
-  Header header;
+template <class Cut>
+struct BasicCutWire {
+  BasicHeader<Cut> header;
   bool periodic = false;  ///< true for heartbeat cuts (cheap to process)
-  bool operator==(const CutWire&) const = default;
+  bool operator==(const BasicCutWire&) const = default;
 };
+using CutWire = BasicCutWire<CutVector>;
+/// An inbound cut decoded in place: the whole packet is validated, and its
+/// cut entries stay in the packet bytes (merged from there by
+/// OrderingBuffer::observe).
+using CutWireView = BasicCutWire<CutView>;
 
 struct NackWire {
   Header header;
@@ -134,14 +144,14 @@ struct StateWire {
 // Every message is [u8 type][header][body]. net::peek_tag<MsgType> reads the
 // type so the dispatcher can pick a handler and a CPU cost before decoding.
 
-template <class Ar> void fields(Ar& ar, Header& h) {
+template <class Ar, class Cut> void fields(Ar& ar, BasicHeader<Cut>& h) {
   ar(h.from, h.lamport, h.sent_upto, h.received);
 }
 template <class Ar> void fields(Ar& ar, DataWire& m) {
   ar.tag(MsgType::kData);
   ar(m.header, m.msg);
 }
-template <class Ar> void fields(Ar& ar, CutWire& m) {
+template <class Ar, class Cut> void fields(Ar& ar, BasicCutWire<Cut>& m) {
   ar.tag(MsgType::kCut);
   ar(m.header, m.periodic);  // periodic stays last: see cut_is_periodic
 }

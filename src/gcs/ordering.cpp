@@ -1,6 +1,7 @@
 #include "gcs/ordering.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "gcs/ordering_engine.h"
 
@@ -66,6 +67,9 @@ void OrderingBuffer::reset(const View& view, MemberId self) {
     delivered_.try_emplace(m, 0);
   }
   index_watermarks();
+  rebuild_columns();
+  behind_ = 0;
+  for (size_t r = 0; r < n; ++r) behind_ += behind(static_cast<int>(r));
   // An attached engine's lifecycle is driven by its owner (GroupMember
   // resets it at view install, after stream positions settle); only the
   // private fallback follows the buffer.
@@ -105,10 +109,13 @@ bool OrderingBuffer::insert(const DataMsg& m) {
   if (m.id.seq <= upto) return false;  // duplicate of something contiguous
   if (out_of_order_.count(m.id)) return false;
   if (m.id.seq == upto + 1) {
+    const int r = view_.rank(m.id.sender);
+    const bool was = behind(r);
     upto = m.id.seq;
     pending_.emplace(order_key(m), m);
     pending_ix_.emplace(m.id, order_key(m));
     promote_out_of_order(m.id.sender);
+    recount(r, was);
   } else {
     out_of_order_.emplace(m.id, m);
   }
@@ -134,29 +141,135 @@ void OrderingBuffer::erase_pending(std::map<OrderKey, DataMsg>::iterator it) {
 
 void OrderingBuffer::observe(MemberId p, uint64_t lamport, uint64_t sent_upto,
                              const CutVector& received) {
+  merge_cut(p, lamport, sent_upto, received);
+}
+
+void OrderingBuffer::observe_in_place(MemberId p, uint64_t lamport,
+                                      uint64_t sent_upto,
+                                      const CutView& received) {
+  merge_cut(p, lamport, sent_upto, received);
+}
+
+template <class Cut>
+void OrderingBuffer::merge_cut(MemberId p, uint64_t lamport,
+                               uint64_t sent_upto, const Cut& received) {
   // Only members' claims about members' streams count (a cut also carries
   // entries for departed senders; the wire may carry anything).
   const int q = view_.rank(p);
   if (q < 0) return;
-  sent_upto_[q] = std::max(sent_upto_[q], sent_upto);
-  // One pass merging the sorted cut with the sorted member list into q's
-  // row. An entry below its predecessor (an unsorted cut) restarts the
-  // member scan by binary search; repeated entries merge by maximum.
+  if (sent_upto > sent_upto_[q]) {
+    const bool was = behind(q);
+    sent_upto_[q] = sent_upto;
+    recount(q, was);
+  }
   const std::vector<MemberId>& members = view_.members;
   const size_t n = members.size();
-  uint64_t* row = &acks_[static_cast<size_t>(q) * n];
-  size_t j = 0;
-  MemberId prev = 0;
-  for (const auto& [sender, seq] : received) {
+  const size_t row = static_cast<size_t>(q) * n;
+  const size_t k = received.size();
+  // The common cut lists the view's members rank by rank: merge it entry
+  // by entry. The first entry that does not line up (a departed sender,
+  // say) hands over to the general merge below.
+  size_t i = 0;
+  for (; i < k && i < n; ++i) {
+    const auto [sender, seq] = received[i];
+    if (sender != members[i]) break;
+    if (seq > acks_[row + i]) raise_ack(q, i, seq);
+  }
+  // Anything else: one pass merging the rest of the sorted cut with the
+  // sorted member list, from where the aligned prefix stopped. An entry
+  // below its predecessor (an unsorted cut) restarts the member scan by
+  // binary search; repeated entries merge by maximum.
+  size_t j = i > 0 ? i - 1 : 0;
+  MemberId prev = i > 0 ? members[i - 1] : 0;
+  for (; i < k; ++i) {
+    const auto [sender, seq] = received[i];
     if (sender < prev)
       j = static_cast<size_t>(
           std::lower_bound(members.begin(), members.end(), sender) -
           members.begin());
     prev = sender;
     while (j < n && members[j] < sender) ++j;
-    if (j < n && members[j] == sender) row[j] = std::max(row[j], seq);
+    if (j < n && members[j] == sender && seq > acks_[row + j])
+      raise_ack(q, j, seq);
   }
   engine().observe(p, lamport);
+}
+
+void OrderingBuffer::raise_ack(size_t q, size_t s, uint64_t seq) {
+  uint64_t& cell = acks_[q * view_.size() + s];
+  const uint64_t was = cell;
+  cell = seq;
+  if (static_cast<int>(q) == self_rank_) return;  // not in the minima
+  // Every row of the column sits at or above its minimum, so offsets from
+  // it cannot wrap.
+  uint64_t& lo = col_min_[s];
+  uint32_t* ring = &col_ring_[s * kAckRing];
+  if (was - lo < kAckRing) --ring[was % kAckRing]; else --col_far_[s];
+  if (seq - lo < kAckRing) ++ring[seq % kAckRing]; else ++col_far_[s];
+  if (was != lo || ring[lo % kAckRing] != 0) return;
+  // The last row at the minimum rose: the next occupied slot is the new
+  // minimum. Moving the window would also take in rows counted past it, so
+  // a column that has any is recounted instead.
+  if (col_far_[s] == 0) {
+    for (uint64_t d = 1; d < kAckRing; ++d) {
+      if (ring[(lo + d) % kAckRing] != 0) {
+        lo += d;
+        return;
+      }
+    }
+  }
+  rebuild_column(s);
+}
+
+void OrderingBuffer::rebuild_column(size_t s) {
+  const size_t n = view_.size();
+  uint64_t lo = UINT64_MAX;
+  for (size_t q = 0; q < n; ++q)
+    if (static_cast<int>(q) != self_rank_) lo = std::min(lo, acks_[q * n + s]);
+  col_min_[s] = lo;
+  uint32_t* ring = &col_ring_[s * kAckRing];
+  std::fill_n(ring, kAckRing, 0);
+  col_far_[s] = 0;
+  for (size_t q = 0; q < n; ++q) {
+    if (static_cast<int>(q) == self_rank_) continue;
+    const uint64_t v = acks_[q * n + s];
+    if (v - lo < kAckRing) ++ring[v % kAckRing]; else ++col_far_[s];
+  }
+}
+
+void OrderingBuffer::rebuild_columns() {
+  // rebuild_column for every column, in two row-major passes.
+  const size_t n = view_.size();
+  col_min_.assign(n, UINT64_MAX);
+  col_ring_.assign(n * kAckRing, 0);
+  col_far_.assign(n, 0);
+  for (size_t q = 0; q < n; ++q) {
+    if (static_cast<int>(q) == self_rank_) continue;
+    for (size_t s = 0; s < n; ++s)
+      col_min_[s] = std::min(col_min_[s], acks_[q * n + s]);
+  }
+  for (size_t q = 0; q < n; ++q) {
+    if (static_cast<int>(q) == self_rank_) continue;
+    for (size_t s = 0; s < n; ++s) {
+      const uint64_t v = acks_[q * n + s];
+      if (v - col_min_[s] < kAckRing) {
+        ++col_ring_[s * kAckRing + v % kAckRing];
+      } else {
+        ++col_far_[s];
+      }
+    }
+  }
+}
+
+void OrderingBuffer::drop_ack(size_t q, size_t s) {
+  const uint64_t was = std::exchange(acks_[q * view_.size() + s], 0);
+  if (was == 0 || static_cast<int>(q) == self_rank_) return;
+  // Below a nonzero minimum the window moves: recount the column. At a
+  // minimum of 0 the row just moves to slot 0.
+  if (col_min_[s] != 0) return rebuild_column(s);
+  uint32_t* ring = &col_ring_[s * kAckRing];
+  if (was < kAckRing) --ring[was % kAckRing]; else --col_far_[s];
+  ++ring[0];
 }
 
 bool OrderingBuffer::causal_condition(const DataMsg& m) const {
@@ -285,6 +398,7 @@ uint64_t OrderingBuffer::peer_received(MemberId q, MemberId sender) const {
 
 std::vector<MsgId> OrderingBuffer::gaps() const {
   std::vector<MsgId> out;
+  if (behind_ == 0) return out;
   for (size_t r = 0; r < view_.size(); ++r) {
     uint64_t have = received_[slot_[r]].second;
     if (sent_upto_[r] <= have) continue;
@@ -297,14 +411,12 @@ std::vector<MsgId> OrderingBuffer::gaps() const {
 }
 
 bool OrderingBuffer::missing_from_peers() const {
-  for (size_t r = 0; r < view_.size(); ++r) {
-    if (static_cast<int>(r) == self_rank_) continue;
-    if (received_[slot_[r]].second < sent_upto_[r]) return true;
-  }
-  return false;
+  return behind_ > (behind(self_rank_) ? 1u : 0u);
 }
 
 void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
+  const int r = view_.rank(sender);
+  const bool was = behind(r);
   watermark(sender) = seq;
   delivered_[sender] = seq;
   // Drop anything buffered at or below the new position; promote the rest.
@@ -324,6 +436,7 @@ void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
     }
   }
   promote_out_of_order(sender);
+  recount(r, was);
 }
 
 void OrderingBuffer::reset_peer(MemberId m) {
@@ -334,9 +447,11 @@ void OrderingBuffer::reset_peer(MemberId m) {
   // and would otherwise count toward stable_upto and SAFE for the fresh
   // stream.
   const size_t n = view_.size();
+  const bool was = behind(r);
   sent_upto_[r] = 0;
-  std::fill_n(&acks_[static_cast<size_t>(r) * n], n, 0);
-  for (size_t q = 0; q < n; ++q) acks_[q * n + r] = 0;
+  recount(r, was);
+  for (size_t s = 0; s < n; ++s) drop_ack(static_cast<size_t>(r), s);
+  for (size_t q = 0; q < n; ++q) drop_ack(q, static_cast<size_t>(r));
 }
 
 void OrderingBuffer::clear_all() {
@@ -349,20 +464,23 @@ void OrderingBuffer::clear_all() {
   delivered_.clear();
   acks_.clear();
   sent_upto_.clear();
+  col_min_.clear();
+  col_ring_.clear();
+  col_far_.clear();
+  behind_ = 0;
   self_rank_ = -1;
   if (fallback_) fallback_->clear();
 }
 
 uint64_t OrderingBuffer::stable_upto(MemberId sender) const {
-  // The minimum of the sender's column over every other member's row.
-  uint64_t lo = received_upto(sender);
-  const size_t n = view_.size();
+  // Our own watermark against the minimum of the sender's column over every
+  // other member's row.
+  const uint64_t have = received_upto(sender);
   const int s = view_.rank(sender);
-  for (size_t q = 0; q < n; ++q) {
-    if (static_cast<int>(q) == self_rank_) continue;
-    lo = std::min(lo, s < 0 ? 0 : acks_[q * n + s]);
-  }
-  return lo;
+  if (s >= 0) return std::min(have, col_min_[s]);
+  // No member claims anything of a non-member's stream.
+  const bool alone = view_.size() == (self_rank_ >= 0 ? 1u : 0u);
+  return alone ? have : 0;
 }
 
 }  // namespace gcs

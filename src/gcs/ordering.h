@@ -67,6 +67,9 @@ class OrderingBuffer {
   /// entries merge by maximum (the cut comes off the wire).
   void observe(MemberId p, uint64_t lamport, uint64_t sent_upto,
                const CutVector& received);
+  /// The same, merging the cut straight from the packet it arrived in.
+  void observe_in_place(MemberId p, uint64_t lamport, uint64_t sent_upto,
+                        const CutView& received);
 
   /// Pop every message whose delivery condition now holds, in delivery
   /// order (AGREED/SAFE messages in the engine's total order).
@@ -103,15 +106,17 @@ class OrderingBuffer {
   uint64_t peer_sent_upto(MemberId q) const;
   uint64_t peer_received(MemberId q, MemberId sender) const;
 
-  /// Known gaps: message ids we should NACK (claimed sent but not held).
+  /// Known gaps: message ids we should NACK (claimed sent but not held),
+  /// by sender. O(1) when nothing is missing.
   std::vector<MsgId> gaps() const;
   /// Does some other member claim to have sent more than we hold of its
   /// stream? (All-ack: no earlier-ordered message may still be missing.)
+  /// O(1).
   bool missing_from_peers() const;
 
   /// Lowest receive point of `sender`'s stream across all view members'
   /// cuts: messages at or below it are stable and may be garbage-collected
-  /// by the retention log.
+  /// by the retention log. O(1) amortized for a member's stream.
   uint64_t stable_upto(MemberId sender) const;
 
   size_t pending_count() const { return pending_.size() + out_of_order_.size(); }
@@ -142,6 +147,25 @@ class OrderingBuffer {
 
  private:
   bool causal_condition(const DataMsg& m) const;
+  template <class Cut>
+  void merge_cut(MemberId p, uint64_t lamport, uint64_t sent_upto,
+                 const Cut& received);
+  /// Row q's claim about column s's stream rose to `seq`.
+  void raise_ack(size_t q, size_t s, uint64_t seq);
+  /// Row q's claim about column s's stream drops to 0 (reset_peer).
+  void drop_ack(size_t q, size_t s);
+  /// Recompute column s's minimum and ring from acks_.
+  void rebuild_column(size_t s);
+  void rebuild_columns();
+  /// Does rank r (or nothing, for r < 0) claim more than we hold?
+  bool behind(int r) const {
+    return r >= 0 && sent_upto_[r] > received_[slot_[r]].second;
+  }
+  /// Rank r's sent or receive watermark moved; `was` is behind(r) before.
+  void recount(int r, bool was) {
+    behind_ += behind(r);
+    behind_ -= was;
+  }
   void promote_out_of_order(MemberId sender);
   void erase_pending(std::map<OrderKey, DataMsg>::iterator it);
   /// The receive watermark of `sender`'s stream (an entry at 0 is created
@@ -176,6 +200,22 @@ class OrderingBuffer {
   std::vector<uint64_t> acks_;
   /// By rank: the highest seq the member claims to have sent.
   std::vector<uint64_t> sent_upto_;
+
+  // Derived from the above and kept exact as it changes (DESIGN.md
+  // section 7.2), so the per-packet queries need no N-wide scan.
+  /// By column: the minimum over every row but ours (UINT64_MAX when there
+  /// is no such row). stable_upto is this against our own watermark.
+  std::vector<uint64_t> col_min_;
+  /// By column, kAckRing slots: slot v % kAckRing counts the rows holding
+  /// v, for v in [col_min_, col_min_ + kAckRing). col_far_ counts the rows
+  /// above that window; the minimum advances to the next occupied slot
+  /// when its last row rises, and only a column with rows beyond the
+  /// window is rescanned then.
+  static constexpr uint64_t kAckRing = 64;
+  std::vector<uint32_t> col_ring_;
+  std::vector<uint32_t> col_far_;
+  /// Ranks r with sent_upto_[r] above our watermark of r's stream.
+  size_t behind_ = 0;
 
   int last_drain_passes_ = 0;
 

@@ -107,10 +107,12 @@ struct Delivered {
 /// at 128 heads that is 128 entries per message -- to one allocation per
 /// copy instead of one node allocation per entry.
 using CutVector = std::vector<std::pair<MemberId, uint64_t>>;
+/// An inbound cut read in place: the same pairs, left in the packet.
+using CutView = net::PairsView<MemberId, uint64_t>;
 
 // -- wire layouts (net/wire.h) ------------------------------------------------
-// A CutVector and a std::map<MemberId, uint64_t> share one layout: a u32
-// count, then sorted (member, seq) pairs.
+// A CutVector, a CutView and a std::map<MemberId, uint64_t> share one
+// layout: a u32 count, then sorted (member, seq) pairs.
 
 template <class Ar> void fields(Ar& ar, ViewId& id) {
   ar(id.epoch, id.coordinator);

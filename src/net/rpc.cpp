@@ -32,11 +32,7 @@ void RpcNode::transmit(uint64_t id) {
   Pending& p = it->second;
   --p.attempts_left;
 
-  Writer w;
-  w.u8(kKindRequest);
-  w.u64(id);
-  w.bytes(p.request);
-  send(p.dst, w.take());
+  send(p.dst, encode(kKindRequest, id, p.request));
 
   p.timer = set_timer(p.options.timeout, [this, id] { expire(id); });
 }
@@ -63,18 +59,11 @@ void RpcNode::fail_pending_calls() {
 }
 
 void RpcNode::respond(sim::Endpoint to, uint64_t rpc_id, Payload response) {
-  Writer w;
-  w.u8(kKindResponse);
-  w.u64(rpc_id);
-  w.bytes(response);
-  send(to, w.take());
+  send(to, encode(kKindResponse, rpc_id, response));
 }
 
 Payload RpcNode::frame_datagram(Payload inner) {
-  Writer w;
-  w.u8(kKindDatagram);
-  w.bytes(inner);
-  return w.take();
+  return encode(kKindDatagram, inner);
 }
 
 void RpcNode::on_packet(sim::Packet packet) {

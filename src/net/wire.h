@@ -22,6 +22,7 @@
 //   std::vector, std::map      u32 count, then the elements (key, value)
 //   std::pair                  first, then second
 //   a type with fields()       its fields, in order
+//   PairsView (read only)      u32 count, then the fixed-width pairs
 //
 // Integers are little-endian fixed width. Every count prefix is capped by the
 // bytes left in the buffer. encode() and decode() are the entry points.
@@ -80,29 +81,31 @@ constexpr bool kIsTime =
     std::is_same_v<T, sim::Time> || std::is_same_v<T, sim::Duration>;
 }  // namespace detail
 
-class Writer {
+/// Emits each value's wire form through Out::raw(bytes, n). The one
+/// mapping from C++ types to wire forms for both Writer, which copies the
+/// bytes, and Sizer, which only counts them.
+template <class Out>
+class Emitter {
  public:
-  Writer() = default;
-
-  void u8(uint8_t v) { raw(&v, sizeof v); }
-  void u16(uint16_t v) { raw(&v, sizeof v); }
-  void u32(uint32_t v) { raw(&v, sizeof v); }
-  void u64(uint64_t v) { raw(&v, sizeof v); }
-  void i64(int64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
+  void u8(uint8_t v) { out().raw(&v, sizeof v); }
+  void u16(uint16_t v) { out().raw(&v, sizeof v); }
+  void u32(uint32_t v) { out().raw(&v, sizeof v); }
+  void u64(uint64_t v) { out().raw(&v, sizeof v); }
+  void i64(int64_t v) { out().raw(&v, sizeof v); }
+  void f64(double v) { out().raw(&v, sizeof v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void str(std::string_view s) {
     u32(static_cast<uint32_t>(s.size()));
-    raw(s.data(), s.size());
+    out().raw(s.data(), s.size());
   }
 
   void bytes(const Payload& b) {
     u32(static_cast<uint32_t>(b.size()));
-    raw(b.data(), b.size());
+    out().raw(b.data(), b.size());
   }
 
-  /// Write each value in its wire form. Flattened: the whole field tree,
+  /// Emit each value in its wire form. Flattened: the whole field tree,
   /// down to each field's memcpy, inlines into one function, which keeps
   /// encoding as fast as hand-written code in any translation unit.
   template <class... Ts>
@@ -116,15 +119,9 @@ class Writer {
     u8(static_cast<uint8_t>(t));
   }
 
-  /// Freeze the built bytes into an immutable shared Payload (no copy).
-  Payload take() {
-    buf_.resize(len_);
-    len_ = 0;
-    return Payload::adopt(std::move(buf_));
-  }
-  size_t size() const { return len_; }
-
  private:
+  Out& out() { return static_cast<Out&>(*this); }
+
   template <class T>
   void put(const T& v) {
     if constexpr (std::is_same_v<T, bool>) {
@@ -158,11 +155,54 @@ class Writer {
     } else {
       static_assert(std::is_class_v<T>, "no wire form for this type");
       // The field list takes a mutable reference so one list serves both
-      // directions; writing never modifies it.
+      // directions; emitting never modifies it.
       fields(*this, const_cast<T&>(v));
     }
   }
+};
 
+/// Counts the wire bytes of values without writing them, so a Writer can
+/// allocate its buffer once at the exact size.
+class Sizer : public Emitter<Sizer> {
+ public:
+  size_t size() const { return n_; }
+
+ private:
+  friend class Emitter<Sizer>;
+  void raw(const void*, size_t n) { n_ += n; }
+  size_t n_ = 0;
+};
+
+/// The wire size of `values`, as Writer would emit them.
+template <class... Ts>
+size_t wire_size(const Ts&... values) {
+  Sizer s;
+  s(values...);
+  return s.size();
+}
+
+class Writer : public Emitter<Writer> {
+ public:
+  Writer() = default;
+  /// Start with room for `bytes`: a Writer that knows its message size
+  /// (see wire_size) allocates once.
+  explicit Writer(size_t bytes) : buf_(bytes) {}
+
+  /// Make room for `bytes` more (a size hint; writing past it still grows).
+  void reserve(size_t bytes) {
+    if (bytes > buf_.size() - len_) buf_.resize(len_ + bytes);
+  }
+
+  /// Freeze the built bytes into an immutable shared Payload (no copy).
+  Payload take() {
+    buf_.resize(len_);
+    len_ = 0;
+    return Payload::adopt(std::move(buf_));
+  }
+  size_t size() const { return len_; }
+
+ private:
+  friend class Emitter<Writer>;
   // The buffer is kept at its capacity and len_ counts the bytes written,
   // so appending a field is a bounds check and a memcpy that inlines into
   // every field list; growing stays out of line.
@@ -177,6 +217,37 @@ class Writer {
   std::vector<uint8_t> buf_;
   size_t len_ = 0;
 };
+
+/// A wire vector of fixed-width (A, B) integer pairs, left in the buffer it
+/// was read from: Reader checks its count against the bytes and hands out
+/// this view instead of copying the pairs out. Valid while that buffer
+/// lives. Read-only: it has no Writer form.
+template <class A, class B>
+class PairsView {
+ public:
+  static_assert(std::is_unsigned_v<A> && std::is_unsigned_v<B>,
+                "a pair view holds fixed-width unsigned integers");
+  static constexpr size_t kWidth = sizeof(A) + sizeof(B);
+
+  size_t size() const { return n_; }
+  std::pair<A, B> operator[](size_t i) const {
+    std::pair<A, B> v;
+    std::memcpy(&v.first, p_ + i * kWidth, sizeof(A));
+    std::memcpy(&v.second, p_ + i * kWidth + sizeof(A), sizeof(B));
+    return v;
+  }
+
+ private:
+  friend class Reader;
+  const uint8_t* p_ = nullptr;
+  size_t n_ = 0;
+};
+
+namespace detail {
+template <class T> struct IsPairsView : std::false_type {};
+template <class A, class B>
+struct IsPairsView<PairsView<A, B>> : std::true_type {};
+}  // namespace detail
 
 class Reader {
  public:
@@ -254,6 +325,12 @@ class Reader {
     } else if constexpr (detail::IsPair<T>::value) {
       get(v.first);
       get(v.second);
+    } else if constexpr (detail::IsPairsView<T>::value) {
+      uint32_t n = count();
+      check(size_t{n} * T::kWidth);
+      v.p_ = buf_.data() + pos_;
+      v.n_ = n;
+      pos_ += size_t{n} * T::kWidth;
     } else if constexpr (detail::IsVector<T>::value) {
       v.resize(count());
       for (auto& item : v) get(item);
@@ -300,11 +377,12 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// The wire bytes of `msg`.
-template <class T>
-Payload encode(const T& msg) {
-  Writer w;
-  w(msg);
+/// The wire bytes of `values`, one after the other (usually one message),
+/// written into a buffer allocated once at the exact size.
+template <class... Ts>
+Payload encode(const Ts&... values) {
+  Writer w(wire_size(values...));
+  w(values...);
   return w.take();
 }
 

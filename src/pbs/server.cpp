@@ -250,24 +250,32 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
 /// would give, without copying the jobs into one first.
 void Server::handle_stat(const StatRequest& req, sim::Endpoint from,
                          uint64_t rpc_id) {
-  net::Writer w;
   if (req.job_id != kInvalidJob) {
     auto it = state_.jobs.find(req.job_id);
-    if (it == state_.jobs.end()) {
-      w(Status::kUnknownJob, uint32_t{0});
-    } else {
-      w(Status::kOk, uint32_t{1}, it->second);
-    }
-  } else {
-    auto matches = [&](const Job& job) {
-      return req.include_complete || !job.terminal();
-    };
-    uint32_t count = 0;
-    for (const auto& [id, job] : state_.jobs) count += matches(job);
-    w(Status::kOk, count);
-    for (const auto& [id, job] : state_.jobs) {
-      if (matches(job)) w(job);
-    }
+    respond(from, rpc_id,
+            it == state_.jobs.end()
+                ? net::encode(Status::kUnknownJob, uint32_t{0})
+                : net::encode(Status::kOk, uint32_t{1}, it->second));
+    return;
+  }
+  auto matches = [&](const Job& job) {
+    return req.include_complete || !job.terminal();
+  };
+  uint32_t count = 0;
+  const Job* first = nullptr;
+  for (const auto& [id, job] : state_.jobs) {
+    if (!matches(job)) continue;
+    ++count;
+    if (first == nullptr) first = &job;
+  }
+  net::Writer w;
+  // Jobs of one table encode to about the same size: reserve for `count`
+  // of the first, so the answer grows at most once or twice.
+  w.reserve(net::wire_size(Status::kOk, count) +
+            (first ? count * net::wire_size(*first) : 0));
+  w(Status::kOk, count);
+  for (const auto& [id, job] : state_.jobs) {
+    if (matches(job)) w(job);
   }
   respond(from, rpc_id, w.take());
 }
@@ -810,9 +818,8 @@ void Server::write_job(const Job& job) {
 }
 
 void Server::write_meta() {
-  net::Writer w;
-  w(state_.next_job_id, state_.next_rank, state_.submissions);
-  store(storage()[std::string(kMetaKey)], w.take());
+  store(storage()[std::string(kMetaKey)],
+        net::encode(state_.next_job_id, state_.next_rank, state_.submissions));
 }
 
 void Server::arm_checkpoint_timer() {

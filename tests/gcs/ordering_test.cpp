@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gcs/messages.h"
+
 #include <algorithm>
 #include <map>
 #include <random>
@@ -303,7 +305,10 @@ TEST_F(OrderingTest, UntrustedCutEntriesMergeByMaxWithinTheView) {
 // out-of-order staging. Claims exist only by members about members' streams;
 // reset_peer forgets a member's row and every claim about its stream. The
 // buffer must answer every query exactly like the model after every step of
-// a random schedule of view changes, cuts, inserts and stream moves.
+// a random schedule of view changes, cuts, inserts and stream moves. Half of
+// the cuts go through the wire-bytes merge (observe_in_place), and one
+// schedule runs a 64-member universe, so the incrementally kept column
+// minima and missing-count are checked against a direct computation.
 
 class PeerModel {
  public:
@@ -369,10 +374,17 @@ class PeerModel {
   }
   std::vector<MsgId> gaps() const {
     std::vector<MsgId> out;
-    for (MemberId q : view_.members)
+    for (MemberId q : view_.members) {
+      if (received_upto(q) >= peer_sent_upto(q)) continue;
       for (uint64_t seq = received_upto(q) + 1; seq <= peer_sent_upto(q); ++seq)
         if (!held_.count(MsgId{q, seq})) out.push_back({q, seq});
+    }
     return out;
+  }
+  bool missing_from_peers() const {
+    for (MemberId q : view_.members)
+      if (q != self_ && received_upto(q) < peer_sent_upto(q)) return true;
+    return false;
   }
   CutVector received_vector() const { return {recv_.begin(), recv_.end()}; }
 
@@ -394,19 +406,34 @@ class PeerModel {
   std::map<MemberId, std::map<MemberId, uint64_t>> claims_;
 };
 
-/// Ids the schedule draws from: the member universe 0..7 plus ids that are
-/// never members, one of them far beyond any plausible rank table.
-const std::vector<MemberId> kIds = {0, 1, 2, 3, 4, 5, 6, 7, 1000, 0xFFFFFFF0u};
+/// One differential schedule: a member universe 0..members-1 (the view
+/// draws from it), plus ids that are never members, one of them far beyond
+/// any plausible rank table.
+struct Universe {
+  MemberId members;
+  int steps;
+  std::vector<MemberId> ids() const {
+    std::vector<MemberId> out;
+    for (MemberId m = 0; m < members; ++m) out.push_back(m);
+    out.push_back(1000);
+    out.push_back(0xFFFFFFF0u);
+    return out;
+  }
+};
 constexpr MemberId kSelf = 3;
 constexpr uint64_t kMaxSeq = 12;
 
 ::testing::AssertionResult same_answers(const OrderingBuffer& buf,
-                                        const PeerModel& model) {
+                                        const PeerModel& model,
+                                        const std::vector<MemberId>& ids) {
   if (buf.received_vector() != model.received_vector())
     return ::testing::AssertionFailure() << "received_vector differs";
   if (buf.gaps() != model.gaps())
     return ::testing::AssertionFailure() << "gaps differ";
-  for (MemberId q : kIds) {
+  if (buf.missing_from_peers() != model.missing_from_peers())
+    return ::testing::AssertionFailure()
+           << "missing_from_peers " << buf.missing_from_peers();
+  for (MemberId q : ids) {
     if (buf.received_upto(q) != model.received_upto(q))
       return ::testing::AssertionFailure() << "received_upto(" << q << ")";
     if (buf.stable_upto(q) != model.stable_upto(q))
@@ -415,7 +442,7 @@ constexpr uint64_t kMaxSeq = 12;
              << model.stable_upto(q);
     if (buf.peer_sent_upto(q) != model.peer_sent_upto(q))
       return ::testing::AssertionFailure() << "peer_sent_upto(" << q << ")";
-    for (MemberId s : kIds) {
+    for (MemberId s : ids) {
       if (buf.peer_received(q, s) != model.peer_received(q, s))
         return ::testing::AssertionFailure()
                << "peer_received(" << q << ", " << s << ") "
@@ -425,28 +452,67 @@ constexpr uint64_t kMaxSeq = 12;
   return ::testing::AssertionSuccess();
 }
 
-void run_differential(uint64_t seed) {
+void run_differential(uint64_t seed, Universe universe = {8, 4000}) {
+  const std::vector<MemberId> ids = universe.ids();
+  const MemberId n_members = universe.members;
   std::mt19937_64 rng(seed);
   auto below = [&](uint64_t n) { return rng() % n; };
   auto any_id = [&] {
-    return below(8) == 0 ? kIds[8 + below(2)] : static_cast<MemberId>(below(8));
+    return below(8) == 0 ? ids[n_members + below(2)]
+                         : static_cast<MemberId>(below(n_members));
+  };
+  // Mostly small, so streams, claims and gaps interact; often spread wider
+  // than the 64 values a column keeps counts for above its minimum; now
+  // and then next to the top of the range.
+  auto position = [&]() -> uint64_t {
+    switch (below(16)) {
+      case 0: case 1: case 2: case 3: return kMaxSeq + below(200);
+      case 4: return UINT64_MAX - below(4);
+      default: return below(kMaxSeq + 1);
+    }
   };
   OrderingBuffer buf;
   PeerModel model;
   View view = make_view({0, 1, 2, kSelf});
   buf.reset(view, kSelf);
   model.reset(view, kSelf);
-  for (int step = 0; step < 4000; ++step) {
+  for (int step = 0; step < universe.steps; ++step) {
     uint64_t op = below(100);
     if (op < 45) {
-      // A header: mostly from members, cuts of any shape.
+      // A header: mostly from members. Half the cuts have any shape; the
+      // others look like a member's received vector (every id in order),
+      // sometimes with one entry moved, repeated or dropped.
       CutVector cut;
-      size_t n = below(11);
-      for (size_t i = 0; i < n; ++i) cut.emplace_back(any_id(), below(kMaxSeq + 1));
-      if (below(2) == 0) std::sort(cut.begin(), cut.end());
+      if (below(2) == 0) {
+        size_t n = below(11);
+        for (size_t i = 0; i < n; ++i) cut.emplace_back(any_id(), position());
+        if (below(2) == 0) std::sort(cut.begin(), cut.end());
+      } else {
+        for (MemberId m : ids)
+          if (view.contains(m) || below(4) == 0)
+            cut.emplace_back(m, position());
+        if (!cut.empty() && below(4) == 0) {
+          size_t i = below(cut.size());
+          size_t j = below(cut.size());
+          switch (below(3)) {
+            case 0: std::swap(cut[i], cut[j]); break;
+            case 1: cut.insert(cut.begin() + i, {cut[j].first, position()}); break;
+            default: cut.erase(cut.begin() + i); break;
+          }
+        }
+      }
       MemberId p = below(6) == 0 ? any_id() : view.members[below(view.size())];
       uint64_t sent = below(kMaxSeq + 1);
-      buf.observe(p, 1, sent, cut);
+      if (below(2) == 0) {
+        buf.observe(p, 1, sent, cut);
+      } else {
+        // Straight from the wire bytes, as GroupMember merges a cut.
+        sim::Payload bytes =
+            net::encode(gcs::CutWire{{p, 1, sent, cut}, false});
+        auto wire = net::decode<gcs::CutWireView>(bytes);
+        buf.observe_in_place(wire.header.from, wire.header.lamport,
+                             wire.header.sent_upto, wire.header.received);
+      }
       model.observe(p, sent, cut);
     } else if (op < 80) {
       MemberId s = below(4) == 0 ? any_id() : view.members[below(view.size())];
@@ -456,39 +522,47 @@ void run_differential(uint64_t seed) {
       model.insert(MsgId{s, seq});
     } else if (op < 88) {
       MemberId s = any_id();
-      uint64_t seq = below(kMaxSeq + 1);
+      uint64_t seq = position();
       buf.set_stream_position(s, seq);
       model.set_stream_position(s, seq);
     } else {
       // View change: members come and go (self stays), some of the
       // survivors reincarnate, and every member's stream position settles
-      // as GroupMember::install_view does.
+      // as GroupMember::install_view does. Each step is checked.
       std::vector<MemberId> members = {kSelf};
-      for (MemberId m = 0; m < 8; ++m)
+      for (MemberId m = 0; m < n_members; ++m)
         if (m != kSelf && below(3) != 0) members.push_back(m);
       std::sort(members.begin(), members.end());
       view = make_view(members, view.id.epoch + 1);
       buf.reset(view, kSelf);
       model.reset(view, kSelf);
+      ASSERT_TRUE(same_answers(buf, model, ids))
+          << "seed " << seed << " step " << step << " after reset";
       for (MemberId m : members) {
         if (m != kSelf && below(4) == 0) {
           buf.reset_peer(m);
           model.reset_peer(m);
+          ASSERT_TRUE(same_answers(buf, model, ids))
+              << "seed " << seed << " step " << step << " reset_peer " << m;
           buf.set_stream_position(m, 0);
           model.set_stream_position(m, 0);
         } else if (below(2) == 0) {
-          uint64_t seq = std::max(below(kMaxSeq + 1), model.received_upto(m));
+          uint64_t seq = std::max(position(), model.received_upto(m));
           buf.set_stream_position(m, seq);
           model.set_stream_position(m, seq);
         }
       }
     }
-    ASSERT_TRUE(same_answers(buf, model)) << "seed " << seed << " step " << step;
+    ASSERT_TRUE(same_answers(buf, model, ids))
+        << "seed " << seed << " step " << step;
   }
 }
 
 TEST(OrderingDifferential, MatchesMapModelSeed1) { run_differential(1); }
 TEST(OrderingDifferential, MatchesMapModelSeed2) { run_differential(2); }
 TEST(OrderingDifferential, MatchesMapModelSeed3) { run_differential(3); }
+TEST(OrderingDifferential, MatchesMapModel64Members) {
+  run_differential(4, {64, 1500});
+}
 
 }  // namespace

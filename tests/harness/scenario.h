@@ -189,10 +189,11 @@ struct ScenarioResult {
   uint64_t view_changes_seen = 0;
   uint64_t convergence_checks = 0;
 
-  /// Polls at which NO head was in service. Replicated state only survives
-  /// while at least one group member lives; a nonzero value here means the
-  /// campaign broke the continuity precondition and job-loss "violations"
-  /// are expected, not bugs. Campaign seeds are chosen so this stays 0.
+  /// Polls at which some ordering group (shard) had NO head in service.
+  /// Replicated state only survives while at least one member of its group
+  /// lives; a nonzero value here means the campaign broke the continuity
+  /// precondition and job-loss "violations" are expected, not bugs.
+  /// Campaign seeds are chosen so this stays 0.
   uint64_t service_gap_polls = 0;
 
   uint64_t jsub_attempted = 0;
@@ -342,7 +343,7 @@ class ScenarioRunner {
       sim.run_for(std::min(options_.poll_interval, end - sim.now()));
       rejoin_restarted_heads();
       harvest_terminal_jobs();
-      if (in_service_count() == 0) ++result.service_gap_polls;
+      if (some_shard_unserved()) ++result.service_gap_polls;
       uint64_t epoch = current_epoch();
       if (epoch != last_epoch) {
         last_epoch = epoch;
@@ -565,6 +566,16 @@ class ScenarioRunner {
 
   bool all_heads_in_service() const {
     return in_service_count() == cluster_->head_count();
+  }
+
+  /// Does some ordering group have no head in service?
+  bool some_shard_unserved() const {
+    std::vector<size_t> serving(cluster_->shard_count(), 0);
+    for (size_t i = 0; i < cluster_->head_count(); ++i) {
+      if (cluster_->joshua_server(i).in_service())
+        ++serving[cluster_->shard_of_head(i)];
+    }
+    return std::find(serving.begin(), serving.end(), 0u) != serving.end();
   }
 
   size_t in_service_count() const {
