@@ -18,7 +18,6 @@ EngineOut AllAckEngine::reset(const View& view, MemberId self, int64_t) {
   heard_ = std::move(heard);
   view_ = view;
   self_ = self;
-  cleared_.reset();
   return {};
 }
 
@@ -26,7 +25,6 @@ void AllAckEngine::clear() {
   view_ = View{};
   self_ = sim::kInvalidHost;
   heard_.clear();
-  cleared_.reset();
 }
 
 void AllAckEngine::observe(MemberId p, uint64_t lamport) {
@@ -37,13 +35,7 @@ void AllAckEngine::observe(MemberId p, uint64_t lamport) {
 bool AllAckEngine::agreed_condition(const DataMsg& m) const {
   // No earlier-ordered message from any other member may still be missing.
   if (buffer_->missing_from_peers()) return false;
-  // Clocks only rise until the next reset, so a member heard past m stays
-  // past it: the scan for the same m resumes where the last one stopped,
-  // and all N checks are paid once per message, not once per packet.
-  const OrderKey key = order_key(m);
-  if (!cleared_ || cleared_->first != key) cleared_.emplace(key, 0);
-  size_t& r = cleared_->second;
-  for (; r < view_.size(); ++r) {
+  for (size_t r = 0; r < view_.size(); ++r) {
     MemberId q = view_.members[r];
     // Our own clock is ahead of everything we buffered, and our own
     // messages are inserted synchronously -- nothing of ours is in flight

@@ -9,8 +9,6 @@
 // against stay in the OrderingBuffer (they also drive NACKs and stability).
 #pragma once
 
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "gcs/ordering_engine.h"
@@ -45,9 +43,6 @@ class AllAckEngine : public OrderingEngine {
   /// Highest lamport timestamp heard from each member (on any traffic), by
   /// view rank.
   std::vector<uint64_t> heard_;
-  /// The message agreed_condition last checked, and how many ranks from 0
-  /// up are known to have been heard past it (or are exempt).
-  mutable std::optional<std::pair<OrderKey, size_t>> cleared_;
 };
 
 }  // namespace gcs

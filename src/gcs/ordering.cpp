@@ -166,31 +166,22 @@ void OrderingBuffer::merge_cut(MemberId p, uint64_t lamport,
   const size_t n = members.size();
   const size_t row = static_cast<size_t>(q) * n;
   const size_t k = received.size();
-  // The common cut lists the view's members rank by rank: merge it entry
-  // by entry. The first entry that does not line up (a departed sender,
-  // say) hands over to the general merge below.
-  size_t i = 0;
-  for (; i < k && i < n; ++i) {
+  // One pass. An entry is first looked for at the rank after the previous
+  // one's, which is where every entry of the common cut sits (it lists the
+  // view rank by rank); any other entry -- a departed sender, an unsorted
+  // or repeated one -- is found by binary search. Repeated entries merge by
+  // maximum.
+  size_t j = 0;
+  for (size_t i = 0; i < k; ++i) {
     const auto [sender, seq] = received[i];
-    if (sender != members[i]) break;
-    if (seq > acks_[row + i]) raise_ack(q, i, seq);
-  }
-  // Anything else: one pass merging the rest of the sorted cut with the
-  // sorted member list, from where the aligned prefix stopped. An entry
-  // below its predecessor (an unsorted cut) restarts the member scan by
-  // binary search; repeated entries merge by maximum.
-  size_t j = i > 0 ? i - 1 : 0;
-  MemberId prev = i > 0 ? members[i - 1] : 0;
-  for (; i < k; ++i) {
-    const auto [sender, seq] = received[i];
-    if (sender < prev)
+    if (j >= n || members[j] != sender) {
       j = static_cast<size_t>(
           std::lower_bound(members.begin(), members.end(), sender) -
           members.begin());
-    prev = sender;
-    while (j < n && members[j] < sender) ++j;
-    if (j < n && members[j] == sender && seq > acks_[row + j])
-      raise_ack(q, j, seq);
+      if (j >= n || members[j] != sender) continue;
+    }
+    if (seq > acks_[row + j]) raise_ack(q, j, seq);
+    ++j;
   }
   engine().observe(p, lamport);
 }

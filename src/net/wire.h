@@ -188,11 +188,6 @@ class Writer : public Emitter<Writer> {
   /// (see wire_size) allocates once.
   explicit Writer(size_t bytes) : buf_(bytes) {}
 
-  /// Make room for `bytes` more (a size hint; writing past it still grows).
-  void reserve(size_t bytes) {
-    if (bytes > buf_.size() - len_) buf_.resize(len_ + bytes);
-  }
-
   /// Freeze the built bytes into an immutable shared Payload (no copy).
   Payload take() {
     buf_.resize(len_);

@@ -262,17 +262,13 @@ void Server::handle_stat(const StatRequest& req, sim::Endpoint from,
     return req.include_complete || !job.terminal();
   };
   uint32_t count = 0;
-  const Job* first = nullptr;
+  size_t job_bytes = 0;
   for (const auto& [id, job] : state_.jobs) {
     if (!matches(job)) continue;
     ++count;
-    if (first == nullptr) first = &job;
+    job_bytes += net::wire_size(job);
   }
-  net::Writer w;
-  // Jobs of one table encode to about the same size: reserve for `count`
-  // of the first, so the answer grows at most once or twice.
-  w.reserve(net::wire_size(Status::kOk, count) +
-            (first ? count * net::wire_size(*first) : 0));
+  net::Writer w(net::wire_size(Status::kOk, count) + job_bytes);
   w(Status::kOk, count);
   for (const auto& [id, job] : state_.jobs) {
     if (matches(job)) w(job);
