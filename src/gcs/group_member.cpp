@@ -146,8 +146,8 @@ void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
     execute(config_.self_deliver, [this] { deliver_ready(); });
     return;
   }
-  DataWire wire{make_header(), msg};
-  sim::Payload buf = net::encode(wire);
+  sim::Payload buf =
+      net::encode(BasicDataWire<const CutVector&>{out_header(), std::move(msg)});
   execute(config_.send_proc, [this, buf = std::move(buf)] {
     cast_to_members(buf);
     deliver_ready();
@@ -169,7 +169,11 @@ void GroupMember::release_window() {
 // Send helpers
 // ---------------------------------------------------------------------------
 
-Header GroupMember::make_header() {
+OutHeader GroupMember::out_header() const {
+  return OutHeader{id(), lamport_, my_seq_, buffer_.received_vector()};
+}
+
+Header GroupMember::make_header() const {
   return Header{id(), lamport_, my_seq_, buffer_.received_vector()};
 }
 
@@ -399,14 +403,15 @@ void GroupMember::apply_engine(EngineOut out) {
   for (uint32_t n : out.batch_sizes) m_.batch_size.record(n);
   for (sim::Payload& body : out.broadcasts) {
     m_.engine_msgs_sent.add(1);
-    EngineWire w{make_header(), std::move(body)};
-    cast_to_members(net::encode(w));
+    cast_to_members(net::encode(
+        BasicEngineWire<const CutVector&>{out_header(), std::move(body)}));
   }
   if (out.unicast) {
     m_.engine_msgs_sent.add(1);
     if (out.token_forward) m_.token_rotations.add(1);
-    EngineWire w{make_header(), std::move(out.unicast->second)};
-    send(sim::Endpoint{out.unicast->first, config_.port}, net::encode(w));
+    send(sim::Endpoint{out.unicast->first, config_.port},
+         net::encode(BasicEngineWire<const CutVector&>{
+             out_header(), std::move(out.unicast->second)}));
   }
   if (out.forward_timer.us > 0) {
     set_timer(out.forward_timer, [this] {
@@ -451,9 +456,9 @@ void GroupMember::send_cut(bool periodic) {
     // Any cut carries the full cumulative received vector, so it acks
     // everything heard so far -- the batching counter restarts.
     unacked_data_ = 0;
-    CutWire m{make_header(), true};
     m_.cuts_sent.add(1);
-    cast_to_members(net::encode(m));
+    cast_to_members(
+        net::encode(BasicCutWire<const CutVector&>{out_header(), true}));
     return;
   }
   if (cut_scheduled_) return;
@@ -462,9 +467,9 @@ void GroupMember::send_cut(bool periodic) {
     cut_scheduled_ = false;
     unacked_data_ = 0;
     if (!is_member() || view_.size() <= 1) return;
-    CutWire m{make_header(), false};
     m_.cuts_sent.add(1);
-    cast_to_members(net::encode(m));
+    cast_to_members(
+        net::encode(BasicCutWire<const CutVector&>{out_header(), false}));
   });
 }
 

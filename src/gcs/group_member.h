@@ -181,7 +181,10 @@ class GroupMember : public sim::Process {
 
  private:
   // -- send helpers -----------------------------------------------------------
-  Header make_header();
+  /// The header of a message sent now: out_header() for one encoded at
+  /// once, make_header() for one kept as a value.
+  OutHeader out_header() const;
+  Header make_header() const;
   std::vector<sim::HostId> other_members() const;
   void cast_to_members(sim::Payload buf);
   void cast_to_peers(sim::Payload buf);

@@ -30,8 +30,9 @@ enum class MsgType : uint8_t {
   kEngine = 12,  ///< ordering-engine control traffic (token, stamps, ...)
 };
 
-/// `Cut` is how the cut vector is held: a CutVector, or a CutView into the
-/// packet it was read from (BasicCutWire<CutView> below).
+/// `Cut` is how the cut vector is held: a CutVector, a CutView into the
+/// packet it was read from (BasicCutWire<CutView> below), or a reference to
+/// the sender's own received vector (OutHeader).
 template <class Cut>
 struct BasicHeader {
   MemberId from = sim::kInvalidHost;
@@ -41,12 +42,18 @@ struct BasicHeader {
   bool operator==(const BasicHeader&) const = default;
 };
 using Header = BasicHeader<CutVector>;
+/// A header being sent: its cut is encoded from the sender's received
+/// vector in place rather than copied into the message first. Its wire
+/// bytes are a Header's. Valid while that vector is unchanged.
+using OutHeader = BasicHeader<const CutVector&>;
 
-struct DataWire {
-  Header header;
+template <class Cut>
+struct BasicDataWire {
+  BasicHeader<Cut> header;
   DataMsg msg;
-  bool operator==(const DataWire&) const = default;
+  bool operator==(const BasicDataWire&) const = default;
 };
+using DataWire = BasicDataWire<CutVector>;
 
 template <class Cut>
 struct BasicCutWire {
@@ -127,11 +134,13 @@ struct StateReqWire {
 
 /// Ordering-engine control message; the body is engine-defined (the host
 /// GroupMember routes it to OrderingEngine::on_control without looking).
-struct EngineWire {
-  Header header;
+template <class Cut>
+struct BasicEngineWire {
+  BasicHeader<Cut> header;
   sim::Payload body;
-  bool operator==(const EngineWire&) const = default;
+  bool operator==(const BasicEngineWire&) const = default;
 };
+using EngineWire = BasicEngineWire<CutVector>;
 
 struct StateWire {
   Header header;
@@ -147,7 +156,7 @@ struct StateWire {
 template <class Ar, class Cut> void fields(Ar& ar, BasicHeader<Cut>& h) {
   ar(h.from, h.lamport, h.sent_upto, h.received);
 }
-template <class Ar> void fields(Ar& ar, DataWire& m) {
+template <class Ar, class Cut> void fields(Ar& ar, BasicDataWire<Cut>& m) {
   ar.tag(MsgType::kData);
   ar(m.header, m.msg);
 }
@@ -197,7 +206,7 @@ template <class Ar> void fields(Ar& ar, StateWire& m) {
   ar.tag(MsgType::kState);
   ar(m.header, m.view_id, m.state);
 }
-template <class Ar> void fields(Ar& ar, EngineWire& m) {
+template <class Ar, class Cut> void fields(Ar& ar, BasicEngineWire<Cut>& m) {
   ar.tag(MsgType::kEngine);
   ar(m.header, m.body);
 }

@@ -211,7 +211,7 @@ class OrderingBuffer {
   /// above that window; the minimum advances to the next occupied slot
   /// when its last row rises, and only a column with rows beyond the
   /// window is rescanned then.
-  static constexpr uint64_t kAckRing = 64;
+  static constexpr uint64_t kAckRing = 16;
   std::vector<uint32_t> col_ring_;
   std::vector<uint32_t> col_far_;
   /// Ranks r with sent_upto_[r] above our watermark of r's stream.

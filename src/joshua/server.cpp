@@ -40,6 +40,18 @@ pbs::JobId target_job(pbs::Op op, const sim::Payload& request) {
   }
 }
 
+/// The request a head that does not answer the client sends its PBS: a
+/// stat becomes kStatQuiet (same bytes, other type byte), which PBS charges
+/// as a stat but answers with the status alone. The state-changing ops go
+/// as they are.
+sim::Payload quiet_stat(const sim::Payload& request) {
+  if (request.empty() || request[0] != static_cast<uint8_t>(pbs::Op::kStat))
+    return request;
+  std::vector<uint8_t> bytes(request.begin(), request.end());
+  bytes[0] = static_cast<uint8_t>(pbs::Op::kStatQuiet);
+  return sim::Payload::adopt(std::move(bytes));
+}
+
 /// Did a replayed command produce the response the log implies it must?
 /// The compacted log only carries commands about live jobs, so a failure
 /// status here means the joiner's rebuilt PBS state diverged from the
@@ -248,12 +260,14 @@ bool Server::on_ordered(rsm::Command& cmd) {
 }
 
 void Server::apply_async(const sim::Payload& request, uint64_t tag,
-                         ApplyDone done) {
-  call_local_pbs(request, [this, tag, request, done = std::move(done)](
-                              std::optional<sim::Payload> response) {
-    if (response.has_value()) note_command_result(tag, request, *response);
-    done(std::move(response));
-  });
+                         bool answers, ApplyDone done) {
+  call_local_pbs(answers ? request : quiet_stat(request),
+                 [this, tag, request, done = std::move(done)](
+                     std::optional<sim::Payload> response) {
+                   if (response.has_value())
+                     note_command_result(tag, request, *response);
+                   done(std::move(response));
+                 });
 }
 
 void Server::apply_op(const sim::Payload& op) {

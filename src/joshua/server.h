@@ -127,7 +127,7 @@ class Server : private rsm::IDeterministicService {
 
  private:
   // rsm::IDeterministicService:
-  void apply_async(const sim::Payload& request, uint64_t tag,
+  void apply_async(const sim::Payload& request, uint64_t tag, bool answers,
                    ApplyDone done) override;
   sim::Payload snapshot() const override;
   void install(const sim::Payload& state) override;

@@ -27,6 +27,11 @@ enum class Op : uint8_t {
   /// Never issued by clients: JOSHUA injects it after an ordered kPreempt
   /// group op so every head requeues the victim at the same stream point.
   kPreempt = 7,
+  /// A qstat whose answer nobody reads. JOSHUA applies an ordered jstat
+  /// with it at every head but the one the client contacted: the server
+  /// charges it as a kStat and answers with the status alone. JOSHUA
+  /// refuses it from clients.
+  kStatQuiet = 8,
   // management (state transfer support)
   kDumpState = 10,
   kLoadState = 11,
@@ -71,6 +76,12 @@ struct StatRequest {
   JobId job_id = kInvalidJob;  ///< 0 = all jobs
   bool include_complete = true;
   bool operator==(const StatRequest&) const = default;
+};
+/// A StatRequest's fields under Op::kStatQuiet: the same bytes as the
+/// stat it stands for, but the type byte. Answered with a SimpleResponse.
+struct QuietStatRequest {
+  StatRequest stat;
+  bool operator==(const QuietStatRequest&) const = default;
 };
 struct StatResponse {
   Status status = Status::kOk;
@@ -180,6 +191,10 @@ template <class Ar> void fields(Ar& ar, SubmitRequest& m) {
 template <class Ar> void fields(Ar& ar, StatRequest& m) {
   ar.tag(Op::kStat);
   ar(m.job_id, m.include_complete);
+}
+template <class Ar> void fields(Ar& ar, QuietStatRequest& m) {
+  ar.tag(Op::kStatQuiet);
+  ar(m.stat.job_id, m.stat.include_complete);
 }
 template <class Ar> void fields(Ar& ar, DeleteRequest& m) {
   ar.tag(Op::kDelete);

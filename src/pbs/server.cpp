@@ -137,7 +137,8 @@ void Server::on_request(sim::Payload request, sim::Endpoint from,
   sim::Duration cost;
   switch (op) {
     case Op::kSubmit: cost = config_.submit_proc; break;
-    case Op::kStat: cost = config_.stat_proc; break;
+    case Op::kStat:
+    case Op::kStatQuiet: cost = config_.stat_proc; break;
     case Op::kDelete:
     case Op::kSignal:
     case Op::kHold:
@@ -158,6 +159,10 @@ void Server::on_request(sim::Payload request, sim::Endpoint from,
           break;
         case Op::kStat:
           handle_stat(net::decode<StatRequest>(request), from, rpc_id);
+          break;
+        case Op::kStatQuiet:
+          handle_quiet_stat(net::decode<QuietStatRequest>(request).stat, from,
+                            rpc_id);
           break;
         case Op::kDelete:
           handle_delete(net::decode<DeleteRequest>(request), from, rpc_id);
@@ -274,6 +279,14 @@ void Server::handle_stat(const StatRequest& req, sim::Endpoint from,
     if (matches(job)) w(job);
   }
   respond(from, rpc_id, w.take());
+}
+
+void Server::handle_quiet_stat(const StatRequest& req, sim::Endpoint from,
+                               uint64_t rpc_id) {
+  bool known = req.job_id == kInvalidJob || state_.jobs.count(req.job_id);
+  respond(from, rpc_id,
+          net::encode(SimpleResponse{known ? Status::kOk
+                                           : Status::kUnknownJob}));
 }
 
 void Server::handle_delete(const DeleteRequest& req, sim::Endpoint from,

@@ -224,6 +224,10 @@ class Server : public net::RpcNode {
                      uint64_t rpc_id);
   void handle_stat(const StatRequest& req, sim::Endpoint from,
                    uint64_t rpc_id);
+  /// kStatQuiet: the stat's status only (kUnknownJob for an id not in the
+  /// table), without walking or encoding the table.
+  void handle_quiet_stat(const StatRequest& req, sim::Endpoint from,
+                         uint64_t rpc_id);
   void handle_delete(const DeleteRequest& req, sim::Endpoint from,
                      uint64_t rpc_id);
   void handle_signal(const SignalRequest& req, sim::Endpoint from,

@@ -77,10 +77,12 @@ void ReplicaNode::answer_locally(sim::Payload request, const Caller& caller) {
   stage(cost, [this, p = Pending{caller, sim().now().us,
                                  std::move(request)}]() mutable {
     sim::Payload req = p.request;  // p moves into the callback below
-    service_->apply_async(req, 0, [this, p = std::move(p)](
-                                      std::optional<sim::Payload> resp) mutable {
-      relay(std::move(p), std::move(resp), m_.local_latency, 0);
-    });
+    service_->apply_async(req, 0, /*answers=*/true,
+                          [this, p = std::move(p)](
+                              std::optional<sim::Payload> resp) mutable {
+                            relay(std::move(p), std::move(resp),
+                                  m_.local_latency, 0);
+                          });
   });
 }
 
@@ -102,7 +104,8 @@ void ReplicaNode::on_deliver(const gcs::Delivered& msg) {
 void ReplicaNode::resume(Command cmd) {
   sim::Duration cost = service_->apply_cost(cmd.request);
   execute(cost, [this, cmd = std::move(cmd)] {
-    service_->apply_async(cmd.request, cmd.tag,
+    // Only the replica the client contacted answers it (finish()).
+    service_->apply_async(cmd.request, cmd.tag, cmd.origin == group_.id(),
                           [this, origin = cmd.origin, seq = cmd.seq](
                               std::optional<sim::Payload> resp) {
                             finish(origin, seq, std::move(resp));

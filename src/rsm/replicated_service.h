@@ -75,9 +75,13 @@ class IDeterministicService {
 
   /// Asynchronous apply: `done` gets the response, or nullopt when the
   /// service could not produce one. `tag` is what on_ordered() stamped (0
-  /// for local reads). The default runs the synchronous apply() inline.
+  /// for local reads). `answers` is true when this replica's response goes
+  /// back to the client: the contacted replica of an ordered request, or a
+  /// local read. Elsewhere the core discards the response, so a service may
+  /// skip building it (the state change must still happen). The default
+  /// runs the synchronous apply() inline.
   virtual void apply_async(const sim::Payload& request, uint64_t /*tag*/,
-                           ApplyDone done) {
+                           bool /*answers*/, ApplyDone done) {
     done(apply(request));
   }
 

@@ -99,6 +99,8 @@ class Host {
   /// submitted before a crash is silently discarded on restart. The cost is
   /// scaled by this host's cpu_scale (1.0 = the paper's 450 MHz head node).
   void execute(Duration cost, std::function<void()> fn);
+  /// When the CPU finishes the work submitted so far.
+  Time cpu_free_at() const { return cpu_free_at_; }
 
   /// Per-host storage that survives crashes (the head node's local disk).
   std::map<std::string, std::string>& disk() { return disk_; }

@@ -120,6 +120,8 @@ TEST(WireGolden, PbsRequests) {
                 "6d656d04000000ffffffffffffffff1700000000000000");
   expect_golden("pbs.stat", s::stat_request(),
                 "02050000000000000000");
+  expect_golden("pbs.stat_quiet", s::quiet_stat_request(),
+                "08050000000000000000");
   expect_golden("pbs.delete", pbs::DeleteRequest{7},
                 "030700000000000000");
   expect_golden("pbs.signal", pbs::SignalRequest{8, -9},

@@ -19,6 +19,8 @@
 #include "codec/samples.h"
 #include "gcs/engine_token.h"
 #include "pbs/server.h"
+#include "sim/calibration.h"
+#include "testutil.h"
 
 namespace {
 
@@ -124,6 +126,7 @@ std::vector<Case> all_cases() {
       make_case("gcs.engine", s::engine_wire()),
       make_case("pbs.submit", s::submit_request()),
       make_case("pbs.stat", s::stat_request()),
+      make_case("pbs.stat_quiet", s::quiet_stat_request()),
       make_case("pbs.delete", pbs::DeleteRequest{7}),
       make_case("pbs.signal", pbs::SignalRequest{8, -9}),
       make_case("pbs.hold", pbs::HoldRequest{3}),
@@ -279,6 +282,58 @@ TEST(WireRobustness, MultiByteMutationsDecodeOrThrowWireError) {
                                        std::to_string(at));
     }
   }
+}
+
+/// The quiet stat reaches PBS from a head's own interceptor, never from a
+/// client, but the server must still survive any bytes under its op:
+/// every truncation, byte flip and multi-byte mutation is answered or
+/// dropped, and the server answers a well-formed quiet stat afterwards.
+TEST(WireRobustness, QuietStatMutationsReachPbsServerSafely) {
+  sim::Simulation sim(1604);
+  sim::Network net(sim, sim::fast_calibration().network);
+  sim::HostId head = net.add_host("head").id();
+  sim::HostId login = net.add_host("login").id();
+  pbs::ServerConfig cfg = pbs::server_config_from(sim::fast_calibration());
+  pbs::Server server(net, head, cfg);
+  testutil::RawCaller caller(net, login, 24000);
+  const sim::Endpoint pbs_at{head, cfg.port};
+
+  const sim::Payload sample = net::encode(s::quiet_stat_request());
+  std::vector<sim::Payload> inputs;
+  for (size_t n = 1; n < sample.size(); ++n) inputs.push_back(sample.slice(0, n));
+  std::mt19937_64 rng(1605);
+  for (size_t at = 1; at < sample.size(); ++at) {
+    for (uint8_t mask : {0x01, 0x80, 0xff})
+      inputs.push_back(flipped(sample, at, mask));
+  }
+  for (int i = 0; i < 200; ++i) {
+    size_t n = 2 + rng() % 7;
+    size_t at = 1 + rng() % (sample.size() - n);
+    std::vector<uint8_t> junk(n);
+    for (uint8_t& b : junk) b = static_cast<uint8_t>(rng());
+    inputs.push_back(spliced(sample, at, n, junk));
+    inputs.push_back(spliced(sample, 1 + rng() % (sample.size() - 1), 1, {}));
+  }
+  // Each request costs a stat's CPU and they queue: wait for them all.
+  net::CallOptions patient;
+  patient.timeout = sim::seconds(3600);
+  size_t answered = 0;
+  for (const sim::Payload& bytes : inputs) {
+    caller.call(pbs_at, bytes, [&](std::optional<sim::Payload> r) {
+      if (r.has_value()) ++answered;
+    }, patient);
+  }
+  sim.run_for(sim::seconds(3600));
+  EXPECT_EQ(answered, inputs.size()) << "every quiet-op request is answered";
+
+  std::optional<sim::Payload> answer;
+  caller.call(pbs_at, sample,
+              [&](std::optional<sim::Payload> r) { answer = std::move(r); });
+  sim.run_for(sim::seconds(5));
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(net::decode<pbs::SimpleResponse>(*answer).status,
+            pbs::Status::kUnknownJob)
+      << "job 5 is not in the empty table";
 }
 
 /// The PVFS snapshot's layout is private to the server; install() is its

@@ -123,6 +123,7 @@ inline pbs::Job job() {
 
 inline pbs::SubmitRequest submit_request() { return {job_spec(), 23}; }
 inline pbs::StatRequest stat_request() { return {5, false}; }
+inline pbs::QuietStatRequest quiet_stat_request() { return {stat_request()}; }
 inline pbs::MomLaunchRequest mom_launch_request() { return {job(), 2}; }
 inline pbs::JobReport job_report() {
   return {17, 271, true, sim::Time{10}, sim::Time{20}, 5};

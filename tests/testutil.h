@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "joshua/config_file.h"
+#include "net/rpc.h"
 #include "sim/simulation.h"
 
 namespace testutil {
@@ -30,5 +31,15 @@ inline bool run_until(sim::Simulation& sim, const std::function<bool()>& pred,
   }
   return pred();
 }
+
+/// Sends raw request bytes and hands back the raw answer bytes.
+class RawCaller : public net::RpcNode {
+ public:
+  RawCaller(sim::Network& net, sim::HostId host, sim::Port port)
+      : net::RpcNode(net, host, port, "raw_caller") {}
+
+ protected:
+  void on_request(sim::Payload, sim::Endpoint, uint64_t) override {}
+};
 
 }  // namespace testutil
