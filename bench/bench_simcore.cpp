@@ -1,6 +1,7 @@
 // Event-core microbenchmarks: the wall-clock cost of the simulator's hot
-// path (schedule/step/cancel) and the messaging fan-out path (one broadcast
-// payload delivered to N hosts).
+// path (schedule/step/cancel), the messaging fan-out path (one broadcast
+// payload delivered to N hosts) and the receive path behind it (each
+// delivery charged to the receiving host's CPU queue, then handled).
 //
 // Unlike the paper-reproduction benches, these measure REAL time: the
 // simulator is the hardware ceiling for every reproduced figure, so its
@@ -13,7 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -22,8 +26,9 @@
 //
 // Global operator new/delete overrides count every heap allocation in the
 // process; benchmarks snapshot the counter around their measurement loop to
-// report allocations per event. The steady-state schedule/step loop is
-// required to be allocation-free (asserted in main()).
+// report allocations per event. The steady-state schedule/step loop and the
+// fan-out -> Host::execute -> handler loop are required to be
+// allocation-free (asserted in main()).
 
 static std::atomic<uint64_t> g_allocs{0};
 
@@ -51,6 +56,9 @@ uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 double g_steady_state_allocs_per_event = -1.0;
 double g_steady_state_events_per_sec = 0.0;
 double g_fanout_events_per_sec = 0.0;
+// The same for the fan-out -> Host::execute -> handler loop, per delivery.
+double g_execute_allocs_per_delivery = -1.0;
+double g_execute_deliveries_per_sec = 0.0;
 
 // -- schedule + step ----------------------------------------------------------
 
@@ -152,6 +160,25 @@ class Sink : public sim::IPacketHandler {
   uint64_t bytes_ = 0;
 };
 
+/// A receiver shaped like gcs::GroupMember: every packet is charged to the
+/// host's CPU queue with a closure that carries the payload and its sender,
+/// and handled when the CPU gets to it.
+class CpuSink : public sim::IPacketHandler {
+ public:
+  explicit CpuSink(sim::Host& host) : host_(host) {}
+  void handle_packet(sim::Packet packet) override {
+    const uint8_t tag = packet.data[0];
+    host_.execute(sim::usec(20), [this, data = std::move(packet.data),
+                                  src = packet.src, tag] {
+      bytes_ += data.size() + src.port + tag;
+    });
+  }
+  uint64_t bytes_ = 0;
+
+ private:
+  sim::Host& host_;
+};
+
 void BM_BroadcastFanout(benchmark::State& state) {
   const int heads = static_cast<int>(state.range(0));
   const size_t payload_size = static_cast<size_t>(state.range(1));
@@ -241,6 +268,43 @@ void measure_for_json() {
     double secs = std::chrono::duration<double>(t1 - t0).count();
     g_fanout_events_per_sec = static_cast<double>(kRounds) * kHeads / secs;
   }
+  {
+    // 64 receivers, each queueing several deliveries on its CPU at once.
+    constexpr int kHeads = 64;
+    constexpr int kBurst = 4;
+    constexpr int kRounds = 5000;
+    sim::Simulation s;
+    sim::NetworkConfig cfg;
+    cfg.jitter = sim::usec(0);
+    sim::Network net(s, cfg);
+    std::vector<std::unique_ptr<CpuSink>> sinks;
+    std::vector<sim::HostId> dsts;
+    for (int i = 0; i < kHeads; ++i) {
+      sim::Host& h = net.add_host("head" + std::to_string(i));
+      sinks.push_back(std::make_unique<CpuSink>(h));
+      h.bind(1, sinks.back().get());
+      dsts.push_back(h.id());
+    }
+    sim::Payload payload(256, uint8_t{0xab});
+    sim::Endpoint src{dsts[0], 2};
+    auto round = [&] {
+      for (int b = 0; b < kBurst; ++b) net.multicast(src, 1, payload, dsts);
+      while (s.step()) {
+      }
+    };
+    for (int i = 0; i < 64; ++i) round();  // warm-up: pool, heap and rings
+    uint64_t alloc_before = allocs();
+    auto t0 = clock::now();
+    for (int i = 0; i < kRounds; ++i) round();
+    auto t1 = clock::now();
+    uint64_t alloc_after = allocs();
+    const double deliveries =
+        static_cast<double>(kRounds) * kBurst * kHeads;
+    double secs = std::chrono::duration<double>(t1 - t0).count();
+    g_execute_deliveries_per_sec = deliveries / secs;
+    g_execute_allocs_per_delivery =
+        static_cast<double>(alloc_after - alloc_before) / deliveries;
+  }
 }
 
 void write_json() {
@@ -257,7 +321,11 @@ void write_json() {
       << "  \"schedule_step_allocs_per_event\": "
       << g_steady_state_allocs_per_event << ",\n"
       << "  \"broadcast_fanout_deliveries_per_sec\": "
-      << g_fanout_events_per_sec << "\n"
+      << g_fanout_events_per_sec << ",\n"
+      << "  \"fanout_execute_deliveries_per_sec\": "
+      << g_execute_deliveries_per_sec << ",\n"
+      << "  \"fanout_execute_allocs_per_delivery\": "
+      << g_execute_allocs_per_delivery << "\n"
       << "}\n";
 }
 
@@ -273,9 +341,18 @@ int main(int argc, char** argv) {
               g_steady_state_events_per_sec, g_steady_state_allocs_per_event);
   std::printf("broadcast fan-out (16 heads, 4 KiB): %.0f deliveries/s\n",
               g_fanout_events_per_sec);
+  std::printf("fan-out -> execute -> handler (64 heads): %.0f deliveries/s, "
+              "%.4f allocs/delivery\n",
+              g_execute_deliveries_per_sec, g_execute_allocs_per_delivery);
+  int status = 0;
   if (g_steady_state_allocs_per_event != 0.0) {
     std::printf("FAIL: steady-state schedule+step must be allocation-free\n");
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (g_execute_allocs_per_delivery != 0.0) {
+    std::printf("FAIL: fan-out -> execute -> handler must be "
+                "allocation-free\n");
+    status = 1;
+  }
+  return status;
 }

@@ -177,15 +177,15 @@ Header GroupMember::make_header() const {
   return Header{id(), lamport_, my_seq_, buffer_.received_vector()};
 }
 
-std::vector<sim::HostId> GroupMember::other_members() const {
-  std::vector<sim::HostId> out;
+void GroupMember::set_view(View view) {
+  view_ = std::move(view);
+  others_.clear();
   for (MemberId m : view_.members)
-    if (m != id()) out.push_back(m);
-  return out;
+    if (m != id()) others_.push_back(m);
 }
 
 void GroupMember::cast_to_members(sim::Payload buf) {
-  Process::multicast(config_.port, std::move(buf), other_members());
+  Process::multicast(config_.port, std::move(buf), others_);
 }
 
 void GroupMember::cast_to_peers(sim::Payload buf) {
@@ -815,7 +815,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   }
 
   // Install.
-  view_ = commit.new_view;
+  set_view(commit.new_view);
   max_epoch_ = std::max(max_epoch_, view_.id.epoch);
   buffer_.reset(view_, id());
   std::set<MemberId> joiner_set(commit.joiners.begin(), commit.joiners.end());
@@ -1042,7 +1042,7 @@ void GroupMember::become_down() {
   hb_timer_ = join_timer_ = flush_timer_ = state_timer_ = ack_timer_ = 0;
   buffer_.clear_all();
   engine_->clear();
-  view_ = View{};
+  set_view(View{});
   lamport_ = 0;
   my_seq_ = 0;
   retained_.clear();

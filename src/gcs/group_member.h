@@ -185,7 +185,8 @@ class GroupMember : public sim::Process {
   /// once, make_header() for one kept as a value.
   OutHeader out_header() const;
   Header make_header() const;
-  std::vector<sim::HostId> other_members() const;
+  /// Install `view` as view_ and rebuild others_ from it.
+  void set_view(View view);
   void cast_to_members(sim::Payload buf);
   void cast_to_peers(sim::Payload buf);
 
@@ -244,6 +245,7 @@ class GroupMember : public sim::Process {
 
   // Membership.
   View view_;
+  std::vector<sim::HostId> others_;  ///< view_.members without this member
   uint64_t max_epoch_ = 0;
   std::vector<sim::Time> last_heard_;  ///< by view rank
   std::set<MemberId> suspected_;

@@ -360,8 +360,8 @@ uint64_t OrderingBuffer::received_upto(MemberId sender) const {
   return it != received_.end() && it->first == sender ? it->second : 0;
 }
 
-std::map<MemberId, uint64_t> OrderingBuffer::delivered_vector() const {
-  return delivered_;
+CutVector OrderingBuffer::delivered_vector() const {
+  return {delivered_.begin(), delivered_.end()};
 }
 
 uint64_t OrderingBuffer::delivered_count(MemberId sender) const {

@@ -94,7 +94,7 @@ class OrderingBuffer {
   uint64_t received_upto(MemberId sender) const;
 
   /// Per-sender count of delivered messages (causal send vector).
-  std::map<MemberId, uint64_t> delivered_vector() const;
+  CutVector delivered_vector() const;
   uint64_t delivered_count(MemberId sender) const;
 
   // -- engine-facing queries ---------------------------------------------------

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -67,14 +66,23 @@ struct MsgId {
   auto operator<=>(const MsgId&) const = default;
 };
 
+/// A cut (received vector) as carried on the wire and cached in the
+/// ordering buffer: sorted (member, contiguous-seq) pairs. A flat vector
+/// instead of std::map keeps the hot paths -- every header carries a cut,
+/// at 128 heads that is 128 entries per message -- to one allocation per
+/// copy instead of one node allocation per entry.
+using CutVector = std::vector<std::pair<MemberId, uint64_t>>;
+/// An inbound cut read in place: the same pairs, left in the packet.
+using CutView = net::PairsView<MemberId, uint64_t>;
+
 /// A replicated data message as held in ordering buffers and send logs.
 struct DataMsg {
   MsgId id;
   uint64_t lamport = 0;  ///< logical send timestamp (total-order key)
   Delivery level = Delivery::kAgreed;
   /// Vector clock at send time: per-member count of messages the sender had
-  /// delivered. Used for kCausal delivery.
-  std::map<MemberId, uint64_t> vclock;
+  /// delivered, sorted by member. Used for kCausal delivery.
+  CutVector vclock;
   sim::Payload payload;
   bool operator==(const DataMsg&) const = default;
 };
@@ -101,18 +109,9 @@ struct Delivered {
   sim::Payload payload;
 };
 
-/// A cut (received vector) as carried on the wire and cached in the
-/// ordering buffer: sorted (member, contiguous-seq) pairs. A flat vector
-/// instead of std::map keeps the hot paths -- every header carries a cut,
-/// at 128 heads that is 128 entries per message -- to one allocation per
-/// copy instead of one node allocation per entry.
-using CutVector = std::vector<std::pair<MemberId, uint64_t>>;
-/// An inbound cut read in place: the same pairs, left in the packet.
-using CutView = net::PairsView<MemberId, uint64_t>;
-
 // -- wire layouts (net/wire.h) ------------------------------------------------
-// A CutVector, a CutView and a std::map<MemberId, uint64_t> share one
-// layout: a u32 count, then sorted (member, seq) pairs.
+// A CutVector and a CutView share one layout (that of a
+// std::map<MemberId, uint64_t>): a u32 count, then sorted (member, seq) pairs.
 
 template <class Ar> void fields(Ar& ar, ViewId& id) {
   ar(id.epoch, id.coordinator);

@@ -1,9 +1,10 @@
 // Small-buffer-optimized callback type for the event core.
 //
-// EventFn is a move-only void() callable with 48 bytes of inline storage --
-// enough for every hot-path closure in the simulator (a this-pointer, a few
-// ids, or a whole libstdc++ std::function) -- so steady-state scheduling
-// performs no heap allocation. Callables that are larger than the buffer, or
+// EventFn is a move-only void() callable with 64 bytes of inline storage --
+// enough for every hot-path closure in the simulator (a this-pointer and a
+// whole sim::Packet, a this-pointer with a payload and its sender, or a whole
+// libstdc++ std::function) -- so steady-state scheduling performs no heap
+// allocation. Callables that are larger than the buffer, or
 // whose move constructor may throw, fall back to the heap; everything else
 // lives inline and is relocated by its own move constructor when an EventFn
 // moves (e.g. out of a pool slot into the dispatch frame).
@@ -19,7 +20,7 @@ namespace sim {
 
 class EventFn {
  public:
-  static constexpr size_t kInlineSize = 48;
+  static constexpr size_t kInlineSize = 64;
 
   EventFn() = default;
 

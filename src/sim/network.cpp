@@ -25,23 +25,45 @@ IPacketHandler* Host::handler(Port port) const {
   return it == ports_.end() ? nullptr : it->second;
 }
 
-void Host::execute(Duration cost, std::function<void()> fn) {
+void Host::execute(Duration cost, EventFn fn) {
   if (!up_) return;  // work submitted on a dead host is lost
   Simulation& sim = net_.sim();
   Duration scaled{static_cast<int64_t>(static_cast<double>(cost.us) *
                                        cpu_scale_)};
   Time start = std::max(sim.now(), cpu_free_at_);
   cpu_free_at_ = start + scaled;
-  uint32_t incarnation = incarnation_;
-  sim.schedule_at(cpu_free_at_, [this, incarnation, fn = std::move(fn)] {
-    if (up_ && incarnation_ == incarnation) fn();
-  });
+  cpu_queue_.push_back(
+      CpuJob{cpu_free_at_, sim.reserve_sequence(), std::move(fn)});
+  if (cpu_queue_.size() == 1) arm_cpu_head();
+}
+
+void Host::arm_cpu_head() {
+  const CpuJob& job = cpu_queue_.front();
+  net_.sim().schedule_reserved(
+      job.done_at, job.seq,
+      [this, incarnation = incarnation_] { run_cpu_head(incarnation); });
+}
+
+void Host::run_cpu_head(uint32_t incarnation) {
+  // A crash since arming emptied the queue this head belonged to.
+  if (!up_ || incarnation_ != incarnation) return;
+  EventFn fn = std::move(cpu_queue_.front().fn);
+  cpu_queue_.pop_front();
+  if (!cpu_queue_.empty()) arm_cpu_head();
+  fn();
 }
 
 void Host::crash() {
   if (!up_) return;
   up_ = false;
-  cpu_free_at_ = net_.sim().now();
+  Simulation& sim = net_.sim();
+  // The armed head no-ops when it fires. Every job behind it becomes a
+  // no-op event at its reserved key, so the event count and order are
+  // those of one event per job.
+  for (size_t i = 1; i < cpu_queue_.size(); ++i)
+    sim.schedule_reserved(cpu_queue_[i].done_at, cpu_queue_[i].seq, [] {});
+  cpu_queue_.clear();
+  cpu_free_at_ = sim.now();
   JLOG(kInfo, "sim") << "host " << name_ << " crashed";
   for (auto& [port, handler] : ports_) {
     (void)port;

@@ -6,7 +6,8 @@
 //  1. Each host has ONE CPU (dual P-III in the paper, but the service stack
 //     is effectively serial); work submitted via Host::execute() is serviced
 //     FIFO. This is what makes protocol cost grow linearly with the number of
-//     acknowledgements a head node must process.
+//     acknowledgements a head node must process. The queue is a per-host
+//     ring of jobs; only its head is on the event heap (DESIGN.md §6).
 //
 //  2. The LAN is a hub, i.e. a single shared half-duplex medium: a frame
 //     occupies the medium for its serialization time and a physical multicast
@@ -19,12 +20,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/event_fn.h"
+#include "sim/fifo_ring.h"
 #include "sim/payload.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -96,9 +98,9 @@ class Host {
   IPacketHandler* handler(Port port) const;
 
   /// Run `fn` after `cost` of CPU time, FIFO behind earlier work. Work
-  /// submitted before a crash is silently discarded on restart. The cost is
-  /// scaled by this host's cpu_scale (1.0 = the paper's 450 MHz head node).
-  void execute(Duration cost, std::function<void()> fn);
+  /// queued when the host crashes never runs. The cost is scaled by this
+  /// host's cpu_scale (1.0 = the paper's 450 MHz head node).
+  void execute(Duration cost, EventFn fn);
   /// When the CPU finishes the work submitted so far.
   Time cpu_free_at() const { return cpu_free_at_; }
 
@@ -113,6 +115,18 @@ class Host {
   void crash();
   void restart();
 
+  /// One unit of CPU work: when it completes, and the event sequence
+  /// reserved for it at submission, so it fires exactly where an event
+  /// scheduled at submission would.
+  struct CpuJob {
+    Time done_at;
+    uint64_t seq = 0;
+    EventFn fn;
+  };
+  /// Put the head of cpu_queue_ on the event heap.
+  void arm_cpu_head();
+  void run_cpu_head(uint32_t incarnation);
+
   Network& net_;
   HostId id_;
   std::string name_;
@@ -120,6 +134,7 @@ class Host {
   bool up_ = true;
   uint32_t incarnation_ = 1;
   Time cpu_free_at_{0};
+  FifoRing<CpuJob> cpu_queue_;  ///< this incarnation's unfinished work
   int partition_ = 0;
   std::map<Port, IPacketHandler*> ports_;
   std::map<std::string, std::string> disk_;

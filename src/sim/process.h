@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 
@@ -48,7 +47,7 @@ class Process : public IPacketHandler {
   void cancel_timer(TimerId id);
 
   /// Charge CPU time on this host, then run fn (discarded on crash).
-  void execute(Duration cost, std::function<void()> fn) {
+  void execute(Duration cost, EventFn fn) {
     host().execute(cost, std::move(fn));
   }
 

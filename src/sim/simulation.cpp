@@ -77,25 +77,30 @@ void Simulation::sift_down_hole(size_t i, HeapEntry displaced) {
   heap_[i] = displaced;
 }
 
-EventId Simulation::enqueue(Time at, EventFn fn) {
+EventId Simulation::enqueue(Time at, uint64_t seq, EventFn&& fn) {
   uint32_t slot = alloc_slot();
   Slot& s = pool_[slot];
   s.fn = std::move(fn);
   s.armed = true;
   s.cancelled = false;
-  heap_push(HeapEntry{make_key(at, next_seq_++), slot});
-  ++live_;
+  heap_push(HeapEntry{make_key(at, seq), slot});
   return make_id(slot, s.gen);
 }
 
 EventId Simulation::schedule(Duration delay, EventFn fn) {
   if (delay.us < 0) throw std::invalid_argument("schedule: negative delay");
-  return enqueue(now_ + delay, std::move(fn));
+  return enqueue(now_ + delay, reserve_sequence(), std::move(fn));
 }
 
 EventId Simulation::schedule_at(Time at, EventFn fn) {
   if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
-  return enqueue(at, std::move(fn));
+  return enqueue(at, reserve_sequence(), std::move(fn));
+}
+
+void Simulation::schedule_reserved(Time at, uint64_t seq, EventFn fn) {
+  if (at < now_)
+    throw std::invalid_argument("schedule_reserved: time in the past");
+  enqueue(at, seq, std::move(fn));
 }
 
 void Simulation::cancel(EventId id) {
@@ -117,17 +122,20 @@ bool Simulation::event_pending(EventId id) const {
   return s.armed && s.gen == gen && !s.cancelled;
 }
 
-bool Simulation::step() {
+bool Simulation::run_next(Time limit) {
   while (!heap_.empty()) {
-    HeapEntry top = heap_.front();
-    heap_pop_root();
+    const HeapEntry top = heap_.front();
     Slot& s = pool_[top.slot];
     if (s.cancelled) {
+      heap_pop_root();
       free_slot(top.slot);
       continue;
     }
-    assert(key_time(top.key) >= now_);
-    now_ = key_time(top.key);
+    const Time at = key_time(top.key);
+    if (at > limit) return false;
+    heap_pop_root();
+    assert(at >= now_);
+    now_ = at;
     ++executed_;
     --live_;
     EventFn fn = std::move(s.fn);
@@ -137,6 +145,8 @@ bool Simulation::step() {
   }
   return false;
 }
+
+bool Simulation::step() { return run_next(kTimeInfinity); }
 
 void Simulation::run() {
   stopped_ = false;
@@ -155,7 +165,7 @@ Time Simulation::next_event_time() {
 
 void Simulation::run_until(Time t) {
   stopped_ = false;
-  while (!stopped_ && next_event_time() <= t && step()) {
+  while (!stopped_ && run_next(t)) {
   }
   if (!stopped_ && now_ < t) now_ = t;
 }

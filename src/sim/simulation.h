@@ -7,7 +7,7 @@
 // The event core is allocation-free in steady state: events live in a slab
 // pool threaded with a free list, the ready queue is a 4-ary min-heap of
 // (time, sequence) keys over pool slots, and callbacks are sim::EventFn
-// (48-byte inline storage). cancel() is O(1) lazy cancellation -- it marks
+// (64-byte inline storage). cancel() is O(1) lazy cancellation -- it marks
 // the pool slot and drops the callback; the heap entry is discarded when it
 // surfaces. Event ids encode (slot, generation) so cancelling an already
 // fired or never-issued id is always a safe no-op.
@@ -48,6 +48,20 @@ class Simulation {
 
   /// Schedule `fn` at an absolute instant (>= now()).
   EventId schedule_at(Time at, EventFn fn);
+
+  /// Reserve the scheduling sequence of an event whose callback is handed
+  /// over later with schedule_reserved(): it then sorts among same-instant
+  /// events as if it had been scheduled now. The reserved event counts in
+  /// pending_events() from now on; each reservation must be scheduled
+  /// exactly once. sim::Host queues CPU work this way (DESIGN.md section 6).
+  uint64_t reserve_sequence() {
+    ++live_;
+    return next_seq_++;
+  }
+
+  /// Schedule `fn` at `at` (>= now()) under a sequence from
+  /// reserve_sequence().
+  void schedule_reserved(Time at, uint64_t seq, EventFn fn);
 
   /// Cancel a pending event. Safe to call for already-fired or cancelled ids.
   void cancel(EventId id);
@@ -112,7 +126,10 @@ class Simulation {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  EventId enqueue(Time at, EventFn fn);
+  EventId enqueue(Time at, uint64_t seq, EventFn&& fn);
+  /// Run the next live event if its time is <= `limit`. Cancelled corpses
+  /// on top of the heap are discarded first, whatever their time.
+  bool run_next(Time limit);
   uint32_t alloc_slot();
   void free_slot(uint32_t slot);
   void heap_push(HeapEntry entry);
