@@ -134,9 +134,11 @@ void OrderingBuffer::promote_out_of_order(MemberId sender) {
   }
 }
 
-void OrderingBuffer::erase_pending(std::map<OrderKey, DataMsg>::iterator it) {
-  pending_ix_.erase(it->second.id);
-  pending_.erase(it);
+DataMsg OrderingBuffer::take_pending(
+    std::map<OrderKey, DataMsg>::iterator it) {
+  auto node = pending_.extract(it);
+  pending_ix_.erase(node.mapped().id);
+  return std::move(node.mapped());
 }
 
 void OrderingBuffer::observe(MemberId p, uint64_t lamport, uint64_t sent_upto,
@@ -291,9 +293,7 @@ std::vector<DataMsg> OrderingBuffer::drain() {
       }
       if (ready) {
         ++delivered_[m.id.sender];
-        out.push_back(m);
-        auto victim = it++;
-        erase_pending(victim);
+        out.push_back(take_pending(it++));
         progress = true;
       } else {
         ++it;
@@ -306,16 +306,22 @@ std::vector<DataMsg> OrderingBuffer::drain() {
     // message: no engine delivery condition reads them (all-ack reads
     // lamports and watermarks, token reads its own delivered_global_), and
     // the CAUSAL scan that does runs again on the next outer pass.
-    std::map<MemberId, uint64_t> run_counts;
+    run_counts_.clear();
     while (const DataMsg* next = engine().next_deliverable()) {
-      DataMsg m = *next;  // copy before the erase invalidates the pointer
-      engine().on_delivered(m);
-      ++run_counts[m.id.sender];
-      erase_pending(pending_.find(order_key(m)));
+      engine().on_delivered(*next);
+      DataMsg m = take_pending(pending_.find(order_key(*next)));
+      auto count = std::find_if(
+          run_counts_.begin(), run_counts_.end(),
+          [&](const auto& c) { return c.first == m.id.sender; });
+      if (count == run_counts_.end()) {
+        run_counts_.emplace_back(m.id.sender, 1);
+      } else {
+        ++count->second;
+      }
       out.push_back(std::move(m));
       progress = true;
     }
-    for (const auto& [sender, n] : run_counts) delivered_[sender] += n;
+    for (const auto& [sender, n] : run_counts_) delivered_[sender] += n;
   }
   return out;
 }
@@ -413,8 +419,7 @@ void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
   // Drop anything buffered at or below the new position; promote the rest.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.id.sender == sender && it->second.id.seq <= seq) {
-      auto victim = it++;
-      erase_pending(victim);
+      take_pending(it++);
     } else {
       ++it;
     }

@@ -167,7 +167,8 @@ class OrderingBuffer {
     behind_ -= was;
   }
   void promote_out_of_order(MemberId sender);
-  void erase_pending(std::map<OrderKey, DataMsg>::iterator it);
+  /// Remove a pending message, handing it back (moved, not copied).
+  DataMsg take_pending(std::map<OrderKey, DataMsg>::iterator it);
   /// The receive watermark of `sender`'s stream (an entry at 0 is created
   /// for a sender never seen before).
   uint64_t& watermark(MemberId sender);
@@ -191,6 +192,8 @@ class OrderingBuffer {
   /// By view rank: the index of that member's entry in received_.
   std::vector<uint32_t> slot_;
   std::map<MemberId, uint64_t> delivered_;
+  /// drain()'s per-sender counts for one ordered run (kept for its capacity).
+  std::vector<std::pair<MemberId, uint64_t>> run_counts_;
 
   // Peer claims, dense by view rank and rebuilt by reset(): claims exist
   // only by members about members' streams.

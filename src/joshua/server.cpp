@@ -47,9 +47,8 @@ pbs::JobId target_job(pbs::Op op, const sim::Payload& request) {
 sim::Payload quiet_stat(const sim::Payload& request) {
   if (request.empty() || request[0] != static_cast<uint8_t>(pbs::Op::kStat))
     return request;
-  std::vector<uint8_t> bytes(request.begin(), request.end());
-  bytes[0] = static_cast<uint8_t>(pbs::Op::kStatQuiet);
-  return sim::Payload::adopt(std::move(bytes));
+  const auto quiet = static_cast<uint8_t>(pbs::Op::kStatQuiet);
+  return request.slice(1, request.size() - 1).prepend(&quiet, 1);
 }
 
 /// Did a replayed command produce the response the log implies it must?

@@ -32,7 +32,10 @@ void RpcNode::transmit(uint64_t id) {
   Pending& p = it->second;
   --p.attempts_left;
 
-  send(p.dst, encode(kKindRequest, id, p.request));
+  // The last attempt hands the request over, so a request nobody else
+  // holds is framed in place.
+  send(p.dst, wrap(p.attempts_left > 0 ? p.request : std::move(p.request),
+                   kKindRequest, id));
 
   p.timer = set_timer(p.options.timeout, [this, id] { expire(id); });
 }
@@ -59,14 +62,17 @@ void RpcNode::fail_pending_calls() {
 }
 
 void RpcNode::respond(sim::Endpoint to, uint64_t rpc_id, Payload response) {
-  send(to, encode(kKindResponse, rpc_id, response));
+  send(to, wrap(std::move(response), kKindResponse, rpc_id));
 }
 
 Payload RpcNode::frame_datagram(Payload inner) {
-  return encode(kKindDatagram, inner);
+  return wrap(std::move(inner), kKindDatagram);
 }
 
 void RpcNode::on_packet(sim::Packet packet) {
+  // Each branch drops the frame before handing its body on, so the body is
+  // its block's only owner and a handler that relays it (respond) frames it
+  // in place.
   try {
     Reader r(packet.data);
     uint8_t kind = r.u8();
@@ -74,12 +80,14 @@ void RpcNode::on_packet(sim::Packet packet) {
       case kKindRequest: {
         uint64_t id = r.u64();
         Payload body = r.bytes();
+        packet.data = {};
         on_request(std::move(body), packet.src, id);
         break;
       }
       case kKindResponse: {
         uint64_t id = r.u64();
         Payload body = r.bytes();
+        packet.data = {};
         auto it = pending_.find(id);
         if (it == pending_.end()) return;  // late or duplicate response
         cancel_timer(it->second.timer);
@@ -93,6 +101,7 @@ void RpcNode::on_packet(sim::Packet packet) {
         inner.src = packet.src;
         inner.dst = packet.dst;
         inner.data = r.bytes();
+        packet.data = {};
         on_datagram(std::move(inner));
         break;
       }

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -186,30 +187,44 @@ class Writer : public Emitter<Writer> {
   Writer() = default;
   /// Start with room for `bytes`: a Writer that knows its message size
   /// (see wire_size) allocates once.
-  explicit Writer(size_t bytes) : buf_(bytes) {}
+  explicit Writer(size_t bytes) { reserve(bytes); }
 
-  /// Freeze the built bytes into an immutable shared Payload (no copy).
+  /// Freeze the built bytes into an immutable shared Payload (no copy). The
+  /// Payload keeps the block's Payload::kHeadroom free bytes in front, for
+  /// a frame header (Payload::prepend).
   Payload take() {
-    buf_.resize(len_);
-    len_ = 0;
-    return Payload::adopt(std::move(buf_));
+    Payload p;
+    if (len_ != 0) p = Payload(std::move(block_), Payload::kHeadroom, len_);
+    block_.reset();
+    cap_ = len_ = 0;
+    return p;
   }
   size_t size() const { return len_; }
 
  private:
   friend class Emitter<Writer>;
-  // The buffer is kept at its capacity and len_ counts the bytes written,
-  // so appending a field is a bounds check and a memcpy that inlines into
-  // every field list; growing stays out of line.
+  // The block is never zero-filled: bytes are written once, in order, and
+  // len_ counts them. Appending a field is a bounds check and a memcpy that
+  // inlines into every field list; growing stays out of line.
   void raw(const void* p, size_t n) {
-    if (n > buf_.size() - len_) grow(n);
-    if (n != 0) std::memcpy(buf_.data() + len_, p, n);  // p may be null
+    if (n > cap_ - len_) grow(n);
+    // p may be null when n is 0.
+    if (n != 0) std::memcpy(block_.get() + Payload::kHeadroom + len_, p, n);
     len_ += n;
   }
   [[gnu::noinline]] void grow(size_t n) {
-    buf_.resize(std::max(2 * buf_.size(), len_ + n));
+    reserve(std::max(2 * cap_, len_ + n));
   }
-  std::vector<uint8_t> buf_;
+  void reserve(size_t cap) {
+    auto block = Payload::new_block(Payload::kHeadroom, cap);
+    if (len_ != 0)
+      std::memcpy(block.get() + Payload::kHeadroom,
+                  block_.get() + Payload::kHeadroom, len_);
+    block_ = std::move(block);
+    cap_ = cap;
+  }
+  std::shared_ptr<uint8_t[]> block_;
+  size_t cap_ = 0;
   size_t len_ = 0;
 };
 
@@ -379,6 +394,38 @@ Payload encode(const Ts&... values) {
   Writer w(wire_size(values...));
   w(values...);
   return w.take();
+}
+
+namespace detail {
+/// Writes a frame header into a fixed array of Payload::kHeadroom bytes.
+class HeadWriter : public Emitter<HeadWriter> {
+ public:
+  const uint8_t* data() const { return buf_; }
+  size_t size() const { return len_; }
+
+ private:
+  friend class Emitter<HeadWriter>;
+  void raw(const void* p, size_t n) {
+    if (n > sizeof buf_ - len_)
+      throw std::length_error("frame header exceeds the headroom");
+    if (n != 0) std::memcpy(buf_ + len_, p, n);
+    len_ += n;
+  }
+  uint8_t buf_[Payload::kHeadroom] = {};
+  size_t len_ = 0;
+};
+}  // namespace detail
+
+/// The bytes encode(head..., body) gives: the header fields, then `body` as
+/// a length-prefixed field. The header is written in place in front of the
+/// body when the body's block is its own (Payload::prepend), so the body is
+/// not copied; it must fit in Payload::kHeadroom.
+template <class... Ts>
+Payload wrap(Payload body, const Ts&... head) {
+  detail::HeadWriter w;
+  w(head...);
+  w.u32(static_cast<uint32_t>(body.size()));
+  return std::move(body).prepend(w.data(), w.size());
 }
 
 /// Decode a whole buffer into `into`, reusing its storage. Throws WireError

@@ -1,5 +1,6 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -112,6 +113,27 @@ void Simulation::cancel(EventId id) {
   s.cancelled = true;
   s.fn.reset();  // release captures now; the heap entry dies lazily
   --live_;
+  ++cancelled_;
+  if (cancelled_ > 64 && cancelled_ > heap_.size() - cancelled_) compact();
+}
+
+void Simulation::compact() {
+  size_t kept = 0;
+  for (const HeapEntry& e : heap_) {
+    if (pool_[e.slot].cancelled) {
+      free_slot(e.slot);
+    } else {
+      heap_[kept++] = e;
+    }
+  }
+  heap_.resize(kept);
+  cancelled_ = 0;
+  // Keys are unique, so a sorted array is a valid heap and events pop in
+  // exactly the order they would have.
+  std::sort(heap_.begin(), heap_.end(),
+            [](const HeapEntry& a, const HeapEntry& b) {
+              return a.key < b.key;
+            });
 }
 
 bool Simulation::event_pending(EventId id) const {
@@ -129,6 +151,7 @@ bool Simulation::run_next(Time limit) {
     if (s.cancelled) {
       heap_pop_root();
       free_slot(top.slot);
+      --cancelled_;
       continue;
     }
     const Time at = key_time(top.key);
@@ -159,6 +182,7 @@ Time Simulation::next_event_time() {
     uint32_t slot = heap_.front().slot;
     heap_pop_root();
     free_slot(slot);
+    --cancelled_;
   }
   return heap_.empty() ? kTimeInfinity : key_time(heap_.front().key);
 }

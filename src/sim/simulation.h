@@ -9,8 +9,11 @@
 // (time, sequence) keys over pool slots, and callbacks are sim::EventFn
 // (64-byte inline storage). cancel() is O(1) lazy cancellation -- it marks
 // the pool slot and drops the callback; the heap entry is discarded when it
-// surfaces. Event ids encode (slot, generation) so cancelling an already
-// fired or never-issued id is always a safe no-op.
+// surfaces, or earlier, when cancelled entries come to outnumber live ones
+// (most are RPC timeouts whose reply came): then they are all filtered out
+// at once, so the heap stays within about twice the live events. Event ids
+// encode (slot, generation) so cancelling an already fired or never-issued
+// id is always a safe no-op.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +94,8 @@ class Simulation {
   /// Number of events executed so far (for tests and sanity limits).
   uint64_t events_executed() const { return executed_; }
   size_t pending_events() const { return live_; }
+  /// Entries on the event heap, cancelled ones included (for tests).
+  size_t heap_size() const { return heap_.size(); }
 
  private:
   static constexpr uint32_t kNilSlot = 0xffffffff;
@@ -140,12 +145,15 @@ class Simulation {
   /// Cheaper than classic sift-down because the displaced element is almost
   /// always heavy and sinks back near the leaves anyway.
   void sift_down_hole(size_t i, HeapEntry displaced);
+  /// Drop every cancelled entry from the heap and free its slot.
+  void compact();
 
   Time now_{0};
   uint64_t next_seq_ = 1;
   uint64_t executed_ = 0;
   bool stopped_ = false;
   size_t live_ = 0;  ///< scheduled, uncancelled, not yet fired
+  size_t cancelled_ = 0;  ///< cancelled entries still in heap_
   std::vector<Slot> pool_;
   uint32_t free_head_ = kNilSlot;
   std::vector<HeapEntry> heap_;

@@ -55,7 +55,7 @@ class Randomizer {
     } else if constexpr (std::is_same_v<T, sim::Payload>) {
       std::vector<uint8_t> bytes(rng_() % 7);
       for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng_());
-      v = sim::Payload::adopt(std::move(bytes));
+      v = sim::Payload(bytes.begin(), bytes.end());
     } else if constexpr (d::IsPair<T>::value) {
       fill(v.first);
       fill(v.second);
@@ -188,7 +188,7 @@ void expect_decodes_or_wire_error(const Case& c, const sim::Payload& bytes,
 sim::Payload flipped(const sim::Payload& p, size_t at, uint8_t mask) {
   std::vector<uint8_t> bytes(p.begin(), p.end());
   bytes[at] ^= mask;
-  return sim::Payload::adopt(std::move(bytes));
+  return sim::Payload(bytes.begin(), bytes.end());
 }
 
 TEST(WireRobustness, RandomInstancesRoundTrip) {
@@ -217,7 +217,7 @@ TEST(WireRobustness, TruncationsThrowWireError) {
     }
     std::vector<uint8_t> longer(c.sample.begin(), c.sample.end());
     longer.push_back(0);
-    EXPECT_THROW(c.decode(sim::Payload::adopt(std::move(longer))),
+    EXPECT_THROW(c.decode(sim::Payload(longer.begin(), longer.end())),
                  net::WireError)
         << c.name << ": trailing byte accepted";
   }
@@ -250,7 +250,7 @@ sim::Payload spliced(const sim::Payload& p, size_t at, size_t n,
               bytes.begin() + static_cast<ptrdiff_t>(at + n));
   bytes.insert(bytes.begin() + static_cast<ptrdiff_t>(at), with.begin(),
                with.end());
-  return sim::Payload::adopt(std::move(bytes));
+  return sim::Payload(bytes.begin(), bytes.end());
 }
 
 TEST(WireRobustness, MultiByteMutationsDecodeOrThrowWireError) {

@@ -36,7 +36,7 @@ inline sim::Payload from_hex(const std::string& hex) {
   for (size_t i = 0; i < hex.size(); i += 2)
     bytes.push_back(
         static_cast<uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
-  return sim::Payload::adopt(std::move(bytes));
+  return sim::Payload(bytes.begin(), bytes.end());
 }
 
 // -- gcs ----------------------------------------------------------------------

@@ -89,7 +89,7 @@ class CutDispatch : public ::testing::Test {
     sim::Packet p;
     p.src = sim::Endpoint{h_->hosts[1], 7000};
     p.dst = sim::Endpoint{h_->hosts[0], 7000};
-    p.data = sim::Payload::adopt(std::move(bytes));
+    p.data = sim::Payload(bytes.begin(), bytes.end());
     target().on_packet(std::move(p));
     h_->sim.run_for(sim::msec(5));
     return malformed_logged_ > logged;

@@ -20,7 +20,7 @@ class TestServer : public net::RpcNode {
     }
     std::vector<uint8_t> bytes(request.begin(), request.end());
     bytes.push_back(0xff);
-    sim::Payload reply = sim::Payload::adopt(std::move(bytes));
+    sim::Payload reply = sim::Payload(bytes.begin(), bytes.end());
     if (delay.us > 0) {
       set_timer(delay, [this, from, rpc_id, reply] {
         respond(from, rpc_id, reply);
