@@ -1,9 +1,8 @@
-// Ablation E6: group-communication cost vs group size and service level.
+// Ablation E6: group-communication cost vs group size.
 //
 // Not a paper table -- it isolates the substrate that produces Figure 10's
-// shape: AGREED delivery latency grows with group size because the origin
-// serializes ack processing; FIFO stays flat; SAFE pays an extra
-// stability round.
+// shape: totally ordered (AGREED) delivery latency grows with group size
+// because the origin serializes ack processing.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -50,10 +49,10 @@ struct GcsBench {
 
   /// Latency from multicast to delivery at the ORIGIN (what a replicated
   /// state machine waits for before answering a client).
-  double origin_latency_ms(gcs::Delivery level) {
+  double origin_latency_ms() {
     uint64_t target = delivered[0] + 1;
     sim::Time start = sim.now();
-    members[0]->multicast({0x42}, level);
+    members[0]->multicast({0x42});
     sim::Time limit = start + sim::seconds(30);
     while (sim.now() < limit && delivered[0] < target)
       sim.run_for(sim::usec(100));
@@ -73,35 +72,29 @@ struct GcsBench {
 void print_table() {
   std::printf(
       "\n==============================================================\n"
-      "E6: AGREED/SAFE/FIFO multicast latency vs group size\n"
+      "E6: AGREED multicast latency vs group size\n"
       "(origin-side delivery latency, paper-testbed calibration)\n"
       "==============================================================\n");
-  std::printf("%-8s %10s %10s %10s\n", "members", "FIFO", "AGREED", "SAFE");
+  std::printf("%-8s %10s\n", "members", "AGREED");
   for (int n = 1; n <= 6; ++n) {
     GcsBench bench(n);
     if (!bench.converged()) {
       std::printf("%-8d (no view)\n", n);
       continue;
     }
-    jutil::Samples fifo, agreed, safe;
-    for (int i = 0; i < 8; ++i) {
-      fifo.add(bench.origin_latency_ms(gcs::Delivery::kFifo));
-      agreed.add(bench.origin_latency_ms(gcs::Delivery::kAgreed));
-      safe.add(bench.origin_latency_ms(gcs::Delivery::kSafe));
-    }
-    std::printf("%-8d %8.1fms %8.1fms %8.1fms\n", n, fifo.mean(),
-                agreed.mean(), safe.mean());
+    jutil::Samples agreed;
+    for (int i = 0; i < 8; ++i) agreed.add(bench.origin_latency_ms());
+    std::printf("%-8d %8.1fms\n", n, agreed.mean());
   }
-  std::printf("\nShape checks: FIFO flat (self-delivery); AGREED/SAFE grow\n"
-              "roughly linearly with one ack-processing step per extra head\n"
-              "-- the mechanism behind Figure 10's per-head overhead.\n");
+  std::printf("\nShape check: AGREED grows roughly linearly with one\n"
+              "ack-processing step per extra head -- the mechanism behind\n"
+              "Figure 10's per-head overhead.\n");
 }
 
 void BM_AgreedMulticast(benchmark::State& state) {
   GcsBench bench(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    state.SetIterationTime(
-        bench.origin_latency_ms(gcs::Delivery::kAgreed) / 1000.0);
+    state.SetIterationTime(bench.origin_latency_ms() / 1000.0);
   }
 }
 BENCHMARK(BM_AgreedMulticast)->DenseRange(1, 6)->UseManualTime()

@@ -151,8 +151,7 @@ RunResult run_sweep_point(gcs::OrderingMode mode, int n, uint32_t batch = 0,
   for (int r = 0; r < rounds; ++r) {
     for (int k = 0; k < senders; ++k) {
       size_t idx = static_cast<size_t>((r * senders + k) % n);
-      rig.members[idx]->multicast(sim::Payload{static_cast<uint8_t>(r)},
-                                  gcs::Delivery::kAgreed);
+      rig.members[idx]->multicast(sim::Payload{static_cast<uint8_t>(r)});
     }
     rig.sim.run_for(kRoundGap);
   }
@@ -212,8 +211,7 @@ TputResult run_closed_loop(gcs::OrderingMode mode, int n, uint32_t batch,
   for (int s = 0; s < kTputSenders; ++s)
     for (int t = 0; t < kTputPerSender; ++t)
       rig.members[static_cast<size_t>(s)]->multicast(
-          sim::Payload{static_cast<uint8_t>(s), static_cast<uint8_t>(t)},
-          gcs::Delivery::kAgreed);
+          sim::Payload{static_cast<uint8_t>(s), static_cast<uint8_t>(t)});
   uint64_t expect =
       static_cast<uint64_t>(kTputSenders) * kTputPerSender;
   if (!rig.drain(expect, sim::minutes(10), sim::msec(1))) {

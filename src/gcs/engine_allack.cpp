@@ -48,27 +48,14 @@ bool AllAckEngine::agreed_condition(const DataMsg& m) const {
   return true;
 }
 
-bool AllAckEngine::safe_condition(const DataMsg& m) const {
-  if (!agreed_condition(m)) return false;
-  for (MemberId q : view_.members) {
-    if (q == self_) continue;  // we obviously hold m
-    if (buffer_->peer_received(q, m.id.sender) < m.id.seq) return false;
-  }
-  return true;
-}
-
 const DataMsg* AllAckEngine::next_deliverable() const {
   if (buffer_ == nullptr) return nullptr;
-  // AGREED/SAFE deliver strictly in OrderKey order: only the lowest
-  // remaining totally-ordered message may go.
-  for (const auto& [key, m] : buffer_->pending()) {
-    (void)key;
-    if (m.level != Delivery::kAgreed && m.level != Delivery::kSafe) continue;
-    bool ready = m.level == Delivery::kAgreed ? agreed_condition(m)
-                                              : safe_condition(m);
-    return ready ? &m : nullptr;
-  }
-  return nullptr;
+  // Messages deliver strictly in OrderKey order: only the lowest pending
+  // one may go.
+  const auto& pending = buffer_->pending();
+  if (pending.empty()) return nullptr;
+  const DataMsg& m = pending.begin()->second;
+  return agreed_condition(m) ? &m : nullptr;
 }
 
 }  // namespace gcs

@@ -1,12 +1,12 @@
 // AllAckEngine: the Transis-style all-ack Lamport total order, re-homed from
 // OrderingBuffer with zero behavioral change.
 //
-// An AGREED message m delivers once every other view member has either sent
-// m itself or been heard with a lamport clock above m.lamport (so no earlier
+// A message m delivers once every other view member has either sent m itself
+// or been heard with a lamport clock above m.lamport (so no earlier
 // total-order message can still arrive from it), and no known per-sender gap
-// is outstanding. SAFE additionally waits until every member's cut covers m.
-// The lamport evidence lives here; the sent/received watermarks it is checked
-// against stay in the OrderingBuffer (they also drive NACKs and stability).
+// is outstanding. The lamport evidence lives here; the sent/received
+// watermarks it is checked against stay in the OrderingBuffer (they also
+// drive NACKs and stability).
 #pragma once
 
 #include <vector>
@@ -36,7 +36,6 @@ class AllAckEngine : public OrderingEngine {
 
  private:
   bool agreed_condition(const DataMsg& m) const;
-  bool safe_condition(const DataMsg& m) const;
 
   View view_;
   MemberId self_ = sim::kInvalidHost;

@@ -173,7 +173,6 @@ EngineOut TokenRingEngine::forward_now(EngineOut out, int64_t now_us) {
 }
 
 EngineOut TokenRingEngine::on_local_send(const DataMsg& m, int64_t now_us) {
-  if (m.level != Delivery::kAgreed && m.level != Delivery::kSafe) return {};
   my_unstamped_.push_back(m.id.seq);
   if (!holding_) return {};
   return stamp_and_forward(now_us, /*may_defer=*/false);
@@ -348,26 +347,15 @@ EngineOut TokenRingEngine::reannounce(MemberId to, uint64_t from_global) const {
   return out;
 }
 
-bool TokenRingEngine::stable_everywhere(const DataMsg& m) const {
-  for (MemberId q : view_.members) {
-    if (q == self_) continue;  // we obviously hold m
-    if (buffer_->peer_received(q, m.id.sender) < m.id.seq) return false;
-  }
-  return true;
-}
-
 const DataMsg* TokenRingEngine::next_deliverable() const {
   if (buffer_ == nullptr) return nullptr;
   auto it = stamps_.find(delivered_global_ + 1);
   if (it == stamps_.end()) return nullptr;  // no stamp yet (or gap: NACKed)
   const DataMsg* m = buffer_->find_pending(it->second.id);
-  if (m == nullptr) return nullptr;  // data gap: the NACK path will fill it
-  if (m->level == Delivery::kSafe && !stable_everywhere(*m)) return nullptr;
-  return m;
+  return m;  // nullptr on a data gap: the NACK path will fill it
 }
 
 void TokenRingEngine::on_delivered(const DataMsg& m) {
-  if (m.level != Delivery::kAgreed && m.level != Delivery::kSafe) return;
   auto it = stamps_.find(delivered_global_ + 1);
   if (it != stamps_.end() && it->second.id == m.id) {
     ++delivered_global_;

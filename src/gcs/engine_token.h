@@ -2,13 +2,13 @@
 //
 // A logical token circulates the sorted view members carrying the next
 // global sequence number. Only the holder may assign global sequence
-// numbers: it stamps every own AGREED/SAFE message still awaiting a stamp
-// with consecutive globals, broadcasts one stamp announcement for the whole
+// numbers: it stamps every own message still awaiting a stamp with
+// consecutive globals, broadcasts one stamp announcement for the whole
 // batch, and unicasts the token to the next member on the ring. Delivery is
-// then trivial: the message stamped delivered_global+1, once held locally
-// (SAFE additionally waits for every member's cut to cover it). Control cost
-// is one broadcast per *batch* plus one unicast per hop -- O(1) amortized
-// per message -- instead of the all-ack engine's O(N) cuts per message.
+// then trivial: the message stamped delivered_global+1, once held locally.
+// Control cost is one broadcast per *batch* plus one unicast per hop -- O(1)
+// amortized per message -- instead of the all-ack engine's O(N) cuts per
+// message.
 //
 // Loss handling:
 //   * Lost stamp announcement: delivery stalls behind a global-sequence gap;
@@ -161,7 +161,7 @@ class TokenRingEngine : public OrderingEngine {
   void on_delivered(const DataMsg& m) override;
 
   /// Per-message reactive cuts are exactly the O(N) overhead the ring
-  /// removes; stability and SAFE ride on the periodic heartbeat cuts.
+  /// removes; stability rides on the periodic heartbeat cuts.
   bool wants_ack_cuts() const override { return false; }
 
   sim::Payload transfer_state() const override;
@@ -187,7 +187,6 @@ class TokenRingEngine : public OrderingEngine {
   void apply_stamp(uint64_t global, const Stamp& s);
   void remember(uint64_t global, const Stamp& s);
   MemberId next_in_ring() const;
-  bool stable_everywhere(const DataMsg& m) const;
 
   EngineTuning tuning_;
   View view_;
@@ -231,7 +230,7 @@ class TokenRingEngine : public OrderingEngine {
   uint64_t delivered_global_ = 0;
   /// Known, undelivered stamps by global.
   std::map<uint64_t, Stamp> stamps_;
-  /// Own AGREED/SAFE sends (seq numbers) awaiting a stamp.
+  /// Own sends (seq numbers) awaiting a stamp.
   std::deque<uint64_t> my_unstamped_;
   /// Recent stamp history including delivered ones, for gap re-announces and
   /// flush state transfer. Bounded ring (kStampLogCap).

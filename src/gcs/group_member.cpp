@@ -101,38 +101,34 @@ void GroupMember::leave() {
   become_down();
 }
 
-void GroupMember::multicast(sim::Payload payload, Delivery level) {
+void GroupMember::multicast(sim::Payload payload, Delivery) {
   if (state_ == State::kDown)
     throw std::logic_error("GroupMember::multicast while down");
   if (state_ != State::kMember) {
     // Virtual synchrony: no new messages enter a view mid-flush; they go out
     // in the next view.
-    pending_sends_.emplace_back(std::move(payload), level);
+    pending_sends_.push_back(std::move(payload));
     return;
   }
-  const bool ordered = level == Delivery::kAgreed || level == Delivery::kSafe;
-  if (ordered && config_.inflight_window > 0 &&
+  if (config_.inflight_window > 0 &&
       (inflight_ >= config_.inflight_window || !window_queue_.empty())) {
     // Flow control: the window of own unordered sends is full (or earlier
     // sends already wait behind it -- per-sender FIFO must hold). Queue
     // locally instead of growing every receiver's unordered backlog; the
     // window reopens as our own messages come back ordered.
     m_.window_stalls.add(1);
-    window_queue_.emplace_back(std::move(payload), level);
+    window_queue_.push_back(std::move(payload));
     return;
   }
-  if (ordered) {
-    ++inflight_;
-    m_.pipeline_depth.set(inflight_);
-  }
-  do_multicast(std::move(payload), level);
+  ++inflight_;
+  m_.pipeline_depth.set(inflight_);
+  do_multicast(std::move(payload));
 }
 
-void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
+void GroupMember::do_multicast(sim::Payload payload) {
   DataMsg msg;
   msg.id = MsgId{id(), ++my_seq_};
   msg.lamport = ++lamport_;
-  msg.level = level;
   msg.vclock = buffer_.delivered_vector();
   msg.payload = std::move(payload);
   retain(msg);
@@ -157,11 +153,11 @@ void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
 void GroupMember::release_window() {
   while (state_ == State::kMember && !window_queue_.empty() &&
          inflight_ < config_.inflight_window) {
-    auto [payload, level] = std::move(window_queue_.front());
+    sim::Payload payload = std::move(window_queue_.front());
     window_queue_.pop_front();
     ++inflight_;
     m_.pipeline_depth.set(inflight_);
-    do_multicast(std::move(payload), level);
+    do_multicast(std::move(payload));
   }
 }
 
@@ -296,11 +292,11 @@ void GroupMember::handle_data(DataWire m) {
     retain(m.msg);
     apply_engine(engine_->on_insert(m.msg, sim().now().us));
   }
-  // Ack before handing anything to the application so the sender's AGREED
-  // condition fires as soon as the protocol -- not the app -- is done;
-  // coalesced while the CPU is busy with a burst, and batched under one
-  // cumulative cut when order_batch > 1. Token mode skips these reactive
-  // cuts entirely (the stamp is the delivery evidence).
+  // Ack before handing anything to the application so the sender's
+  // delivery condition fires as soon as the protocol -- not the app -- is
+  // done; coalesced while the CPU is busy with a burst, and batched under
+  // one cumulative cut when order_batch > 1. Token mode skips these
+  // reactive cuts entirely (the stamp is the delivery evidence).
   if (engine_->wants_ack_cuts()) schedule_ack_cut();
   deliver_ready();
   check_gaps();
@@ -369,17 +365,16 @@ void GroupMember::deliver_to_app(const DataMsg& m) {
       m_.order_latency.record(sim().now().us - sent_us);
       m_.scope_order_latency.record(sim().now().us - sent_us);
     }
-    // An own ordered message coming back retires flow-control debt and may
-    // reopen the window for queued sends (no-op while flushing: install_view
+    // An own message coming back retires flow-control debt and may reopen
+    // the window for queued sends (no-op while flushing: install_view
     // resets the debt and replays the queue through multicast()).
-    if ((m.level == Delivery::kAgreed || m.level == Delivery::kSafe) &&
-        inflight_ > 0) {
+    if (inflight_ > 0) {
       --inflight_;
       m_.pipeline_depth.set(inflight_);
       if (!window_queue_.empty()) release_window();
     }
   }
-  Delivered d{m.id.sender, m.id.seq, m.level, m.payload};
+  Delivered d{m.id.sender, m.id.seq, m.payload};
   if (awaiting_state_) {
     held_deliveries_.push_back(std::move(d));
     return;
@@ -886,7 +881,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
 
   if (callbacks_.on_view) callbacks_.on_view(view_);
 
-  // Bootstrap the new view's clocks so AGREED progress does not wait a full
+  // Bootstrap the new view's clocks so ordered delivery does not wait a full
   // heartbeat.
   send_cut(/*periodic=*/false);
 
@@ -902,8 +897,8 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   window_queue_.clear();
   auto queued = std::move(pending_sends_);
   pending_sends_.clear();
-  for (auto& [payload, level] : stalled) multicast(std::move(payload), level);
-  for (auto& [payload, level] : queued) multicast(std::move(payload), level);
+  for (sim::Payload& payload : stalled) multicast(std::move(payload));
+  for (sim::Payload& payload : queued) multicast(std::move(payload));
 }
 
 void GroupMember::flush_timeout_fired() {

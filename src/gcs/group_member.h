@@ -3,8 +3,8 @@
 //
 // Provides the process-group abstraction JOSHUA depends on:
 //   * membership with join/leave/failure and view installation,
-//   * reliable multicast (NACK-based retransmission),
-//   * FIFO / CAUSAL / AGREED / SAFE delivery levels,
+//   * reliable multicast (NACK-based retransmission), every message
+//     delivered in one total order (Transis's AGREED service),
 //   * extended-virtual-synchrony flush on every view change (all members
 //     deliver the same message set in the same order before the new view),
 //   * application state transfer to joining members.
@@ -84,7 +84,7 @@ struct GroupConfig {
   /// partial batches). 0 or 1: the legacy per-message behavior the
   /// checked-in baselines gate.
   uint32_t order_batch = 0;
-  /// Sender-side flow-control window: own AGREED/SAFE multicasts in flight
+  /// Sender-side flow-control window: own multicasts in flight
   /// (sent, not yet ordered back to us). At the limit new sends queue
   /// locally (gcs.window_stalls counts them) instead of growing every
   /// receiver's unordered backlog. 0: unbounded, the legacy behavior.
@@ -106,8 +106,8 @@ struct GroupCallbacks {
   /// A new view was installed. An empty view means this member was excluded
   /// (it will attempt to rejoin only if the application calls join again).
   std::function<void(const View&)> on_view;
-  /// An application message was delivered (same order at all members for
-  /// AGREED/SAFE).
+  /// An application message was delivered (in the same order at all
+  /// members).
   std::function<void(const Delivered&)> on_deliver;
   /// State transfer: snapshot this member's application state (called on an
   /// existing member when someone joins).
@@ -131,9 +131,10 @@ class GroupMember : public sim::Process {
   /// peers exclude the leaver without waiting for the failure detector.
   void leave();
 
-  /// Multicast to the current view. Buffers during a flush, per virtual
-  /// synchrony. Must not be called when down.
-  void multicast(sim::Payload payload, Delivery level = Delivery::kAgreed);
+  /// Multicast to the current view in total order. Buffers during a flush,
+  /// per virtual synchrony. Must not be called when down. The Delivery
+  /// argument has one value; it stays until jbench stops passing it.
+  void multicast(sim::Payload payload, Delivery = Delivery::kAgreed);
 
   State state() const { return state_; }
   bool is_member() const {
@@ -171,7 +172,7 @@ class GroupMember : public sim::Process {
     telemetry::Histogram scope_order_latency;
   };
   const Telemetry& stats() const { return m_; }
-  /// Own AGREED/SAFE multicasts currently in flight (flow-control debt).
+  /// Own multicasts currently in flight (flow-control debt).
   uint32_t inflight() const { return inflight_; }
 
   // sim::Process:
@@ -212,7 +213,7 @@ class GroupMember : public sim::Process {
   void note_alive(MemberId peer);
   void deliver_ready();
   void deliver_to_app(const DataMsg& m);
-  void do_multicast(sim::Payload payload, Delivery level);
+  void do_multicast(sim::Payload payload);
   void release_window();
   void schedule_ack_cut();
   void flush_ack_cut();
@@ -258,15 +259,15 @@ class GroupMember : public sim::Process {
   std::map<MemberId, VcAckWire> flush_acks_; // coordinator only
   bool flush_coordinator_ = false;
   sim::TimerId flush_timer_ = 0;
-  std::deque<std::pair<sim::Payload, Delivery>> pending_sends_;
+  std::deque<sim::Payload> pending_sends_;
 
-  // Sender flow control (config_.inflight_window > 0): own AGREED/SAFE
-  // multicasts in flight, and sends queued while the window is full. The
-  // window drains as our own messages come back ordered (deliver_to_app);
-  // a view change resets the debt -- the flush delivered or dropped every
-  // in-flight message identically everywhere.
+  // Sender flow control (config_.inflight_window > 0): own multicasts in
+  // flight, and sends queued while the window is full. The window drains as
+  // our own messages come back ordered (deliver_to_app); a view change
+  // resets the debt -- the flush delivered or dropped every in-flight
+  // message identically everywhere.
   uint32_t inflight_ = 0;
-  std::deque<std::pair<sim::Payload, Delivery>> window_queue_;
+  std::deque<sim::Payload> window_queue_;
 
   // Cumulative-ack coalescing (all-ack engine, config_.order_batch > 1):
   // data messages heard since our last cut; an ack cut goes out when a

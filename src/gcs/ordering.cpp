@@ -265,64 +265,27 @@ void OrderingBuffer::drop_ack(size_t q, size_t s) {
   ++ring[0];
 }
 
-bool OrderingBuffer::causal_condition(const DataMsg& m) const {
-  for (const auto& [q, count] : m.vclock) {
-    if (q == m.id.sender) continue;  // FIFO from the sender is the gate
-    auto it = delivered_.find(q);
-    uint64_t have = it == delivered_.end() ? 0 : it->second;
-    if (have < count) return false;
-  }
-  return true;
-}
-
 std::vector<DataMsg> OrderingBuffer::drain() {
+  // Messages deliver strictly in the engine's total order, the whole ready
+  // run in one loop. Per-sender delivered counts accumulate locally and land
+  // once per run, not per message: no engine delivery condition reads them
+  // (all-ack reads lamports and watermarks, token its own delivered_global_).
   std::vector<DataMsg> out;
-  last_drain_passes_ = 0;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    ++last_drain_passes_;
-    // FIFO/CAUSAL messages deliver independently of the total order.
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      const DataMsg& m = it->second;
-      bool ready = false;
-      if (m.level == Delivery::kFifo) {
-        ready = true;
-      } else if (m.level == Delivery::kCausal) {
-        ready = causal_condition(m);
-      }
-      if (ready) {
-        ++delivered_[m.id.sender];
-        out.push_back(take_pending(it++));
-        progress = true;
-      } else {
-        ++it;
-      }
+  run_counts_.clear();
+  while (const DataMsg* next = engine().next_deliverable()) {
+    engine().on_delivered(*next);
+    DataMsg m = take_pending(pending_.find(order_key(*next)));
+    auto count =
+        std::find_if(run_counts_.begin(), run_counts_.end(),
+                     [&](const auto& c) { return c.first == m.id.sender; });
+    if (count == run_counts_.end()) {
+      run_counts_.emplace_back(m.id.sender, 1);
+    } else {
+      ++count->second;
     }
-    // AGREED/SAFE deliver strictly in the engine's total order. The whole
-    // ready run goes in one inner loop -- one message per outer pass made a
-    // run of R stamped messages rescan all of pending_ R times. Per-sender
-    // delivered counts accumulate locally and land once per run, not per
-    // message: no engine delivery condition reads them (all-ack reads
-    // lamports and watermarks, token reads its own delivered_global_), and
-    // the CAUSAL scan that does runs again on the next outer pass.
-    run_counts_.clear();
-    while (const DataMsg* next = engine().next_deliverable()) {
-      engine().on_delivered(*next);
-      DataMsg m = take_pending(pending_.find(order_key(*next)));
-      auto count = std::find_if(
-          run_counts_.begin(), run_counts_.end(),
-          [&](const auto& c) { return c.first == m.id.sender; });
-      if (count == run_counts_.end()) {
-        run_counts_.emplace_back(m.id.sender, 1);
-      } else {
-        ++count->second;
-      }
-      out.push_back(std::move(m));
-      progress = true;
-    }
-    for (const auto& [sender, n] : run_counts_) delivered_[sender] += n;
+    out.push_back(std::move(m));
   }
+  for (const auto& [sender, n] : run_counts_) delivered_[sender] += n;
   return out;
 }
 
@@ -440,8 +403,7 @@ void OrderingBuffer::reset_peer(MemberId m) {
   if (r < 0) return;
   // m's row and sent watermark, and every peer's claims about m's old
   // stream (its column): they describe messages of the dead incarnation,
-  // and would otherwise count toward stable_upto and SAFE for the fresh
-  // stream.
+  // and would otherwise count toward stable_upto for the fresh stream.
   const size_t n = view_.size();
   const bool was = behind(r);
   sent_upto_[r] = 0;

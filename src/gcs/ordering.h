@@ -3,22 +3,18 @@
 // in isolation.
 //
 // The buffer owns per-sender contiguity (watermarks + out-of-order staging),
-// NACK gap detection, peer cuts (for stability garbage collection and SAFE;
-// a dense matrix by view rank, DESIGN.md section 7.2), delivered counts (the
-// causal send vector) and flush bookkeeping. The
-// *total-order decision* -- which AGREED/SAFE message may deliver next -- is
-// delegated to a pluggable OrderingEngine (see ordering_engine.h):
+// NACK gap detection, peer cuts (for stability garbage collection; a dense
+// matrix by view rank, DESIGN.md section 7.2), delivered counts and flush
+// bookkeeping. Every message is delivered in one total order (Transis's
+// AGREED service), and the *total-order decision* -- which message may
+// deliver next -- is delegated to a pluggable OrderingEngine (see
+// ordering_engine.h):
 //
 //   * AllAckEngine (default): the classic Lamport (timestamp, sender-id)
 //     order with an all-ack stability rule (Transis ToTo style) -- m is
-//     AGREED-deliverable once every view member has been heard past
-//     m.lamport and claims no outstanding sends we miss; SAFE additionally
-//     requires every member's cut to cover m.
+//     deliverable once every view member has been heard past m.lamport and
+//     claims no outstanding sends we miss.
 //   * TokenRingEngine: a circulating token assigns global sequence numbers.
-//
-// FIFO delivers on per-sender contiguity alone; CAUSAL additionally waits
-// for the sender's causal past (per-sender delivered counts) to be delivered
-// locally. Both are handled here, independent of the engine.
 //
 // A GroupMember attaches its own engine and drives its lifecycle explicitly;
 // a bare buffer (unit tests) lazily creates a private AllAckEngine and keeps
@@ -71,8 +67,8 @@ class OrderingBuffer {
   void observe_in_place(MemberId p, uint64_t lamport, uint64_t sent_upto,
                         const CutView& received);
 
-  /// Pop every message whose delivery condition now holds, in delivery
-  /// order (AGREED/SAFE messages in the engine's total order).
+  /// Pop every message whose delivery condition now holds, in the engine's
+  /// total order.
   std::vector<DataMsg> drain();
 
   /// View change: deliver every contiguously-held message regardless of
@@ -93,7 +89,7 @@ class OrderingBuffer {
   /// Highest contiguous seq received from one sender.
   uint64_t received_upto(MemberId sender) const;
 
-  /// Per-sender count of delivered messages (causal send vector).
+  /// Per-sender count of delivered messages (sent in every data message).
   CutVector delivered_vector() const;
   uint64_t delivered_count(MemberId sender) const;
 
@@ -121,12 +117,6 @@ class OrderingBuffer {
 
   size_t pending_count() const { return pending_.size() + out_of_order_.size(); }
 
-  /// Outer passes the last drain() took. A contiguous engine-deliverable run
-  /// of any length costs one pass (plus the final no-progress pass); tests
-  /// use this to pin the run-delivery path against regressing to the old
-  /// one-message-per-pass O(run x pending) shape.
-  int last_drain_passes() const { return last_drain_passes_; }
-
   /// Force the received/delivered counters of `sender`'s stream to `seq`.
   /// Used at view install: joiners align to the old view's baseline, and a
   /// fresh (restarted) member's stream is reset to zero everywhere.
@@ -146,7 +136,6 @@ class OrderingBuffer {
   void clear_all();
 
  private:
-  bool causal_condition(const DataMsg& m) const;
   template <class Cut>
   void merge_cut(MemberId p, uint64_t lamport, uint64_t sent_upto,
                  const Cut& received);
@@ -219,8 +208,6 @@ class OrderingBuffer {
   std::vector<uint32_t> col_far_;
   /// Ranks r with sent_upto_[r] above our watermark of r's stream.
   size_t behind_ = 0;
-
-  int last_drain_passes_ = 0;
 
   /// The attached engine, or the lazily-created private fallback.
   OrderingEngine* engine_ = nullptr;

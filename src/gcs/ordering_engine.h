@@ -5,9 +5,10 @@
 // The split of responsibilities:
 //   * OrderingBuffer stays the *reliability* substrate: per-sender
 //     contiguity (watermarks, out-of-order staging, NACK gap detection),
-//     peer cuts for stability/SAFE, delivered counts, flush bookkeeping.
-//   * OrderingEngine owns the *total-order decision*: which AGREED/SAFE
-//     message is next and whether it may deliver now.
+//     peer cuts for stability, delivered counts, flush bookkeeping.
+//   * OrderingEngine owns the *total-order decision*: which message is next
+//     and whether it may deliver now. Every message is totally ordered
+//     (Transis's AGREED service); there is no weaker or stronger level.
 //
 // Two engines ship:
 //   * AllAckEngine -- the Transis-style all-ack Lamport order the project
@@ -131,19 +132,19 @@ class OrderingEngine {
   /// A forward_timer requested earlier has fired.
   virtual EngineOut on_forward_timer(int64_t now_us) = 0;
 
-  /// The next AGREED/SAFE message whose delivery condition holds, or
-  /// nullptr. Points into the buffer's pending set; valid until the buffer
-  /// mutates.
+  /// The next message in the total order if its delivery condition holds,
+  /// else nullptr. Points into the buffer's pending set; valid until the
+  /// buffer mutates.
   virtual const DataMsg* next_deliverable() const = 0;
 
-  /// An AGREED/SAFE message was delivered (via next_deliverable or flush).
+  /// A message was delivered (via next_deliverable or flush).
   virtual void on_delivered(const DataMsg& m) = 0;
 
   /// Should every data message be acked with a reactive cut? All-ack needs
   /// it (the cut IS the delivery evidence); token order does not -- its
   /// delivery evidence is the stamp, and per-message cuts are exactly the
-  /// O(N) overhead the ring removes. Stability/SAFE then ride on the
-  /// periodic heartbeat cuts.
+  /// O(N) overhead the ring removes. Stability then rides on the periodic
+  /// heartbeat cuts.
   virtual bool wants_ack_cuts() const { return true; }
 
   // -- flush / view-change state transfer ------------------------------------

@@ -19,16 +19,12 @@ namespace gcs {
 
 using MemberId = sim::HostId;
 
-/// Message delivery guarantees, weakest to strongest (Transis service
-/// levels). JOSHUA uses kAgreed for command replication.
+/// The delivery service: total order, identical at all members (Transis's
+/// AGREED level, the only one JOSHUA uses). Kept as an argument of
+/// GroupMember::multicast only because jbench still passes it.
 enum class Delivery : uint8_t {
-  kFifo = 0,    ///< per-sender order
-  kCausal = 1,  ///< causal order (vector-clock happened-before)
-  kAgreed = 2,  ///< total order, identical at all members
-  kSafe = 3,    ///< total order + delivered only when stable at all members
+  kAgreed = 2,
 };
-
-std::string_view to_string(Delivery level);
 
 struct ViewId {
   uint64_t epoch = 0;
@@ -80,8 +76,8 @@ struct DataMsg {
   MsgId id;
   uint64_t lamport = 0;  ///< logical send timestamp (total-order key)
   Delivery level = Delivery::kAgreed;
-  /// Vector clock at send time: per-member count of messages the sender had
-  /// delivered, sorted by member. Used for kCausal delivery.
+  /// Per-member count of messages the sender had delivered, sorted by
+  /// member. Nothing reads it.
   CutVector vclock;
   sim::Payload payload;
   bool operator==(const DataMsg&) const = default;
@@ -105,7 +101,6 @@ inline OrderKey order_key(const DataMsg& m) {
 struct Delivered {
   MemberId sender = sim::kInvalidHost;
   uint64_t seq = 0;
-  Delivery level = Delivery::kAgreed;
   sim::Payload payload;
 };
 

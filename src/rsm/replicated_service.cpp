@@ -45,7 +45,7 @@ void ReplicaNode::shutdown() {
 }
 
 void ReplicaNode::order(sim::Payload op) {
-  group_.multicast(std::move(op), gcs::Delivery::kAgreed);
+  group_.multicast(std::move(op));
 }
 
 void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
@@ -67,7 +67,7 @@ void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
     uint64_t seq = next_seq_++;
     sim::Payload frame = net::encode(Command{group_.id(), seq, request, 0});
     pending_[seq] = Pending{caller, sim().now().us, std::move(request)};
-    group_.multicast(std::move(frame), gcs::Delivery::kAgreed);
+    group_.multicast(std::move(frame));
   });
 }
 

@@ -49,7 +49,7 @@ inline gcs::DataMsg data_msg() {
   gcs::DataMsg m;
   m.id = {2, 9};
   m.lamport = 42;
-  m.level = gcs::Delivery::kSafe;
+  m.level = gcs::Delivery::kAgreed;
   m.vclock = {{0, 1}, {2, 8}};
   m.payload = {0xde, 0xad};
   return m;

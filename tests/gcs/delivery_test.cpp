@@ -4,7 +4,6 @@
 
 namespace {
 
-using gcs::Delivery;
 using gcstest::GcsHarness;
 
 TEST(Delivery, AgreedDeliversAtAllMembers) {
@@ -45,78 +44,33 @@ TEST(Delivery, ConcurrentSendersSameTotalOrderEverywhere) {
   for (const auto& log : h.logs) EXPECT_TRUE(GcsHarness::fifo_clean(log.delivered));
 }
 
-TEST(Delivery, SenderOrderPreservedFifo) {
-  GcsHarness h(2);
-  h.join_all();
-  ASSERT_TRUE(h.run_until_converged(2));
-  for (int i = 0; i < 10; ++i)
-    h.members[0]->multicast(h.payload_of(i), Delivery::kFifo);
-  ASSERT_TRUE(testutil::run_until(
-      h.sim, [&] { return h.logs[1].delivered.size() == 10; }));
-  for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(h.logs[1].delivered[static_cast<size_t>(i)].payload,
-              h.payload_of(i));
-}
-
-TEST(Delivery, SafeLevelDelivers) {
-  GcsHarness h(3);
-  h.join_all();
-  ASSERT_TRUE(h.run_until_converged(3));
-  h.members[1]->multicast(h.payload_of(9), Delivery::kSafe);
-  EXPECT_TRUE(testutil::run_until(h.sim, [&] {
-    return h.logs[0].delivered.size() == 1 && h.logs[1].delivered.size() == 1 &&
-           h.logs[2].delivered.size() == 1;
-  }));
-  EXPECT_EQ(h.logs[0].delivered[0].level, Delivery::kSafe);
-}
-
 TEST(Delivery, MixedLevelsKeepTotalOrderAmongTotallyOrderedMessages) {
-  // AGREED and SAFE messages share one total order; FIFO traffic may
-  // interleave differently per member but must stay per-sender ordered.
+  // Three senders interleave their multicasts (once spread over the
+  // AGREED, SAFE and FIFO levels, now all totally ordered): every member
+  // delivers them in one order, each sender's in sequence.
   GcsHarness h(3, 21);
   h.join_all();
   ASSERT_TRUE(h.run_until_converged(3));
   for (int i = 0; i < 4; ++i) {
-    h.members[0]->multicast(h.payload_of(i), Delivery::kAgreed);
-    h.members[1]->multicast(h.payload_of(100 + i), Delivery::kSafe);
-    h.members[2]->multicast(h.payload_of(200 + i), Delivery::kFifo);
+    h.members[0]->multicast(h.payload_of(i));
+    h.members[1]->multicast(h.payload_of(100 + i));
+    h.members[2]->multicast(h.payload_of(200 + i));
   }
   ASSERT_TRUE(testutil::run_until(h.sim, [&] {
     for (const auto& log : h.logs)
       if (log.delivered.size() != 12) return false;
     return true;
   }));
-  // Extract the totally-ordered subsequence at each member: identical.
-  auto total_sub = [](const std::vector<gcs::Delivered>& log) {
+  auto order = [](const std::vector<gcs::Delivered>& log) {
     std::vector<std::pair<gcs::MemberId, uint64_t>> out;
-    for (const auto& d : log)
-      if (d.level != Delivery::kFifo) out.emplace_back(d.sender, d.seq);
+    for (const auto& d : log) out.emplace_back(d.sender, d.seq);
     return out;
   };
-  auto ref = total_sub(h.logs[0].delivered);
-  EXPECT_EQ(ref.size(), 8u);
+  auto ref = order(h.logs[0].delivered);
   for (size_t i = 1; i < 3; ++i)
-    EXPECT_EQ(total_sub(h.logs[i].delivered), ref) << "member " << i;
+    EXPECT_EQ(order(h.logs[i].delivered), ref) << "member " << i;
   for (const auto& log : h.logs)
     EXPECT_TRUE(GcsHarness::fifo_clean(log.delivered));
-}
-
-TEST(Delivery, CausalRespectsHappenedBefore) {
-  GcsHarness h(3);
-  h.join_all();
-  ASSERT_TRUE(h.run_until_converged(3));
-  h.members[0]->multicast(h.payload_of(1), Delivery::kCausal);
-  ASSERT_TRUE(testutil::run_until(
-      h.sim, [&] { return h.logs[1].delivered.size() == 1; }));
-  // Member 1 reacts to the delivery (causal dependency).
-  h.members[1]->multicast(h.payload_of(2), Delivery::kCausal);
-  ASSERT_TRUE(testutil::run_until(h.sim, [&] {
-    return h.logs[0].delivered.size() == 2 && h.logs[2].delivered.size() == 2;
-  }));
-  for (const auto& log : {h.logs[0], h.logs[2]}) {
-    EXPECT_EQ(log.delivered[0].payload, h.payload_of(1));
-    EXPECT_EQ(log.delivered[1].payload, h.payload_of(2));
-  }
 }
 
 TEST(Delivery, LossRecoveredByNack) {

@@ -26,7 +26,7 @@ DataMsg sample_msg() {
   DataMsg m;
   m.id = {2, 9};
   m.lamport = 42;
-  m.level = Delivery::kSafe;
+  m.level = Delivery::kAgreed;
   m.vclock = {{0, 1}, {2, 8}};
   m.payload = {0xde, 0xad};
   return m;
@@ -163,13 +163,6 @@ TEST(GcsTypes, OrderKeyOrdersByLamportThenSender) {
   EXPECT_LT(order_key(b), order_key(a));
   b.lamport = 11;
   EXPECT_LT(order_key(a), order_key(b));
-}
-
-TEST(GcsTypes, DeliveryToString) {
-  EXPECT_EQ(to_string(Delivery::kAgreed), "AGREED");
-  EXPECT_EQ(to_string(Delivery::kSafe), "SAFE");
-  EXPECT_EQ(to_string(Delivery::kFifo), "FIFO");
-  EXPECT_EQ(to_string(Delivery::kCausal), "CAUSAL");
 }
 
 }  // namespace

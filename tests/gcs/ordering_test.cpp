@@ -13,7 +13,6 @@ namespace {
 
 using gcs::CutVector;
 using gcs::DataMsg;
-using gcs::Delivery;
 using gcs::MemberId;
 using gcs::MsgId;
 using gcs::OrderingBuffer;
@@ -26,12 +25,10 @@ View make_view(std::vector<MemberId> members, uint64_t epoch = 1) {
   return v;
 }
 
-DataMsg msg(MemberId sender, uint64_t seq, uint64_t lamport,
-            Delivery level = Delivery::kAgreed) {
+DataMsg msg(MemberId sender, uint64_t seq, uint64_t lamport) {
   DataMsg m;
   m.id = {sender, seq};
   m.lamport = lamport;
-  m.level = level;
   m.payload = {static_cast<uint8_t>(seq)};
   return m;
 }
@@ -41,23 +38,6 @@ class OrderingTest : public ::testing::Test {
   void SetUp() override { buf_.reset(make_view({0, 1, 2}), 0); }
   OrderingBuffer buf_;
 };
-
-TEST_F(OrderingTest, FifoDeliversOnContiguity) {
-  EXPECT_TRUE(buf_.insert(msg(1, 1, 10, Delivery::kFifo)));
-  auto out = buf_.drain();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].id.seq, 1u);
-}
-
-TEST_F(OrderingTest, FifoHoldsAcrossGap) {
-  buf_.insert(msg(1, 2, 20, Delivery::kFifo));  // seq 1 missing
-  EXPECT_TRUE(buf_.drain().empty());
-  buf_.insert(msg(1, 1, 10, Delivery::kFifo));
-  auto out = buf_.drain();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].id.seq, 1u);
-  EXPECT_EQ(out[1].id.seq, 2u);
-}
 
 TEST_F(OrderingTest, DuplicatesIgnored) {
   EXPECT_TRUE(buf_.insert(msg(1, 1, 10)));
@@ -123,37 +103,6 @@ TEST_F(OrderingTest, SelfMessagesDeliverInSingletonView) {
   buf_.insert(msg(0, 1, 1));
   buf_.observe(0, 1, 1, {});
   EXPECT_EQ(buf_.drain().size(), 1u);
-}
-
-TEST_F(OrderingTest, SafeWaitsForEveryonesCut) {
-  buf_.insert(msg(1, 1, 10, Delivery::kSafe));
-  buf_.observe(1, 11, 1, {});
-  buf_.observe(2, 12, 0, {});
-  EXPECT_TRUE(buf_.drain().empty()) << "member 2 has not confirmed receipt";
-  buf_.observe(2, 13, 0, {{1, 1}});  // member 2's cut covers (1,1)
-  buf_.observe(1, 13, 1, {{1, 1}});
-  EXPECT_EQ(buf_.drain().size(), 1u);
-}
-
-TEST_F(OrderingTest, CausalWaitsForDependencies) {
-  // Sender 2 saw one message from 1 before sending.
-  DataMsg dependent = msg(2, 1, 20, Delivery::kCausal);
-  dependent.vclock = {{1, 1}};
-  buf_.insert(dependent);
-  EXPECT_TRUE(buf_.drain().empty()) << "dependency from 1 undelivered";
-  buf_.insert(msg(1, 1, 10, Delivery::kCausal));
-  auto out = buf_.drain();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].id.sender, 1u);
-  EXPECT_EQ(out[1].id.sender, 2u);
-}
-
-TEST_F(OrderingTest, FifoBypassesBlockedAgreed) {
-  buf_.insert(msg(1, 1, 10));  // AGREED, blocked (no clocks)
-  buf_.insert(msg(2, 1, 5, Delivery::kFifo));
-  auto out = buf_.drain();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].level, Delivery::kFifo);
 }
 
 TEST_F(OrderingTest, GapsReported) {
@@ -238,10 +187,8 @@ TEST_F(OrderingTest, ViewChangeDropsDepartedPeerFromConditions) {
 }
 
 TEST_F(OrderingTest, DrainDeliversReadyRunInOnePass) {
-  // A long contiguous deliverable run must cost one outer pass (plus the
-  // final no-progress pass), with per-sender delivered counts still exact --
-  // the regression would be the old one-message-per-pass drain, which
-  // rescans all of pending_ once per delivered message.
+  // One drain() hands back the whole deliverable run, every sender's share
+  // of it included.
   constexpr uint64_t kRun = 16;
   for (uint64_t s = 1; s <= kRun; ++s) buf_.insert(msg(1, s, 10 + s));
   for (uint64_t s = 1; s <= kRun / 2; ++s) buf_.insert(msg(2, s, 100 + s));
@@ -249,20 +196,17 @@ TEST_F(OrderingTest, DrainDeliversReadyRunInOnePass) {
   buf_.observe(2, 1000, kRun / 2, {});
   auto out = buf_.drain();
   ASSERT_EQ(out.size(), kRun + kRun / 2);
-  EXPECT_LE(buf_.last_drain_passes(), 2);
-  EXPECT_EQ(buf_.delivered_count(1), kRun);
-  EXPECT_EQ(buf_.delivered_count(2), kRun / 2);
+  auto from = [&](MemberId sender) {
+    return std::count_if(out.begin(), out.end(), [&](const DataMsg& m) {
+      return m.id.sender == sender;
+    });
+  };
+  EXPECT_EQ(from(1), static_cast<ptrdiff_t>(kRun));
+  EXPECT_EQ(from(2), static_cast<ptrdiff_t>(kRun / 2));
+  EXPECT_TRUE(buf_.drain().empty());
   // The run came out in lamport order.
   for (size_t i = 1; i < out.size(); ++i)
     EXPECT_LT(out[i - 1].lamport, out[i].lamport);
-}
-
-TEST_F(OrderingTest, DeliveredVectorCountsPerSender) {
-  buf_.insert(msg(1, 1, 10, Delivery::kFifo));
-  buf_.insert(msg(1, 2, 11, Delivery::kFifo));
-  buf_.drain();
-  EXPECT_EQ(buf_.delivered_count(1), 2u);
-  EXPECT_EQ(buf_.delivered_count(2), 0u);
 }
 
 TEST_F(OrderingTest, ReincarnatedSenderStartsWithNoAcks) {
