@@ -129,7 +129,6 @@ void GroupMember::do_multicast(sim::Payload payload) {
   DataMsg msg;
   msg.id = MsgId{id(), ++my_seq_};
   msg.lamport = ++lamport_;
-  msg.vclock = buffer_.delivered_vector();
   msg.payload = std::move(payload);
   retain(msg);
   buffer_.insert(msg);

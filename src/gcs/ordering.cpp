@@ -58,13 +58,12 @@ void OrderingBuffer::reset(const View& view, MemberId self) {
   pending_.clear();
   pending_ix_.clear();
   out_of_order_.clear();
-  // received/delivered counters persist across views: sequence numbers are
-  // global per sender, and a new view's first message continues the stream.
+  // Receive watermarks persist across views: sequence numbers are global
+  // per sender, and a new view's first message continues the stream.
   for (MemberId m : view_.members) {
     auto it = std::lower_bound(received_.begin(), received_.end(),
                                std::make_pair(m, uint64_t{0}));
     if (it == received_.end() || it->first != m) received_.emplace(it, m, 0);
-    delivered_.try_emplace(m, 0);
   }
   index_watermarks();
   rebuild_columns();
@@ -266,26 +265,12 @@ void OrderingBuffer::drop_ack(size_t q, size_t s) {
 }
 
 std::vector<DataMsg> OrderingBuffer::drain() {
-  // Messages deliver strictly in the engine's total order, the whole ready
-  // run in one loop. Per-sender delivered counts accumulate locally and land
-  // once per run, not per message: no engine delivery condition reads them
-  // (all-ack reads lamports and watermarks, token its own delivered_global_).
+  // The whole ready run, strictly in the engine's total order.
   std::vector<DataMsg> out;
-  run_counts_.clear();
   while (const DataMsg* next = engine().next_deliverable()) {
     engine().on_delivered(*next);
-    DataMsg m = take_pending(pending_.find(order_key(*next)));
-    auto count =
-        std::find_if(run_counts_.begin(), run_counts_.end(),
-                     [&](const auto& c) { return c.first == m.id.sender; });
-    if (count == run_counts_.end()) {
-      run_counts_.emplace_back(m.id.sender, 1);
-    } else {
-      ++count->second;
-    }
-    out.push_back(std::move(m));
+    out.push_back(take_pending(pending_.find(order_key(*next))));
   }
-  for (const auto& [sender, n] : run_counts_) delivered_[sender] += n;
   return out;
 }
 
@@ -300,10 +285,7 @@ std::vector<DataMsg> OrderingBuffer::flush_all() {
   pending_ix_.clear();
   out_of_order_.clear();  // unfillable remnants, dropped identically everywhere
   engine().order_flush(out);
-  for (const DataMsg& m : out) {
-    ++delivered_[m.id.sender];
-    engine().on_delivered(m);
-  }
+  for (const DataMsg& m : out) engine().on_delivered(m);
   return out;
 }
 
@@ -327,15 +309,6 @@ uint64_t OrderingBuffer::received_upto(MemberId sender) const {
   auto it = std::lower_bound(received_.begin(), received_.end(),
                              std::make_pair(sender, uint64_t{0}));
   return it != received_.end() && it->first == sender ? it->second : 0;
-}
-
-CutVector OrderingBuffer::delivered_vector() const {
-  return {delivered_.begin(), delivered_.end()};
-}
-
-uint64_t OrderingBuffer::delivered_count(MemberId sender) const {
-  auto it = delivered_.find(sender);
-  return it == delivered_.end() ? 0 : it->second;
 }
 
 const DataMsg* OrderingBuffer::find_pending(const MsgId& id) const {
@@ -378,7 +351,6 @@ void OrderingBuffer::set_stream_position(MemberId sender, uint64_t seq) {
   const int r = view_.rank(sender);
   const bool was = behind(r);
   watermark(sender) = seq;
-  delivered_[sender] = seq;
   // Drop anything buffered at or below the new position; promote the rest.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.id.sender == sender && it->second.id.seq <= seq) {
@@ -419,7 +391,6 @@ void OrderingBuffer::clear_all() {
   out_of_order_.clear();
   received_.clear();
   slot_.clear();
-  delivered_.clear();
   acks_.clear();
   sent_upto_.clear();
   col_min_.clear();

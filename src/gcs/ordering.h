@@ -4,8 +4,7 @@
 //
 // The buffer owns per-sender contiguity (watermarks + out-of-order staging),
 // NACK gap detection, peer cuts (for stability garbage collection; a dense
-// matrix by view rank, DESIGN.md section 7.2), delivered counts and flush
-// bookkeeping. Every message is delivered in one total order (Transis's
+// matrix by view rank, DESIGN.md section 7.2) and flush bookkeeping. Every message is delivered in one total order (Transis's
 // AGREED service), and the *total-order decision* -- which message may
 // deliver next -- is delegated to a pluggable OrderingEngine (see
 // ordering_engine.h):
@@ -89,10 +88,6 @@ class OrderingBuffer {
   /// Highest contiguous seq received from one sender.
   uint64_t received_upto(MemberId sender) const;
 
-  /// Per-sender count of delivered messages (sent in every data message).
-  CutVector delivered_vector() const;
-  uint64_t delivered_count(MemberId sender) const;
-
   // -- engine-facing queries ---------------------------------------------------
   /// Contiguously received, undelivered messages in OrderKey order.
   const std::map<OrderKey, DataMsg>& pending() const { return pending_; }
@@ -117,7 +112,7 @@ class OrderingBuffer {
 
   size_t pending_count() const { return pending_.size() + out_of_order_.size(); }
 
-  /// Force the received/delivered counters of `sender`'s stream to `seq`.
+  /// Force the receive watermark of `sender`'s stream to `seq`.
   /// Used at view install: joiners align to the old view's baseline, and a
   /// fresh (restarted) member's stream is reset to zero everywhere.
   void set_stream_position(MemberId sender, uint64_t seq);
@@ -180,9 +175,6 @@ class OrderingBuffer {
   CutVector received_;
   /// By view rank: the index of that member's entry in received_.
   std::vector<uint32_t> slot_;
-  std::map<MemberId, uint64_t> delivered_;
-  /// drain()'s per-sender counts for one ordered run (kept for its capacity).
-  std::vector<std::pair<MemberId, uint64_t>> run_counts_;
 
   // Peer claims, dense by view rank and rebuilt by reset(): claims exist
   // only by members about members' streams.

@@ -5,7 +5,7 @@
 // The split of responsibilities:
 //   * OrderingBuffer stays the *reliability* substrate: per-sender
 //     contiguity (watermarks, out-of-order staging, NACK gap detection),
-//     peer cuts for stability, delivered counts, flush bookkeeping.
+//     peer cuts for stability, flush bookkeeping.
 //   * OrderingEngine owns the *total-order decision*: which message is next
 //     and whether it may deliver now. Every message is totally ordered
 //     (Transis's AGREED service); there is no weaker or stronger level.

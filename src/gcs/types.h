@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/wire.h"
@@ -75,10 +74,6 @@ using CutView = net::PairsView<MemberId, uint64_t>;
 struct DataMsg {
   MsgId id;
   uint64_t lamport = 0;  ///< logical send timestamp (total-order key)
-  Delivery level = Delivery::kAgreed;
-  /// Per-member count of messages the sender had delivered, sorted by
-  /// member. Nothing reads it.
-  CutVector vclock;
   sim::Payload payload;
   bool operator==(const DataMsg&) const = default;
 };
@@ -116,7 +111,7 @@ template <class Ar> void fields(Ar& ar, View& view) {
 }
 template <class Ar> void fields(Ar& ar, MsgId& id) { ar(id.sender, id.seq); }
 template <class Ar> void fields(Ar& ar, DataMsg& m) {
-  ar(m.id, m.lamport, m.level, m.vclock, m.payload);
+  ar(m.id, m.lamport, m.payload);
 }
 
 }  // namespace gcs

@@ -44,8 +44,7 @@ TEST(WireGolden, GcsMessages) {
   expect_golden("gcs.data", s::data_wire(),
                 "01030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000200000009000000000000"
-                "002a00000000000000020200000000000000010000000000000002000000"
-                "080000000000000002000000dead");
+                "002a0000000000000002000000dead");
   expect_golden("gcs.cut", s::cut_wire(false),
                 "02030000004d000000000000000c00000000000000020000000000000005"
                 "0000000000000001000000070000000000000000");
@@ -59,10 +58,8 @@ TEST(WireGolden, GcsMessages) {
   expect_golden("gcs.retransmit", s::retransmit_wire(),
                 "04030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000200000002000000090000"
-                "00000000002a000000000000000202000000000000000100000000000000"
-                "02000000080000000000000002000000dead020000000900000000000000"
-                "2a0000000000000002020000000000000001000000000000000200000008"
-                "0000000000000002000000dead");
+                "00000000002a0000000000000002000000dead0200000009000000000000"
+                "002a0000000000000002000000dead");
   expect_golden("gcs.join_req", s::join_req_wire(),
                 "05030000004d000000000000000c00000000000000020000000000000005"
                 "0000000000000001000000070000000000000005000000");
@@ -76,17 +73,15 @@ TEST(WireGolden, GcsMessages) {
   expect_golden("gcs.vc_ack", s::vc_ack_wire(),
                 "08030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000900000000000000010000"
-                "00010000000200000009000000000000002a000000000000000202000000"
-                "00000000010000000000000002000000080000000000000002000000dead"
-                "020000000707");
+                "00010000000200000009000000000000002a0000000000000002000000de"
+                "ad020000000707");
   expect_golden("gcs.vc_commit", s::vc_commit_wire(),
                 "09030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000900000000000000010000"
                 "000300000000000000010000000200000002000000000000000100000001"
                 "00000002000000010000000200000009000000000000002a000000000000"
-                "000202000000000000000100000000000000020000000800000000000000"
-                "02000000dead030000000000000003000000000000000100000008000000"
-                "00000000020000000000000000000000010000000100000005");
+                "0002000000dead0300000000000000030000000000000001000000080000"
+                "0000000000020000000000000000000000010000000100000005");
   expect_golden("gcs.state_req", s::state_req_wire(),
                 "0a030000004d000000000000000c00000000000000020000000000000005"
                 "000000000000000100000007000000000000000400000000000000020000"
@@ -328,7 +323,6 @@ TEST(WireGolden, TokenEngineControlBodies) {
 
   gcs::DataMsg m;
   m.id = {1, 5};
-  m.level = gcs::Delivery::kAgreed;
   gcs::EngineOut sent = a.on_local_send(m, 10);
   ASSERT_EQ(sent.broadcasts.size(), 1u);
   ASSERT_TRUE(sent.unicast.has_value());

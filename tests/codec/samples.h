@@ -49,8 +49,6 @@ inline gcs::DataMsg data_msg() {
   gcs::DataMsg m;
   m.id = {2, 9};
   m.lamport = 42;
-  m.level = gcs::Delivery::kAgreed;
-  m.vclock = {{0, 1}, {2, 8}};
   m.payload = {0xde, 0xad};
   return m;
 }

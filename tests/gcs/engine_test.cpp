@@ -219,7 +219,6 @@ class TokenRig {
     gcs::DataMsg m;
     m.id = {sender, seq};
     m.lamport = ++lamport;
-    m.level = gcs::Delivery::kAgreed;
     for (auto& n : nodes) n->buf.insert(m);
     route(sender, node(sender).eng.on_local_send(m, now));
     for (auto& n : nodes)

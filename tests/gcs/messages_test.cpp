@@ -26,8 +26,6 @@ DataMsg sample_msg() {
   DataMsg m;
   m.id = {2, 9};
   m.lamport = 42;
-  m.level = Delivery::kAgreed;
-  m.vclock = {{0, 1}, {2, 8}};
   m.payload = {0xde, 0xad};
   return m;
 }
@@ -40,8 +38,6 @@ TEST(GcsMessages, DataRoundTrip) {
   expect_header_eq(back.header, m.header);
   EXPECT_EQ(back.msg.id, m.msg.id);
   EXPECT_EQ(back.msg.lamport, m.msg.lamport);
-  EXPECT_EQ(back.msg.level, m.msg.level);
-  EXPECT_EQ(back.msg.vclock, m.msg.vclock);
   EXPECT_EQ(back.msg.payload, m.msg.payload);
 }
 
