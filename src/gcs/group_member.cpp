@@ -282,6 +282,7 @@ void GroupMember::note_alive(MemberId peer) {
 
 void GroupMember::handle_data(DataWire m) {
   if (!is_member() || !view_.contains(m.header.from)) return;
+  if (m.msg.id.sender != m.header.from) return;  // a member sends its own
   m_.data_received.add(1);
   note_alive(m.header.from);
   tick_lamport(m.msg.lamport);

@@ -336,8 +336,12 @@ std::vector<MsgId> OrderingBuffer::gaps() const {
     uint64_t have = received_[slot_[r]].second;
     if (sent_upto_[r] <= have) continue;
     MemberId peer = view_.members[r];
-    for (uint64_t seq = have + 1; seq <= sent_upto_[r]; ++seq) {
-      if (!out_of_order_.count(MsgId{peer, seq})) out.push_back({peer, seq});
+    // A claim far past what we hold is asked for a window at a time: the
+    // claim comes off the wire, and one flipped bit may put it near 2^64.
+    const uint64_t n = std::min(sent_upto_[r] - have, kNackWindow);
+    for (uint64_t k = 1; k <= n; ++k) {
+      if (!out_of_order_.count(MsgId{peer, have + k}))
+        out.push_back({peer, have + k});
     }
   }
   return out;

@@ -98,8 +98,10 @@ class OrderingBuffer {
   uint64_t peer_received(MemberId q, MemberId sender) const;
 
   /// Known gaps: message ids we should NACK (claimed sent but not held),
-  /// by sender. O(1) when nothing is missing.
+  /// by sender, among the kNackWindow ids above each sender's watermark.
+  /// O(1) when nothing is missing.
   std::vector<MsgId> gaps() const;
+  static constexpr uint64_t kNackWindow = 1024;
   /// Does some other member claim to have sent more than we hold of its
   /// stream? (All-ack: no earlier-ordered message may still be missing.)
   /// O(1).
