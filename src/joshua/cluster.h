@@ -60,9 +60,9 @@ struct ClusterOptions {
   /// Ordering hot-path batching: max stamps per token announcement / data
   /// messages coalesced per ack cut (0 = legacy unbatched).
   uint32_t order_batch = 0;
-  /// Sender flow-control window: own undelivered AGREED/SAFE multicasts a
-  /// member may pipeline before further sends queue (0 = unbounded, the
-  /// legacy behaviour).
+  /// Sender flow-control window: own undelivered multicasts a member may
+  /// pipeline before further sends queue (0 = unbounded, the legacy
+  /// behaviour).
   uint32_t order_window = 0;
   /// Federation layout: count > 1 wires one replication group per shard
   /// (see ShardLayout). Validated by the Cluster constructor.

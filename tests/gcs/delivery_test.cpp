@@ -45,9 +45,8 @@ TEST(Delivery, ConcurrentSendersSameTotalOrderEverywhere) {
 }
 
 TEST(Delivery, MixedLevelsKeepTotalOrderAmongTotallyOrderedMessages) {
-  // Three senders interleave their multicasts (once spread over the
-  // AGREED, SAFE and FIFO levels, now all totally ordered): every member
-  // delivers them in one order, each sender's in sequence.
+  // Three senders interleave their multicasts: every member delivers them
+  // in one order, each sender's in sequence.
   GcsHarness h(3, 21);
   h.join_all();
   ASSERT_TRUE(h.run_until_converged(3));
