@@ -351,8 +351,8 @@ const DataMsg* TokenRingEngine::next_deliverable() const {
   if (buffer_ == nullptr) return nullptr;
   auto it = stamps_.find(delivered_global_ + 1);
   if (it == stamps_.end()) return nullptr;  // no stamp yet (or gap: NACKed)
-  const DataMsg* m = buffer_->find_pending(it->second.id);
-  return m;  // nullptr on a data gap: the NACK path will fill it
+  // nullptr on a data gap: the NACK path will fill it.
+  return buffer_->find_pending(it->second.id);
 }
 
 void TokenRingEngine::on_delivered(const DataMsg& m) {

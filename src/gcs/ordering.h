@@ -94,6 +94,7 @@ class OrderingBuffer {
   /// Look up one pending (contiguous, undelivered) message by id.
   const DataMsg* find_pending(const MsgId& id) const;
   /// Highest seq `q` claims to have sent / `q`'s cut entry for `sender`.
+  /// No engine reads them; tests compare them against a model.
   uint64_t peer_sent_upto(MemberId q) const;
   uint64_t peer_received(MemberId q, MemberId sender) const;
 
