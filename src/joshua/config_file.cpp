@@ -1,5 +1,7 @@
 #include "joshua/config_file.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace joshua {
@@ -69,25 +71,23 @@ void read_ordering(const jutil::Config& section, ClusterOptions& options) {
   read_count("window", options.order_window);
 }
 
-/// The `scheduling` keys: any registered policy/selector pair, plus aging.
-/// Only the keys present change `options`. Unknown names are a deployment
+/// The `scheduling` keys: any known policy/selector pair, plus aging. Only
+/// the keys present change `options`. Unknown names are a deployment
 /// mistake -- fail the parse, never fall back silently (heads running
 /// different policies would diverge).
 void read_scheduling(const jutil::Config& section, ClusterOptions& options) {
   pbs::SchedulerConfig& sched = options.sched;
-  auto read_plugin = [&](const std::string& key, std::string& field,
-                         auto find, auto names) {
+  auto read_name = [&](const std::string& key, std::string& field,
+                       const std::vector<std::string>& names) {
     std::string name = jutil::to_lower(section.get_string(key, field));
-    if (find(name) == nullptr)
+    if (std::find(names.begin(), names.end(), name) == names.end())
       throw jutil::ConfigError("scheduling " + key + " '" + name +
-                               "' is not registered (have: " +
-                               jutil::join(names(), ", ") + ")");
+                               "' is not known (have: " +
+                               jutil::join(names, ", ") + ")");
     field = name;
   };
-  read_plugin("policy", sched.policy, pbs::find_sched_policy,
-              pbs::sched_policy_names);
-  read_plugin("selector", sched.selector, pbs::find_node_selector,
-              pbs::node_selector_names);
+  read_name("policy", sched.policy, pbs::sched_policy_names());
+  read_name("selector", sched.selector, pbs::node_selector_names());
   sched.exclusive_cluster =
       section.get_bool("exclusive", sched.exclusive_cluster);
   if (section.has("aging_s")) {

@@ -1,32 +1,33 @@
-// The Maui-equivalent scheduling layer, split into plugins.
+// The Maui-equivalent scheduling layer.
 //
 // The paper configures Maui for FIFO with exclusive cluster access "to
 // produce deterministic scheduling behavior on all active head nodes" --
 // that determinism is load-bearing for JOSHUA: every head must make the
 // same launch decision from the same replicated state. The paper also
 // notes "this restriction may be lifted in the future if deterministic
-// allocation behavior can be assured". This is that lift, mirroring
-// Slurm's sched/select plugin split:
+// allocation behavior can be assured". This is that lift, along Slurm's
+// sched/select split, with both axes held as constant tables in
+// scheduler.cpp:
 //
-//  - SchedPolicy decides queue ordering + admission (strict FIFO, EASY
-//    backfill, priority with aging, priority + preemption). A policy is a
-//    pure function of (job table, node states, now): no clocks other than
-//    the `now` argument, no randomness, no internal state. That purity is
-//    the whole determinism contract -- N replicas fed identical state make
-//    identical decisions.
-//  - NodeSelector decides placement: which concrete hosts (and disjoint
-//    anti-affinity replica sets) a job gets, over a generalized NodeState
-//    with node types, feature tags and slot counts.
+//  - a policy fixes the queue order (strict FIFO, or effective priority
+//    with aging) and what runs behind the first job that does not fit
+//    (nothing, EASY backfill, or priority preemption): "fifo", "backfill",
+//    "priority", "preempt";
+//  - a selector fixes placement over a generalized NodeState (node types,
+//    feature tags, slot counts): "firstfit" carves a job's disjoint
+//    anti-affinity replica sets off the front of the eligible hosts,
+//    "replica" takes the extra sets off the back.
 //
-// Both sides live in a registry keyed by name; `JOSHUA_SCHED` /
-// `JOSHUA_SELECT` pick the defaults at process scope and the
-// `scheduling {}` config-file section pins them per deployment. The
-// fifo+firstfit+exclusive default reproduces the paper's (and the
-// previous monolithic scheduler's) decisions exactly.
+// Scheduler::cycle is a pure function of (job table, node states, now): no
+// clock other than `now`, no randomness, no state between cycles. That
+// purity is the whole determinism contract -- N replicas fed identical
+// state make identical decisions. The `scheduling {}` config-file section
+// names the pair per deployment. The fifo+firstfit+exclusive default
+// reproduces the paper's (and the original monolithic scheduler's)
+// decisions exactly.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,12 +62,12 @@ struct NodeState {
   void assign(JobId id);
   void release(JobId id);
   /// Node type / feature admission for a spec (slot availability is the
-  /// selector's business, not checked here).
+  /// placement's business, not checked here).
   bool satisfies(const JobSpec& spec) const;
 };
 
 struct SchedulerConfig {
-  /// Registry names; the Scheduler refuses a name nobody registered.
+  /// Table names; the Scheduler refuses any other.
   std::string policy = "fifo";
   std::string selector = "firstfit";
   /// Paper configuration: each job gets the whole cluster (one job runs at
@@ -98,8 +99,8 @@ struct SchedDecisions {
   uint32_t backfilled = 0;         ///< launches admitted out of FIFO order
 };
 
-/// The free capacity a selector allocates from: (node, free slot count)
-/// in node-table order. Selectors decrement entries as they place jobs.
+/// The free capacity placement allocates from: (node, free slot count) in
+/// node-table order. Placement decrements entries as it places jobs.
 struct FreeSlot {
   const NodeState* node = nullptr;
   uint32_t free = 0;
@@ -107,64 +108,20 @@ struct FreeSlot {
 using FreePool = std::vector<FreeSlot>;
 
 FreePool make_free_pool(const std::vector<NodeState>& nodes);
-/// Distinct hosts in `pool` with a free slot that satisfy `spec`.
-size_t eligible_hosts(const FreePool& pool, const JobSpec& spec);
 
-/// Placement plugin: carve pairwise-disjoint replica node sets for `spec`
-/// out of `pool` (consuming the slots used). Returns {} when the primary
-/// set does not fit; with `replicate` false only the primary set is built
-/// (backfill admissions run unreplicated). Implementations must be
-/// deterministic functions of (pool, spec).
-class NodeSelector {
- public:
-  virtual ~NodeSelector() = default;
-  virtual std::string_view name() const = 0;
-  virtual std::vector<std::vector<sim::HostId>> select(FreePool& pool,
-                                                       const JobSpec& spec,
-                                                       bool replicate) const = 0;
-};
-
-struct SchedContext {
-  const std::map<JobId, Job>& jobs;
-  const std::vector<NodeState>& nodes;
-  sim::Time now;
-  const SchedulerConfig& config;
-  const NodeSelector& selector;
-};
-
-/// Ordering/admission plugin. The determinism contract: `cycle` must be a
-/// pure function of its context -- same jobs, nodes and now always produce
-/// the same decisions, on every head, after any replay.
-class SchedPolicy {
- public:
-  virtual ~SchedPolicy() = default;
-  virtual std::string_view name() const = 0;
-  virtual SchedDecisions cycle(const SchedContext& ctx) const = 0;
-};
-
-// -- registry ---------------------------------------------------------------
-// Built-ins register lazily on first lookup: policies "fifo", "backfill",
-// "priority", "preempt"; selectors "firstfit", "replica". Additional
-// plugins (tests, experiments) register at startup.
-
-const SchedPolicy* find_sched_policy(std::string_view name);
-const NodeSelector* find_node_selector(std::string_view name);
-void register_sched_policy(std::unique_ptr<SchedPolicy> policy);
-void register_node_selector(std::unique_ptr<NodeSelector> selector);
+/// The names SchedulerConfig accepts, in table order.
 std::vector<std::string> sched_policy_names();
 std::vector<std::string> node_selector_names();
 
-/// Facade the PBS server drives: resolves the configured plugin pair once
-/// and runs scheduling iterations through them.
+/// The scheduler the PBS server drives: resolves the configured policy and
+/// selector once and runs scheduling iterations with them.
 class Scheduler {
  public:
-  /// Throws std::invalid_argument for a policy or selector name nobody
-  /// registered: a head never runs anything but its configured pair.
+  /// Throws std::invalid_argument for an unknown policy or selector name: a
+  /// head never runs anything but its configured pair.
   explicit Scheduler(SchedulerConfig config);
 
   const SchedulerConfig& config() const { return config_; }
-  const SchedPolicy& policy() const { return *policy_; }
-  const NodeSelector& selector() const { return *selector_; }
 
   /// One scheduling iteration: which queued jobs start now (and where),
   /// which running jobs must be preempted first. Deterministic: depends
@@ -173,10 +130,19 @@ class Scheduler {
                        const std::vector<NodeState>& nodes,
                        sim::Time now) const;
 
+  /// Placement: carve pairwise-disjoint replica node sets for `spec` out of
+  /// `pool`, consuming the slots used. Returns {} when the primary set does
+  /// not fit; with `replicate` false only the primary set is built
+  /// (backfill admissions run unreplicated). A 0-node spec gets one empty
+  /// set.
+  std::vector<std::vector<sim::HostId>> place(FreePool& pool,
+                                              const JobSpec& spec,
+                                              bool replicate) const;
+
  private:
   SchedulerConfig config_;
-  const SchedPolicy* policy_ = nullptr;
-  const NodeSelector* selector_ = nullptr;
+  size_t policy_;          ///< row of the policy table
+  bool extras_from_back_;  ///< the selector's side for extra replica sets
 };
 
 }  // namespace pbs

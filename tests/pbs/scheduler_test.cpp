@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -387,14 +388,13 @@ TEST(SchedulerPreempt, ExclusiveClusterPreemptsWholeOccupancy) {
 }
 
 TEST(SchedulerSelector, ReplicaSetsAreDisjoint) {
-  const NodeSelector* sel = find_node_selector("replica");
-  ASSERT_NE(sel, nullptr);
+  Scheduler sel(cfg("fifo", false, "replica"));
   auto nodes = make_nodes(6);
   FreePool pool = make_free_pool(nodes);
   JobSpec spec;
   spec.nodes = 2;
   spec.replicas = 3;
-  auto sets = sel->select(pool, spec, true);
+  auto sets = sel.place(pool, spec, true);
   ASSERT_EQ(sets.size(), 3u);
   std::set<sim::HostId> seen;
   for (const auto& set : sets) {
@@ -405,14 +405,13 @@ TEST(SchedulerSelector, ReplicaSetsAreDisjoint) {
 }
 
 TEST(SchedulerSelector, ReplicaCarvesExtrasFromBack) {
-  const NodeSelector* sel = find_node_selector("replica");
-  ASSERT_NE(sel, nullptr);
+  Scheduler sel(cfg("fifo", false, "replica"));
   auto nodes = make_nodes(6);
   FreePool pool = make_free_pool(nodes);
   JobSpec spec;
   spec.nodes = 1;
   spec.replicas = 2;
-  auto sets = sel->select(pool, spec, true);
+  auto sets = sel.place(pool, spec, true);
   ASSERT_EQ(sets.size(), 2u);
   EXPECT_EQ(sets[0][0], 0u) << "primary from the front";
   EXPECT_EQ(sets[1][0], 5u) << "replica from the back";
@@ -506,27 +505,15 @@ TEST(SchedulerDeterminism, SameInputsSameDecisions) {
 }
 
 TEST(SchedulerRegistry, BuiltinsPresent) {
-  for (const char* p : {"fifo", "backfill", "priority", "preempt"})
-    EXPECT_NE(find_sched_policy(p), nullptr) << p;
-  for (const char* s : {"firstfit", "replica"})
-    EXPECT_NE(find_node_selector(s), nullptr) << s;
-  EXPECT_EQ(find_sched_policy("nope"), nullptr);
-  EXPECT_EQ(find_node_selector("nope"), nullptr);
-}
-
-TEST(SchedulerRegistry, CustomPolicyPluggable) {
-  class NullPolicy : public SchedPolicy {
-   public:
-    std::string_view name() const override { return "null-test"; }
-    SchedDecisions cycle(const SchedContext&) const override { return {}; }
+  auto has = [](const std::vector<std::string>& names, const char* name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
   };
-  if (find_sched_policy("null-test") == nullptr)
-    register_sched_policy(std::make_unique<NullPolicy>());
-  Scheduler sched(cfg("null-test", false));
-  EXPECT_EQ(sched.policy().name(), "null-test");
-  std::map<JobId, Job> jobs;
-  jobs[1] = make_job(1, 1);
-  EXPECT_TRUE(sched.cycle(jobs, make_nodes(2), sim::Time{0}).launches.empty());
+  for (const char* p : {"fifo", "backfill", "priority", "preempt"})
+    EXPECT_TRUE(has(sched_policy_names(), p)) << p;
+  for (const char* s : {"firstfit", "replica"})
+    EXPECT_TRUE(has(node_selector_names(), s)) << s;
+  EXPECT_FALSE(has(sched_policy_names(), "nope"));
+  EXPECT_FALSE(has(node_selector_names(), "nope"));
 }
 
 TEST(SchedulerRegistry, UnknownNamesThrow) {
