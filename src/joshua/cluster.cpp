@@ -115,7 +115,7 @@ Cluster::Cluster(ClusterOptions options)
       cfg.read_local = options_.jstat_local;
       cfg.shard = {s, shards, layout.stride()};
       joshua_servers_[h] = std::make_unique<Server>(net_, head_hosts_[h], cfg,
-                                                    pbs_servers_[h].get());
+                                                    *pbs_servers_[h]);
     }
 
     // Mom plugins (jmutex/jdone) know only their own shard's heads.

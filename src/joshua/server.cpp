@@ -95,49 +95,43 @@ JoshuaConfig joshua_config_from(const sim::Calibration& cal,
 }
 
 Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
-               pbs::Server* local_pbs)
+               pbs::Server& local_pbs)
     : config_(std::move(config)),
       local_pbs_(local_pbs),
       node_(net, host, config_, this, [this, name = net.host(host).name()](
                                           telemetry::Hub& hub) {
         return instrument(hub, name);
       }) {
-  if (local_pbs_ == nullptr && config_.transfer == TransferMode::kSnapshot) {
-    throw std::invalid_argument(
-        "joshua::Server: snapshot transfer needs the colocated PBS server");
-  }
-  if (local_pbs_ != nullptr) {
-    // Chain onto the PBS completion callback for command-log compaction.
-    auto previous = std::move(local_pbs_->on_job_complete);
-    local_pbs_->on_job_complete = [this, previous](const pbs::Job& job) {
-      terminal_jobs_.insert(job.id);
-      if (previous) previous(job);
-    };
-    // Ordered duplicate-completion suppression: with r-way replication the
-    // mom reports only confirm what the ordered MutexDone already decided.
-    local_pbs_->accept_report = [this](const pbs::JobReport& report) {
-      return filter_report(report);
-    };
-    // Compute-node failure -> ordered mutex revocation, so every head
-    // releases the dead mom's claims at the same point in the stream.
-    auto prev_failed = std::move(local_pbs_->on_node_failed);
-    local_pbs_->on_node_failed = [this, prev_failed](sim::HostId mom) {
-      // One revoke per detected failure across the whole group: the first
-      // delivered revoke arms the damping set on every head before their
-      // own detectors fire, so late detections stay local.
-      if (node_.in_service() && revoked_moms_.insert(mom).second)
-        node_.order(net::encode(GroupMutexRevoke{mom}));
-      if (prev_failed) prev_failed(mom);
-    };
-    // Preemption decisions go through the ordered stream: every head's pure
-    // policy picks the same victim from the same replicated state, so each
-    // head multicasts it once (the PBS server damps re-emission) and the
-    // first delivery requeues the victim everywhere at the same point.
-    // Later deliveries are no-ops (apply_preempt ignores non-running jobs).
-    local_pbs_->request_preempt = [this](pbs::JobId victim) {
-      if (node_.in_service()) node_.order(net::encode(GroupPreempt{victim}));
-    };
-  }
+  // Chain onto the PBS completion callback for command-log compaction.
+  auto previous = std::move(local_pbs_.on_job_complete);
+  local_pbs_.on_job_complete = [this, previous](const pbs::Job& job) {
+    terminal_jobs_.insert(job.id);
+    if (previous) previous(job);
+  };
+  // Ordered duplicate-completion suppression: with r-way replication the
+  // mom reports only confirm what the ordered MutexDone already decided.
+  local_pbs_.accept_report = [this](const pbs::JobReport& report) {
+    return filter_report(report);
+  };
+  // Compute-node failure -> ordered mutex revocation, so every head
+  // releases the dead mom's claims at the same point in the stream.
+  auto prev_failed = std::move(local_pbs_.on_node_failed);
+  local_pbs_.on_node_failed = [this, prev_failed](sim::HostId mom) {
+    // One revoke per detected failure across the whole group: the first
+    // delivered revoke arms the damping set on every head before their
+    // own detectors fire, so late detections stay local.
+    if (node_.in_service() && revoked_moms_.insert(mom).second)
+      node_.order(net::encode(GroupMutexRevoke{mom}));
+    if (prev_failed) prev_failed(mom);
+  };
+  // Preemption decisions go through the ordered stream: every head's pure
+  // policy picks the same victim from the same replicated state, so each
+  // head multicasts it once (the PBS server damps re-emission) and the
+  // first delivery requeues the victim everywhere at the same point.
+  // Later deliveries are no-ops (apply_preempt ignores non-running jobs).
+  local_pbs_.request_preempt = [this](pbs::JobId victim) {
+    if (node_.in_service()) node_.order(net::encode(GroupPreempt{victim}));
+  };
 }
 
 rsm::Telemetry Server::instrument(telemetry::Hub& hub,
@@ -235,7 +229,7 @@ rsm::Admit Server::admit(const sim::Payload& request,
   // colocated PBS without a group round -- unless a replay transfer is
   // still rebuilding the table, in which case the ordered path (which holds
   // commands until the replay drains) stays authoritative.
-  if (op == pbs::Op::kStat && local_pbs_ != nullptr && !replaying_)
+  if (op == pbs::Op::kStat && !replaying_)
     return rsm::Admit::kLocal;
   return rsm::Admit::kOrder;
 }
@@ -374,7 +368,7 @@ sim::Payload Server::export_mutex_table() const {
 sim::Payload Server::snapshot() const {
   if (config_.transfer == TransferMode::kSnapshot) {
     return net::encode(TransferEnvelope{TransferKind::kSnapshot,
-                                        local_pbs_->dump_state_blob(),
+                                        local_pbs_.dump_state_blob(),
                                         export_mutex_table()});
   }
   // Compacted command log: drop commands about jobs that already reached a
@@ -473,13 +467,8 @@ void Server::install(const sim::Payload& state) {
   auto& [kind, body, mutex_blob] = env;
   install_mutex_table(mutex_blob);
   if (kind == TransferKind::kSnapshot) {
-    if (local_pbs_ == nullptr) {
-      JLOG(kError, "joshua") << node_.name()
-                             << ": snapshot received without a PBS handle";
-      return;
-    }
     try {
-      local_pbs_->load_state_blob(body);
+      local_pbs_.load_state_blob(body);
       JLOG(kInfo, "joshua") << node_.name() << ": snapshot state installed";
     } catch (const net::WireError& e) {
       JLOG(kError, "joshua") << node_.name() << ": corrupt snapshot: " << e.what();
@@ -490,12 +479,7 @@ void Server::install(const sim::Payload& state) {
   // order, holding any newly delivered commands until the replay finishes.
   // The paper's joiner starts with a freshly installed TORQUE; wipe any
   // stale local state (e.g. the pre-crash queue recovered from disk) first.
-  if (local_pbs_ != nullptr) {
-    local_pbs_->reset_state();
-  } else {
-    JLOG(kWarn, "joshua") << node_.name()
-                          << ": no PBS handle; stale local jobs may linger";
-  }
+  local_pbs_.reset_state();
   try {
     CommandLog log = net::decode<CommandLog>(body);
     replay_queue_.assign(log.requests.begin(), log.requests.end());
@@ -503,8 +487,7 @@ void Server::install(const sim::Payload& state) {
       // Resume the donor's id sequence even though the compaction dropped
       // the terminal tail; otherwise this head's next submit would reuse an
       // id the group already handed out and the tables would fork.
-      if (local_pbs_ != nullptr)
-        local_pbs_->bump_next_job_id(log.next_job_id);
+      local_pbs_.bump_next_job_id(log.next_job_id);
       if (max_job_id_seen_ == pbs::kInvalidJob ||
           log.next_job_id - 1 > max_job_id_seen_)
         max_job_id_seen_ = log.next_job_id - 1;
@@ -620,7 +603,7 @@ void Server::apply_mutex_req(const GroupMutexReq& req) {
   // detector disabled -- a head that never crashes would otherwise keep
   // the node down forever and stop scheduling onto it.
   revoked_moms_.erase(req.mom);
-  if (local_pbs_ != nullptr) local_pbs_->note_node_recovered(req.mom);
+  local_pbs_.note_node_recovered(req.mom);
   answer_mutex_waiters(req.job);
 }
 
@@ -645,19 +628,16 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
   // order and loopback latency is fixed, so a completion delivered right
   // behind a command (routine once ack cuts coalesce) cannot overtake its
   // apply at the colocated PBS.
-  if (local_pbs_ != nullptr) {
-    m_.ordered_completions.add(1);
-    node_.execute(config_.exec_proc, [this, done] {
-      pbs::JobReport report;
-      report.job_id = done.job;
-      report.exit_code = done.exit_code;
-      report.mom_host = done.mom;
-      auto job = local_pbs_->find_job(done.job);
-      report.cancelled = job.has_value() ? job->cancelled : false;
-      call_local_pbs(net::encode(report),
-                     [](std::optional<sim::Payload>) {});
-    });
-  }
+  m_.ordered_completions.add(1);
+  node_.execute(config_.exec_proc, [this, done] {
+    pbs::JobReport report;
+    report.job_id = done.job;
+    report.exit_code = done.exit_code;
+    report.mom_host = done.mom;
+    auto job = local_pbs_.find_job(done.job);
+    report.cancelled = job.has_value() ? job->cancelled : false;
+    call_local_pbs(net::encode(report), [](std::optional<sim::Payload>) {});
+  });
 }
 
 void Server::apply_mutex_revoke(const GroupMutexRevoke& rev) {
@@ -681,7 +661,7 @@ void Server::apply_mutex_revoke(const GroupMutexRevoke& rev) {
   // Converge the local node table with the group's decision: mark the node
   // down, drop its replicas and requeue jobs left without one. Idempotent,
   // so the head whose detector triggered the revoke is unaffected.
-  if (local_pbs_ != nullptr) local_pbs_->note_node_failed(rev.mom);
+  local_pbs_.note_node_failed(rev.mom);
 }
 
 void Server::apply_group_preempt(const GroupPreempt& pre) {
@@ -702,12 +682,10 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
   m_.preempts_ordered.add(1);
   // Inject the requeue into the local PBS through the same exec_proc stage
   // as ordered commands, so it cannot overtake an in-flight apply.
-  if (local_pbs_ != nullptr) {
-    node_.execute(config_.exec_proc, [this, job = pre.job] {
-      call_local_pbs(net::encode(pbs::PreemptRequest{job}),
-                     [](std::optional<sim::Payload>) {});
-    });
-  }
+  node_.execute(config_.exec_proc, [this, job = pre.job] {
+    call_local_pbs(net::encode(pbs::PreemptRequest{job}),
+                   [](std::optional<sim::Payload>) {});
+  });
 }
 
 void Server::answer_mutex_waiters(pbs::JobId job) {
@@ -734,8 +712,8 @@ bool Server::filter_report(const pbs::JobReport& report) {
   // Cancellations are ordered (jdel/qsig went through the group), so the
   // local cancelled flag is identical at every head: accept the matching
   // report directly.
-  if (report.cancelled && local_pbs_ != nullptr) {
-    auto job = local_pbs_->find_job(report.job_id);
+  if (report.cancelled) {
+    auto job = local_pbs_.find_job(report.job_id);
     if (job.has_value() && job->cancelled) return true;
   }
   auto it = mutexes_.find(report.job_id);

@@ -82,11 +82,10 @@ JoshuaConfig joshua_config_from(const sim::Calibration& cal,
 /// The PBS adapter on the rsm core: one per head node.
 class Server : private rsm::IDeterministicService {
  public:
-  /// `local_pbs` is the colocated PBS server; it may be null only in
-  /// kReplay mode (snapshot transfer needs direct state access, modelling
-  /// the SSS-style state interface).
+  /// `local_pbs` is the colocated PBS server. Snapshot transfer reads and
+  /// writes its state directly, modelling the SSS-style state interface.
   Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
-         pbs::Server* local_pbs);
+         pbs::Server& local_pbs);
 
   /// Join the active head group (start of service).
   void start() { node_.start(); }
@@ -178,7 +177,7 @@ class Server : private rsm::IDeterministicService {
                       std::function<void(std::optional<sim::Payload>)> done);
 
   JoshuaConfig config_;
-  pbs::Server* local_pbs_;
+  pbs::Server& local_pbs_;
   Telemetry m_;  ///< filled by node_'s constructor through instrument()
   uint16_t tc_replay_ = 0;   ///< trace category "joshua.replay"
   uint16_t tc_revoke_ = 0;   ///< trace category "joshua.mutex_revoke"
