@@ -484,6 +484,15 @@ void GroupMember::prune_retained() {
 
 void GroupMember::check_gaps() {
   if (!is_member()) return;
+  // A NACKed id at or below its sender's receive watermark is never a gap
+  // again in this view (install_view clears the map before any watermark
+  // moves down), so its dedup entry would only grow the map.
+  for (auto it = nacked_.begin(); it != nacked_.end();) {
+    const MemberId sender = it->first.sender;
+    nacked_.erase(it, nacked_.upper_bound(
+                          MsgId{sender, buffer_.received_upto(sender)}));
+    it = nacked_.upper_bound(MsgId{sender, UINT64_MAX});
+  }
   const std::vector<MsgId> gaps = buffer_.gaps();
   if (gaps.empty()) return;
   // gaps() lists each sender's run together, senders ascending: one NACK

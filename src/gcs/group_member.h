@@ -146,6 +146,8 @@ class GroupMember : public sim::Process {
   const OrderingEngine& engine() const { return *engine_; }
   /// The reliability and ordering state (watermarks, peer cuts, gaps).
   const OrderingBuffer& ordering() const { return buffer_; }
+  /// Ids NACKed recently enough to suppress a repeat NACK.
+  size_t nack_dedup_size() const { return nacked_.size(); }
 
   // -- statistics ------------------------------------------------------------
   /// Registry handles ("gcs.*", cells shared by every member in one

@@ -9,6 +9,8 @@
 // membership protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gcs_harness.h"
 
 namespace {
@@ -108,6 +110,37 @@ TEST(Nack, DuplicateNacksDedupedWithinWindowRearmedAfter) {
   EXPECT_TRUE(GcsHarness::fifo_clean(h.logs[1].delivered));
   EXPECT_EQ(nacks_counter(h), total_nacks_sent(h))
       << "Stats::nacks_sent and the gcs.nacks_sent counter must agree";
+}
+
+// The dedup map keeps an id only while it is still missing: once the
+// retransmit fills the gap, the entry goes. NACKing many messages in one
+// view must not grow it.
+TEST(Nack, DedupMapDoesNotGrowWithNackedMessagesInOneView) {
+  GcsHarness h(2, 1, [](gcs::GroupConfig& cfg) {
+    cfg.suspect_timeout = sim::seconds(30);  // no view change in this test
+    cfg.flush_timeout = sim::seconds(60);
+  });
+  h.join_all();
+  ASSERT_TRUE(h.run_until_converged(2));
+  const gcs::ViewId view = h.members[1]->view().id;
+
+  constexpr uint64_t kRounds = 24;
+  size_t peak = 0;
+  for (uint64_t seq = 1; seq <= kRounds; ++seq) {
+    // Member 1 misses message `seq` and has to NACK it.
+    sim::Time t0 = h.sim.now();
+    h.faults.partition(h.hosts[1], 1, t0 + sim::msec(5), t0 + sim::msec(100));
+    h.sim.run_for(sim::msec(20));
+    h.members[0]->multicast(h.payload_of(static_cast<int>(seq)));
+    ASSERT_TRUE(testutil::run_until(
+        h.sim, [&] { return deliveries_of(h.logs[1], h.hosts[0], seq) > 0; },
+        sim::seconds(5)));
+    h.sim.run_for(sim::msec(200));
+    peak = std::max(peak, h.members[1]->nack_dedup_size());
+  }
+  EXPECT_EQ(h.members[1]->view().id, view) << "one view throughout";
+  EXPECT_GE(h.members[1]->stats().nacks_sent.count(), kRounds);
+  EXPECT_LE(peak, 1u) << "the NACK dedup map grew with the messages NACKed";
 }
 
 TEST(Nack, NoGapMeansNoNacks) {
