@@ -2,14 +2,15 @@
 //
 // The paper pins Maui to FIFO + exclusive cluster access purely for
 // determinism ("this restriction may be lifted in the future if
-// deterministic allocation behavior can be assured"). The plugin policies
-// are deterministic pure functions, so the restriction can be lifted --
+// deterministic allocation behavior can be assured"). Every policy is a
+// deterministic pure function, so the restriction can be lifted --
 // this bench quantifies what it was costing.
 //
 // Part A (utilization): a bursty submit trace (storms + quiet gaps, the
 // regime where backfill has real holes to fill) runs through one PBS
 // server per policy on an 8-node cluster. Reproduction bar, asserted in
-// the exit code and gated by baselines/scheduler_rules.json: EASY
+// the exit code (CI also holds BENCH_scheduler.json to its baseline byte
+// for byte): EASY
 // backfill and priority scheduling must each reach >= 1.5x the node
 // utilization of the paper's FIFO-exclusive configuration.
 //
