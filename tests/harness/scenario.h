@@ -111,7 +111,7 @@ struct ScenarioOptions {
   sim::Duration job_runtime_max = sim::seconds(60);
 
   // -- scheduling ------------------------------------------------------------
-  /// Policy/selector plugin pair, driven identically through every head (the
+  /// Policy/selector pair, driven identically through every head (the
   /// determinism contract). The default honours JOSHUA_SCHED /
   /// JOSHUA_SELECT, so campaigns sweep policies from the environment without
   /// recompiling (like JOSHUA_REPLICATION).
